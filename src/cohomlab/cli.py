@@ -5,16 +5,14 @@
   cohomlab fuzz --seed 0 --iters 100 --shapes dot:2,zigzag:1
 
 Exit codes: 0 success, 1 parse error, 2 validation error, 3 property
-failure (fuzz).  COHOMLAB_THREADS caps fuzz parallelism; every
-iteration is seeded independently, so results do not depend on it.
+failure or engine crash (fuzz).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 
 from .geometry import BUILTIN_NAMES, builtin, ce_complex
 from .io import (
@@ -36,15 +34,6 @@ EXIT_VALIDATION = 2
 EXIT_PROPERTY = 3
 
 DEFAULT_SHAPES = "dot:2,square:1,hseg:1,vseg:1,zigzag:1"
-
-
-def _threads():
-    raw = os.environ.get("COHOMLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ParseError("COHOMLAB_THREADS must be an integer, got %r" % raw)
-    return max(1, n)
 
 
 def _builtin_result(name):
@@ -137,34 +126,31 @@ def _minimize(shapes, prop):
 
 
 def _fuzz_one(seed, counts):
+    """(seed, draw, PropertyFailure) for a failing seed, else None.
+
+    An engine exception is a failure of the property "crash"."""
     rb = random_bicomplex(seed, {"counts": counts})
     try:
         check_bicomplex(rb.dc, shapes=rb.shapes)
     except PropertyFailure as e:
         return (seed, rb, e)
+    except Exception as e:
+        crash = PropertyFailure("crash", repr(e))
+        crash.__cause__ = e
+        return (seed, rb, crash)
     return None
 
 
 def _cmd_fuzz(args, out, err):
     counts = _parse_shape_counts(args.shapes)
-    seeds = [args.seed + i for i in range(args.iters)]
-    threads = _threads()
-    failures = []
-    if threads > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for res in ex.map(lambda s: _fuzz_one(s, counts), seeds):
-                if res is not None:
-                    failures.append(res)
+    for seed in range(args.seed, args.seed + args.iters):
+        failure = _fuzz_one(seed, counts)
+        if failure is not None:
+            break
     else:
-        for s in seeds:
-            res = _fuzz_one(s, counts)
-            if res is not None:
-                failures.append(res)
-    if not failures:
         print("fuzz: %d iterations, all properties hold" % args.iters, file=out)
         return EXIT_OK
-    failures.sort(key=lambda t: t[0])
-    seed, rb, exc = failures[0]
+    seed, rb, exc = failure
     small = _minimize(rb.shapes, exc.prop)
     dc = assemble(small)
     path = args.reproducer or ("fuzz-reproducer-%d.json" % seed)
@@ -172,6 +158,8 @@ def _cmd_fuzz(args, out, err):
         fh.write(canonical_json(document_for_double_complex(dc)) + "\n")
     print("fuzz: property %r failed at seed %d (%s)"
           % (exc.prop, seed, exc.detail), file=err)
+    if exc.__cause__ is not None:
+        traceback.print_exception(exc.__cause__, file=err)
     print("fuzz: minimized reproducer (%d shapes) written to %s"
           % (len(small), path), file=err)
     return EXIT_PROPERTY

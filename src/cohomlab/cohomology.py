@@ -42,10 +42,12 @@ from .linalg import (
     map_subspace,
     preimage,
     quotient_dim,
+    rank,
 )
 from .complexes import (
     doub_tot_summands,
     doub_total_block,
+    doub_total_cohomology,
     require_valid,
     tot,
 )
@@ -515,24 +517,11 @@ class PairAnalysis(_AnalysisBase):
             def rk(k):
                 if k not in ranks:
                     m = bp.d1_block(k).add(bp.d2_block(k).scale(sign))
-                    ranks[k] = rref_rank_of(m)
+                    ranks[k] = rank(m)
                 return ranks[k]
 
             return {k: bp.dim(k) - rk(k) - rk(k - e) for k in bp.support()}
-        out = {}
-        for n in self._tot_degrees():
-            rk_out = rref_rank_of(self._tot_block(sign, n))
-            rk_in = rref_rank_of(self._tot_block(sign, n - 1))
-            out[n] = self._tot_dim(n) - rk_out - rk_in
-        return out
-
-
-def rref_rank_of(m):
-    if m.nrows == 0 or m.ncols == 0:
-        return 0
-    from .linalg import rref as _rref
-
-    return _rref(m)[1]
+        return doub_total_cohomology(self.bp, sign)
 
 
 # ---------------------------------------------------------------------------

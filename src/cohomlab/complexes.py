@@ -18,7 +18,7 @@ finite direct sum and everything stays computable.
 
 from __future__ import annotations
 
-from .linalg import Matrix, Subspace, rref
+from .linalg import Matrix, Subspace, rank
 
 __all__ = [
     "BidiffPair",
@@ -32,10 +32,6 @@ __all__ = [
     "require_valid",
     "tot",
 ]
-
-
-def mat_rank(m):
-    return rref(m)[1]
 
 
 def _check_spaces(spaces, where):
@@ -253,8 +249,7 @@ class GradedComplex:
         out = {}
         ranks = {}
         for k in range(lo - 1, hi + 1):
-            b = self.block(k)
-            ranks[k] = mat_rank(b) if (b.nrows and b.ncols) else 0
+            ranks[k] = rank(self.block(k))
         for k in range(lo, hi + 1):
             out[k] = self.dim(k) - ranks[k] - ranks[k - 1]
         return out
@@ -491,9 +486,7 @@ def doub_total_cohomology(bp, sign=1):
     out = {}
     for r in range(delta):
         dim_n = sum(bp.dim(k) for _, k in doub_tot_summands(bp, r))
-        b_in = doub_total_block(bp, r - 1, sign)
-        b_out = doub_total_block(bp, r, sign)
-        rk_in = mat_rank(b_in) if (b_in.nrows and b_in.ncols) else 0
-        rk_out = mat_rank(b_out) if (b_out.nrows and b_out.ncols) else 0
+        rk_in = rank(doub_total_block(bp, r - 1, sign))
+        rk_out = rank(doub_total_block(bp, r, sign))
         out[r] = dim_n - rk_in - rk_out
     return out

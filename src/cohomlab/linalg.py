@@ -10,16 +10,17 @@ form.  RREF is a canonical representative, so subspace equality is plain
 tuple comparison and every lattice operation lands back in canonical
 form for free.
 
-Two row-reduction paths share one observable contract (the unique RREF):
-a division-free integer path for all-int matrices (the common case by
-far) and ordinary Gauss-Jordan over the field for Fraction / Gaussian
-entries.
+Every row reduction runs through one division-free integer kernel.
+Rational rows are scaled to integer rows with the same span, and a
+Gaussian row is split into the interleaved real rows of v and i*v (see
+_rref_rows); rank, kernel, image and the subspace lattice all sit on
+that one routine.  det keeps its own elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .scalars import GaussianRational, conj, demote
 
@@ -34,6 +35,7 @@ __all__ = [
     "preimage",
     "map_subspace",
     "quotient_dim",
+    "rank",
     "rref",
 ]
 
@@ -181,9 +183,9 @@ def _rref_int(rows, ncols):
 
     Eliminates with p*row_i - a*row_pivot and re-reduces each row by its
     gcd, so entries stay small; pivots are divided out only once at the
-    end.  Returns (rows, pivot_columns) with rows in canonical RREF.
+    end.  Takes ownership of the list `rows` (not of its rows).  Returns
+    (rows, pivot_columns) with rows in canonical RREF.
     """
-    rows = [list(r) for r in rows]
     m = len(rows)
     pivots = []
     r = 0
@@ -221,55 +223,53 @@ def _rref_int(rows, ncols):
     for i, c in enumerate(pivots):
         row = rows[i]
         p = row[c]
-        new = []
-        for x in row:
-            f = Fraction(x, p)
-            new.append(f.numerator if f.denominator == 1 else f)
-        out.append(new)
-    return out, pivots
-
-
-def _rref_field(rows, ncols):
-    """Plain exact Gauss-Jordan for Fraction / GaussianRational entries."""
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        piv = -1
-        for i in range(r, m):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
         if p != 1:
-            if isinstance(p, int):
-                p = Fraction(p)  # int / int would be float division
-            rows[r] = [x / p for x in rows[r]]
-        prow = rows[r]
-        for i in range(m):
-            if i == r:
-                continue
-            a = rows[i][c]
-            if a:
-                rows[i] = [x - a * y for x, y in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-    out = [[demote(x) for x in rows[i]] for i in range(len(pivots))]
+            row = [x // p if not x % p else Fraction(x, p) for x in row]
+        out.append(row)
     return out, pivots
+
+
+def _int_row(row):
+    """A rational row scaled by the lcm of its denominators, as ints."""
+    den = 1
+    for x in row:
+        den = lcm(den, x.denominator)
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _parts(x):
+    if type(x) is GaussianRational:
+        return x.re, x.im
+    return x, 0
 
 
 def _rref_rows(rows, ncols):
+    """Canonical RREF (rows, pivot columns) of any exact rows.
+
+    Every reduction runs on integers.  A rational row is scaled by the
+    lcm of its denominators, which keeps its span.  A Gaussian row v
+    enters as the rational rows of v and i*v with (re, im) interleaved
+    per column; their span is closed under i, so its rational RREF is
+    the interleaved Gaussian RREF: pivots come in pairs (2c, 2c+1) and
+    the rows at even pivots decode to the Gaussian rows.
+    """
+    kinds = {type(x) for row in rows for x in row}
+    if kinds <= {int}:
+        return _rref_int(list(rows), ncols)
+    if GaussianRational not in kinds:
+        return _rref_int([_int_row(r) for r in rows], ncols)
+    split = []
     for row in rows:
-        for x in row:
-            if type(x) is not int:
-                return _rref_field(rows, ncols)
-    return _rref_int(rows, ncols)
+        v = _int_row([t for x in row for t in _parts(x)])
+        split.append(v)
+        split.append([t for a, b in zip(v[::2], v[1::2]) for t in (-b, a)])
+    out, pivots = [], []
+    for row, p in zip(*_rref_int(split, 2 * ncols)):
+        if p % 2 == 0:
+            out.append([a if not b else GaussianRational(a, b)
+                        for a, b in zip(row[::2], row[1::2])])
+            pivots.append(p // 2)
+    return out, pivots
 
 
 def rref(m):
@@ -282,9 +282,9 @@ def rref(m):
     return Matrix(rows, m.ncols), len(pivots)
 
 
-def _rref_with_pivots(m):
-    rows, pivots = _rref_rows(m.rows, m.ncols)
-    return rows, pivots
+def rank(m):
+    """Rank of m; 0 for a matrix with no rows or no columns."""
+    return len(_rref_rows(m.rows, m.ncols)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +362,8 @@ class Subspace:
         """other <= self as subspaces."""
         if self.n != other.n:
             raise ValueError("ambient dimension mismatch")
+        if self.is_full():
+            return True
         if other.dim > self.dim:
             return False
         return all(self.contains_vector(r) for r in other.rows)
@@ -381,6 +383,10 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
         if not self.rows or not other.rows:
             return Subspace.zero(self.n)
+        if self.is_full():
+            return other
+        if other.is_full():
+            return self
         n = self.n
         aug = [list(r) + list(r) for r in self.rows]
         aug += [list(r) + [0] * n for r in other.rows]
@@ -408,8 +414,10 @@ def quotient_dim(z, b):
 
 def kernel(m):
     """Null space of m as a subspace of K^ncols."""
-    rows, pivots = _rref_with_pivots(m)
     n = m.ncols
+    if m.is_zero():
+        return Subspace.full(n)
+    rows, pivots = _rref_rows(m.rows, n)
     pivset = set(pivots)
     basis = []
     for free in range(n):
@@ -429,7 +437,7 @@ def kernel(m):
 
 def image(m):
     """Column space of m as a subspace of K^nrows."""
-    return Subspace([list(r) for r in m.transpose().rows], m.nrows)
+    return Subspace(m.transpose().rows, m.nrows)
 
 
 def map_subspace(m, s):

@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import math
 
-from .linalg import map_subspace, preimage, quotient_dim
+from .linalg import map_subspace, preimage, quotient_dim, rank
 from .complexes import (
     doub_tot_summands,
     doub_total_cohomology,
-    mat_rank,
     require_valid,
     tot,
 )
@@ -208,19 +207,11 @@ def doub_degeneration_check(bp, validated=False):
     if math.gcd(abs(bp.deg1), abs(bp.deg2)) != 1:
         raise ValueError("degeneration check needs coprime differential degrees")
 
-    def rank1(k):
-        m = bp.d1_block(k)
-        return mat_rank(m) if (m.nrows and m.ncols) else 0
-
-    def rank2(k):
-        m = bp.d2_block(k)
-        return mat_rank(m) if (m.nrows and m.ncols) else 0
-
     def d1_dim(k):
-        return bp.dim(k) - rank1(k) - rank1(k - bp.deg1)
+        return bp.dim(k) - rank(bp.d1_block(k)) - rank(bp.d1_block(k - bp.deg1))
 
     def d2_dim(k):
-        return bp.dim(k) - rank2(k) - rank2(k - bp.deg2)
+        return bp.dim(k) - rank(bp.d2_block(k)) - rank(bp.d2_block(k - bp.deg2))
 
     h = doub_total_cohomology(bp, 1)
     first = {}

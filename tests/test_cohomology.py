@@ -6,6 +6,8 @@ compare against the shape-multiset ground truth, which conjugation
 cannot change.
 """
 
+import time
+
 import pytest
 
 from cohomlab.linalg import Matrix, Subspace
@@ -240,6 +242,18 @@ def test_report_zigzag3_slacks():
     assert rep.slack["doubled_plus"] == {0: 0, 1: 1}
     assert rep.verdicts["thm_refined_equality"] is False
     assert rep.verdicts["lemma_holds"] is False
+
+
+def test_report_on_large_dot_finishes_fast():
+    """Zero blocks must not turn a 1500-dim dot into dense eliminations;
+    the full-space shortcuts in kernel/intersect/contains keep it cheap."""
+    n = 1500
+    t0 = time.monotonic()
+    rep = frolicher_report(DoubleComplex({(0, 0): n}, {}, {}))
+    elapsed = time.monotonic() - t0
+    assert rep.tables["BC"] == {(0, 0): n}
+    assert rep.verdicts["lemma_holds"] is True
+    assert elapsed < 20, "runtime %.1fs, budget 20s" % elapsed
 
 
 def test_report_tables_keep_zeros():

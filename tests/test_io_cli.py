@@ -7,7 +7,8 @@ import pytest
 
 from cohomlab import cli
 from cohomlab import io as cio
-from cohomlab.cohomology import cohom
+from cohomlab.cohomology import IllFormedMap, cohom
+from cohomlab.linalg import NotASubspace
 from cohomlab.randomgen import assemble
 
 DOT = {"double_complex": {"entries": [{"p": 0, "q": 0, "dim": 1}],
@@ -232,15 +233,6 @@ def test_fuzz_clean_run():
     assert err == ""
 
 
-def test_fuzz_threads_env(monkeypatch):
-    monkeypatch.setenv("COHOMLAB_THREADS", "4")
-    code, out, _ = run_cli("fuzz", "--iters", "6")
-    assert code == 0 and "all properties hold" in out
-    monkeypatch.setenv("COHOMLAB_THREADS", "many")
-    code, _, err = run_cli("fuzz", "--iters", "1")
-    assert code == 1
-
-
 def test_shape_counts_parsing():
     assert cli._parse_shape_counts("dot:2, hseg:1") == {"dot": 2, "hseg": 1}
     assert cli._parse_shape_counts("dot:1,dot:2") == {"dot": 3}
@@ -269,4 +261,32 @@ def test_fuzz_failure_minimizes_and_writes_reproducer(tmp_path, monkeypatch):
     doc = json.loads(repro.read_text())
     rebuilt = cio.build(cio.parse_document(doc)).obj
     # greedy minimization should strip everything but a single dot
+    assert rebuilt.total_dim() == 1
+
+
+@pytest.mark.parametrize("exc", [
+    NotASubspace("planted"),
+    IllFormedMap("planted"),
+    AssertionError("planted guard"),
+    ValueError("planted"),
+])
+def test_fuzz_engine_crash_minimizes_and_writes_reproducer(tmp_path, monkeypatch, exc):
+    real_check = cli.check_bicomplex
+
+    def planted(dc, shapes=None, spectral=True):
+        if shapes is not None and any(s[0] == "dot" for s in shapes):
+            raise exc
+        return real_check(dc, shapes=shapes, spectral=spectral)
+
+    monkeypatch.setattr(cli, "check_bicomplex", planted)
+    repro = tmp_path / "repro.json"
+    code, out, err = run_cli(
+        "fuzz", "--iters", "2", "--seed", "17",
+        "--shapes", "dot:2,hseg:1", "--reproducer", str(repro),
+    )
+    assert code == 3
+    assert "'crash'" in err and "seed 17" in err and repr(exc) in err
+    assert "Traceback" in err and "planted" in err
+    doc = json.loads(repro.read_text())
+    rebuilt = cio.build(cio.parse_document(doc)).obj
     assert rebuilt.total_dim() == 1

@@ -8,6 +8,7 @@ from cohomlab.linalg import (
     Matrix,
     NotASubspace,
     Subspace,
+    _rref_rows,
     annihilator,
     hstack,
     image,
@@ -16,9 +17,10 @@ from cohomlab.linalg import (
     mat_inverse,
     preimage,
     quotient_dim,
+    rank,
     rref,
 )
-from cohomlab.scalars import GaussianRational
+from cohomlab.scalars import GaussianRational, demote
 
 
 def M(rows, ncols=None):
@@ -30,7 +32,10 @@ def M(rows, ncols=None):
 ints = st.integers(-6, 6)
 fracs = st.fractions(min_value=-8, max_value=8, max_denominator=5)
 gausses = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3))
-entry_kinds = [ints, fracs, st.one_of(ints, gausses)]
+small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+gauss_fracs = st.builds(GaussianRational, small_fracs, small_fracs)
+entry_kinds = [ints, fracs, st.one_of(ints, gausses),
+               st.one_of(ints, fracs, gauss_fracs)]
 
 
 @st.composite
@@ -40,6 +45,41 @@ def matrices(draw, max_dim=5):
     entries = draw(st.sampled_from(entry_kinds))
     rows = [[draw(entries) for _ in range(n)] for _ in range(m)]
     return Matrix(rows, n)
+
+
+@st.composite
+def deficient_matrices(draw, max_dim=5):
+    """matrices() plus rows that are combinations of the drawn rows."""
+    m = draw(matrices(max_dim))
+    entries = draw(st.sampled_from(entry_kinds))
+    rows = [list(r) for r in m.rows]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        new = [0] * m.ncols
+        for r in rows:
+            c = draw(entries)
+            new = [x + c * y for x, y in zip(new, r)]
+        rows.insert(draw(st.integers(0, len(rows))), [demote(x) for x in new])
+    return Matrix(rows, m.ncols)
+
+
+def field_rref(rows, ncols):
+    """Reference: plain Gauss-Jordan over the field, one division per pivot."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p = Fraction(rows[r][c]) if isinstance(rows[r][c], int) else rows[r][c]
+        rows[r] = [x / p for x in rows[r]]
+        for i in range(len(rows)):
+            a = rows[i][c]
+            if i != r and a:
+                rows[i] = [x - a * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return [[demote(x) for x in rows[i]] for i in range(len(pivots))], pivots
 
 
 @st.composite
@@ -113,6 +153,47 @@ def test_rref_round_trip_and_canonical_shape(m):
         for i2 in range(r.nrows):
             if i2 != i:
                 assert not r.rows[i2][p]
+
+
+@given(deficient_matrices())
+@settings(max_examples=300)
+def test_rref_matches_field_gauss_jordan(m):
+    rows, pivots = _rref_rows(m.rows, m.ncols)
+    want_rows, want_pivots = field_rref(m.rows, m.ncols)
+    assert pivots == want_pivots
+    assert rows == want_rows
+    # same scalar kinds too, so serialized bases stay byte-identical
+    assert [[type(x) for x in r] for r in rows] == [
+        [type(x) for x in r] for r in want_rows]
+    assert rank(m) == len(want_pivots)
+
+
+def test_rref_gaussian_with_fraction_parts():
+    g = GaussianRational
+    h = Fraction(1, 2)
+    m = M([[g(h, 1), 2, g(0, h)], [g(-1, 2), g(0, -4), 1]])
+    # independent rows: row 2 is no Gaussian multiple of row 1
+    assert _rref_rows(m.rows, 3) == field_rref(m.rows, 3)
+    dep = M([list(m.rows[0]), [g(0, 3) * x for x in m.rows[0]]])
+    assert rank(dep) == 1
+    assert _rref_rows(dep.rows, 3) == field_rref(dep.rows, 3)
+
+
+def test_rank_of_empty_shapes():
+    assert rank(Matrix([], 4)) == 0
+    assert rank(Matrix([[], [], []], 0)) == 0
+    assert rank(Matrix.zero(3, 2)) == 0
+
+
+def test_full_space_shortcuts():
+    full = Subspace.full(3)
+    u = Subspace([[1, 2, 0]], 3)
+    assert kernel(Matrix.zero(2, 3)) == full
+    assert kernel(Matrix([], 3)) == full
+    assert full.intersect(u) is u and u.intersect(full) is u
+    assert full.contains(u) and not u.contains(full)
+    with pytest.raises(ValueError):
+        full.contains(Subspace.full(2))
 
 
 @given(matrices())
