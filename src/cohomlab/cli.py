@@ -21,6 +21,7 @@ from .io import (
     ValidationError,
     build,
     canonical_json,
+    check_lie_dim,
     document_for_double_complex,
     load_document,
 )
@@ -45,6 +46,7 @@ def _builtin_result(name):
     if mod == "DoubleComplex":
         return BuildResult("lie_complex", obj)
     # a plain algebra presentation
+    check_lie_dim(obj.n, "builtin %s" % name)
     return BuildResult("lie_algebra", ce_complex(obj), lie=obj)
 
 

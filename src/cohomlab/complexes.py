@@ -272,20 +272,12 @@ class TotalComplex(GradedComplex):
     def summands(self, n):
         return self.layout.get(n, [])
 
-    def filtration(self, n, p):
-        """F^p Tot^n: the summands with first index >= p (column filtration)."""
-        total = self.dim(n)
-        start = total
+    def filtration_start(self, n, p):
+        """Offset where F^p Tot^n starts: its first summand with first index >= p."""
         for (pp, _q, off, _d) in self.summands(n):
             if pp >= p:
-                start = off
-                break
-        rows = []
-        for j in range(start, total):
-            row = [0] * total
-            row[j] = 1
-            rows.append(row)
-        return Subspace._trusted(rows, range(start, total), total)
+                return off
+        return self.dim(n)
 
     def embed(self, n, parts):
         """Direct sum of per-summand subspaces as a subspace of Tot^n.

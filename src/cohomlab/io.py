@@ -15,6 +15,10 @@ row-major lists of scalar strings, flat or split into rows.  Shape
 errors, undeclared degrees, broken relations and the like raise
 ValidationError (exit code 2 territory); malformed JSON, wrong types
 and unparseable scalars raise ParseError (exit code 1).
+
+A declared object whose total dimension (the sum of the dims, or 2^dim
+for a lie_algebra) exceeds MAX_TOTAL_DIM raises ValidationError before
+anything is built, instead of hanging or exhausting memory.
 """
 
 from __future__ import annotations
@@ -44,9 +48,13 @@ __all__ = [
     "build",
     "document_for_double_complex",
     "canonical_json",
+    "check_lie_dim",
 ]
 
 KINDS = ("double_complex", "bidiff_pair", "lie_algebra")
+
+# covers the 1024-dim Dolbeault ladder rung and a 1500-dim single space
+MAX_TOTAL_DIM = 4096
 
 
 class ParseError(ValueError):
@@ -83,6 +91,21 @@ class BuildResult:
         self.ops = ops
         self.lie = lie
         self.warnings = list(warns)
+
+
+def _check_total_dim(total, where):
+    if total > MAX_TOTAL_DIM:
+        raise ValidationError("%s: total dimension %d exceeds the bound %d"
+                              % (where, total, MAX_TOTAL_DIM))
+
+
+def check_lie_dim(n, where):
+    """Reject an n-dim algebra whose exterior algebra (dim 2^n) is too big."""
+    # compares n with log2 of the bound, so a huge n never builds 2**n
+    if n >= MAX_TOTAL_DIM.bit_length():
+        raise ValidationError(
+            "%s: dimension %d gives an exterior algebra of dimension 2^%d,"
+            " above the bound %d" % (where, n, n, MAX_TOTAL_DIM))
 
 
 def _expect(cond, msg):
@@ -155,6 +178,7 @@ def _parse_double_complex(spec):
             raise ValidationError("space (%d,%d) declared twice" % (p, q))
         if dim:
             spaces[(p, q)] = dim
+    _check_total_dim(sum(spaces.values()), "double_complex")
 
     def blocks(key, shift):
         out = {}
@@ -196,6 +220,7 @@ def _parse_bidiff_pair(spec):
             raise ValidationError("degree %d declared twice" % k)
         if dim:
             dims[k] = dim
+    _check_total_dim(sum(dims.values()), "bidiff_pair")
     deg1 = _int(spec, "deg1", "bidiff_pair")
     deg2 = _int(spec, "deg2", "bidiff_pair")
     if deg1 == 0 or deg2 == 0:
@@ -247,6 +272,7 @@ def _parse_lie_algebra(spec):
     n = _int(spec, "dim", "lie_algebra")
     if n <= 0:
         raise ValidationError("lie_algebra: dimension must be positive")
+    check_lie_dim(n, "lie_algebra")
     structure = _get(spec, "structure", (list,), "lie_algebra",
                      optional=True, default=None)
     cs_spec = _get(spec, "complex_structure", (dict,), "lie_algebra",

@@ -371,10 +371,10 @@ class Subspace:
     def sum(self, other):
         if self.n != other.n:
             raise ValueError("ambient dimension mismatch")
-        if not self.rows:
-            return other
-        if not other.rows:
+        if not other.rows or self.is_full():
             return self
+        if not self.rows or other.is_full():
+            return other
         return Subspace(list(self.rows) + list(other.rows), self.n)
 
     def intersect(self, other):
@@ -463,6 +463,8 @@ def preimage(m, w):
         raise ValueError("ambient dimension mismatch")
     if w.is_full():
         return Subspace.full(m.ncols)
+    if w.is_zero():
+        return kernel(m)
     c = annihilator(w).basis_matrix()
     return kernel(c.mul(m))
 

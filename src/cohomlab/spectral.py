@@ -2,27 +2,36 @@
 
 The column filtration F^p Tot^n collects the summands with first index
 at least p; in the p-ascending summand layout it is a coordinate
-suffix.  Approximate cycles are plain subspaces of Tot^n:
+suffix.  With n = p+q and Z_r^p = F^p Tot^n  n  d^{-1}(F^{p+r} Tot^{n+1}),
 
-    Z_r^{p,q} = F^p Tot^n  n  d^{-1}( F^{p+r} Tot^{n+1} ),       n = p+q,
+    E_r^{p,q} = Z_r^p / ( d Z_{r-1}^{p-r+1} + Z_{r-1}^{p+1} ),
 
-with Z_0^{p,q} = F^p Tot^n (d preserves the filtration), and
+but no subspace is ever built.  R_n(a, b) is the rank of the block of
+the Tot differential at n with columns in F^a Tot^n and rows outside
+F^b Tot^{n+1}: columns from the offset of the first summand with
+p >= a, rows before the offset of the first summand with p >= b
+(R(a, oo) keeps every row).  Four facts reduce the pages to such ranks:
 
-    E_r^{p,q} = Z_r^{p,q} / ( d Z_{r-1}^{p-r+1, q+r-2} + Z_{r-1}^{p+1, q-1} ).
+    dim Z_r^p         = dim F^p - R_n(p, p+r)      (rank-nullity)
+    Z_r^p  n  F^{p+1} = Z_{r-1}^{p+1}
+    d Z_s^a  n  F^b   = d Z^a_{max(s, b-a)}
+    dim d Z_s^a       = R(a, oo) - R(a, a+s)       (Z_s^a contains F^a n ker d)
 
-The denominator is contained in the numerator for every valid complex,
-so dimensions come from quotient_dim and a violation raises instead of
-returning nonsense.  The rank of d_r out of (p,q) is computed the same
-way: dim( (d Z_r^{p,q} + Bden_tgt) / Bden_tgt ) at the target cell.
-Two independent computations must then satisfy the page recurrence
+So the denominator's summands meet in d Z_r^{p-r+1}, and d Z_r^p (onto
+the image of d_r) meets the target's in d Z_{r-1}^{p+1} + d Z_{r+1}^p:
 
-    dim E_{r+1}^{p,q} = dim E_r^{p,q} - rank d_r out - rank d_r in,
+    dim E_r^{p,q} = dim(p,q) - [R_n(p, p+r) - R_n(p+1, p+r)]
+                  - [R_{n-1}(p-r+1, p+1) - R_{n-1}(p-r+1, p)]
+    rank d_r out of (p,q) = [R_n(p, p+r+1) - R_n(p, p+r)]
+                          - [R_n(p+1, p+r+1) - R_n(p+1, p+r)]
 
-which the tests and the fuzz suite check on every generated complex.
+R is memoised by its two offsets.  Pages run only on validated
+complexes, so a negative dimension or rank is an engine bug and raises.
+The page recurrence follows from these formulas by algebra, so the
+tests check pages against an independent subspace computation instead.
 
-The second filtration (by rows) is computed by running the same
-machinery on the transposed complex and swapping the bidegree keys
-back; no second implementation to keep in sync.
+The second filtration (by rows) is the first filtration of the
+transposed complex, with the bidegree keys swapped back.
 
 Pages stabilize once r exceeds the column span: d_r moves the first
 index by r, so no differential can connect two occupied columns any
@@ -34,7 +43,7 @@ from __future__ import annotations
 
 import math
 
-from .linalg import map_subspace, preimage, quotient_dim, rank
+from .linalg import Matrix, rank
 from .complexes import (
     doub_tot_summands,
     doub_total_cohomology,
@@ -72,15 +81,14 @@ class SpectralPage:
 
 
 class _Engine:
-    def __init__(self, dc):
+    """Pages from the rank table R; dc is the transpose for "second"."""
+
+    def __init__(self, dc, which):
         self.dc = dc
+        self.which = which
         self.t = tot(dc, 1)
         self.support = dc.support()
-        self._filt = {}
-        self._pre = {}
-        self._z = {}
-        self._dz = {}
-        self._bden = {}
+        self._ranks = {}
 
     def r_stab(self):
         if not self.support:
@@ -88,72 +96,46 @@ class _Engine:
         ps = [p for p, _q in self.support]
         return max(ps) - min(ps) + 1
 
-    def filt(self, n, p):
-        key = (n, p)
-        f = self._filt.get(key)
-        if f is None:
-            f = self.t.filtration(n, p)
-            self._filt[key] = f
-        return f
+    def rank_block(self, n, a, b):
+        t = self.t
+        lo, hi = t.filtration_start(n, a), t.filtration_start(n + 1, b)
+        key = (n, lo, hi)
+        if key not in self._ranks:
+            rows = [row[lo:] for row in t.block(n).rows[:hi]]
+            self._ranks[key] = rank(Matrix(rows, t.dim(n) - lo))
+        return self._ranks[key]
 
-    def pre(self, n, p):
-        """Preimage of F^p Tot^{n+1} under the total differential at n."""
-        key = (n, p)
-        w = self._pre.get(key)
-        if w is None:
-            w = preimage(self.t.block(n), self.filt(n + 1, p))
-            self._pre[key] = w
-        return w
+    def _checked(self, value, what, r, p, q):
+        if value < 0:
+            cell = (q, p) if self.which == "second" else (p, q)
+            raise AssertionError(
+                "spectral engine bug: %s of E_%d at %r in the %s filtration is %d"
+                % (what, r, cell, self.which, value))
+        return value
 
-    def z(self, p, n, r):
-        key = (p, n, r)
-        s = self._z.get(key)
-        if s is None:
-            if r == 0:
-                s = self.filt(n, p)
-            else:
-                s = self.filt(n, p).intersect(self.pre(n, p + r))
-            self._z[key] = s
-        return s
-
-    def dz(self, p, n, r):
-        """d(Z_r^{p, n-p}) as a subspace of Tot^{n+1}."""
-        key = (p, n, r)
-        s = self._dz.get(key)
-        if s is None:
-            s = map_subspace(self.t.block(n), self.z(p, n, r))
-            self._dz[key] = s
-        return s
-
-    def bden(self, p, q, r):
-        key = (p, q, r)
-        s = self._bden.get(key)
-        if s is None:
-            n = p + q
-            s = self.dz(p - r + 1, n - 1, r - 1).sum(self.z(p + 1, n, r - 1))
-            self._bden[key] = s
-        return s
-
-    def page(self, r, which):
+    def page(self, r):
+        R = self.rank_block
         dims = {}
         for (p, q) in self.support:
-            d = quotient_dim(self.z(p, p + q, r), self.bden(p, q, r))
+            n = p + q
+            d = self._checked(self.dc.dim(p, q)
+                              - R(n, p, p + r) + R(n, p + 1, p + r)
+                              - R(n - 1, p - r + 1, p + 1) + R(n - 1, p - r + 1, p),
+                              "dimension", r, p, q)
             if d:
                 dims[(p, q)] = d
         ranks = {}
-        for (p, q), d in dims.items():
-            tgt = (p + r, q - r + 1)
-            if dims.get(tgt, 0) == 0:
-                continue
-            b = self.bden(tgt[0], tgt[1], r)
-            rk = self.dz(p, p + q, r).sum(b).dim - b.dim
-            if rk:
-                ranks[(p, q)] = rk
-        return SpectralPage(which, r, dims, ranks)
-
-
-def _swap_keys(table):
-    return {(q, p): v for (p, q), v in table.items()}
+        for (p, q) in dims:
+            if dims.get((p + r, q - r + 1)):
+                n = p + q
+                rk = self._checked(R(n, p, p + r + 1) - R(n, p, p + r)
+                                   - R(n, p + 1, p + r + 1) + R(n, p + 1, p + r),
+                                   "rank of d_r out", r, p, q)
+                if rk:
+                    ranks[(p, q)] = rk
+        if self.which == "second":
+            dims, ranks = ({(q, p): v for (p, q), v in t.items()} for t in (dims, ranks))
+        return SpectralPage(self.which, r, dims, ranks)
 
 
 def pages(dc, which="first", r_max=None, validated=False):
@@ -166,17 +148,11 @@ def pages(dc, which="first", r_max=None, validated=False):
         raise ValueError("which must be 'first' or 'second'")
     if not validated:
         require_valid(dc)
-    if which == "second":
-        inner = pages(dc.transpose(), "first", r_max, validated=True)
-        return [
-            SpectralPage("second", pg.r, _swap_keys(pg.dims), _swap_keys(pg.dr_ranks))
-            for pg in inner
-        ]
-    eng = _Engine(dc)
+    eng = _Engine(dc.transpose() if which == "second" else dc, which)
     upto = eng.r_stab() if r_max is None else r_max
     if upto < 1:
         raise ValueError("r_max must be at least 1")
-    return [eng.page(r, which) for r in range(1, upto + 1)]
+    return [eng.page(r) for r in range(1, upto + 1)]
 
 
 def degenerates_at(dc, which="first", r=1, validated=False):

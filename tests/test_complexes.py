@@ -119,14 +119,9 @@ def test_tot_layout_orders_by_p():
 
 def test_filtration_of_square_total_degree_one():
     t = tot(square())
-    f0 = t.filtration(1, 0)
-    f1 = t.filtration(1, 1)
-    f2 = t.filtration(1, 2)
-    assert f0.is_full() and f0.n == 2
-    assert f1.rows == ((0, 1),)
-    assert f2.is_zero()
-    # nested
-    assert f0.contains(f1) and f1.contains(f2)
+    # Tot^1 = (0,1) + (1,0): F^p starts at 0 for p <= 0, at 1 for p = 1
+    # and is empty (starts at dim 2) beyond
+    assert [t.filtration_start(1, p) for p in (-1, 0, 1, 2, 5)] == [0, 0, 1, 2, 2]
 
 
 def test_embed_places_blocks():

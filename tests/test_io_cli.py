@@ -217,6 +217,37 @@ def test_analyze_error_exit_codes(tmp_path):
     assert code == 1
 
 
+def test_oversized_declarations_are_rejected_before_building():
+    bound = cio.MAX_TOTAL_DIM
+
+    def dc(*dims):
+        return {"double_complex": {"entries": [
+            {"p": i, "q": 0, "dim": d} for i, d in enumerate(dims)]}}
+
+    def pair(*dims):
+        return {"bidiff_pair": {"deg1": 1, "deg2": -1, "degrees": [
+            {"k": k, "dim": d} for k, d in enumerate(dims)]}}
+
+    # at the bound parsing only declares spaces; nothing of that size is built
+    assert cio.parse_document(dc(bound)).payload.dim(0, 0) == bound
+    for doc in (dc(bound + 1), dc(bound - 96, 97), dc(10 ** 30),
+                pair(bound, 1), {"lie_algebra": {"dim": 13}},
+                {"lie_algebra": {"dim": 64}}, {"lie_algebra": {"dim": 10 ** 30}}):
+        with pytest.raises(cio.ValidationError, match="bound %d" % bound):
+            cio.parse_document(doc)
+
+
+def test_oversized_inputs_exit_two(tmp_path):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"lie_algebra": {"dim": 64}}))
+    code, out, err = run_cli("analyze", str(big))
+    assert (code, out) == (2, "")
+    assert "2^64" in err and "bound 4096" in err
+    code, out, err = run_cli("analyze", "--builtin", "abelian:64")
+    assert (code, out) == (2, "")
+    assert "builtin abelian:64" in err and "bound 4096" in err
+
+
 def test_usage_errors_exit_one_not_two():
     code, _, _ = run_cli("analyze", "--no-such-flag")
     assert code == 1

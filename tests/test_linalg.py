@@ -194,6 +194,20 @@ def test_full_space_shortcuts():
     assert full.contains(u) and not u.contains(full)
     with pytest.raises(ValueError):
         full.contains(Subspace.full(2))
+    # a sum with a full side is that side, with no reduction
+    assert full.sum(u) is full and u.sum(full) is full
+    assert full.sum(Subspace.full(3)) is full
+    with pytest.raises(ValueError):
+        full.sum(Subspace.full(2))
+
+
+def test_preimage_of_zero_is_the_kernel_without_a_product(monkeypatch):
+    m = M([[1, 1, 0], [0, 0, 2]])
+    want = kernel(m)
+    monkeypatch.setattr(Matrix, "mul", lambda *a: pytest.fail("preimage of 0 multiplied"))
+    assert preimage(m, Subspace.zero(2)) == want
+    with pytest.raises(ValueError):
+        preimage(m, Subspace.zero(3))
 
 
 @given(matrices())

@@ -3,7 +3,7 @@
 import pytest
 
 from cohomlab.complexes import DoubleComplex
-from cohomlab.cohomology import frolicher_report
+from cohomlab.cohomology import Analysis, frolicher_report
 from cohomlab.linalg import Matrix
 from cohomlab.properties import (
     PROPERTY_NAMES,
@@ -64,6 +64,20 @@ def test_refined_equality_without_lemma_is_accepted():
     assert not rep.verdicts["cor_equality_plus"]
     assert any(rep.slack["doubled_plus"].values())
     assert not any(rep.slack["refined"].values())
+
+
+def test_lemma_verdict_is_computed_once_per_check(monkeypatch):
+    calls = []
+    orig = Analysis.lemma_verdict
+
+    def counted(self):
+        calls.append(self)
+        return orig(self)
+
+    monkeypatch.setattr(Analysis, "lemma_verdict", counted)
+    rb = random_bicomplex(3, BATCH_PARAMS)
+    check_bicomplex(rb.dc, shapes=rb.shapes)
+    assert len(calls) == 1
 
 
 def test_wrong_ground_truth_is_caught():

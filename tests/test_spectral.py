@@ -4,8 +4,11 @@ import pytest
 
 from cohomlab.complexes import BidiffPair, tot
 from cohomlab.cohomology import Analysis
-from cohomlab.linalg import Matrix
+from cohomlab.geometry import ComplexStructureData, builtin, complex_bicomplex
+from cohomlab.linalg import Matrix, Subspace, map_subspace, preimage, quotient_dim
 from cohomlab.randomgen import random_bicomplex, shape_complex
+from cohomlab.scalars import GaussianRational
+from cohomlab import spectral
 from cohomlab.spectral import (
     degenerates_at,
     doub_degeneration_check,
@@ -130,6 +133,118 @@ def test_random_complex_spectral_structure(seed):
 def test_long_zigzag_spectral_structure():
     _check_structure(shape_complex(("zigzag", 0, 0, 7, "upper")))
     _check_structure(shape_complex(("zigzag", 0, 0, 6, "lower")))
+
+
+# -- the subspace-algebra reference ----------------------------------------
+
+
+class SubspaceEngine:
+    """Pages of the column filtration by explicit subspace algebra.
+
+    Builds Z_r^{p,q} = F^p n d^{-1}(F^{p+r}) by preimage and Zassenhaus
+    intersection, d Z by mapping bases, and each denominator as a sum,
+    then takes quotient_dim (which checks the inclusion).  Slow, but it
+    shares no formula with the rank table of cohomlab.spectral.
+    """
+
+    def __init__(self, dc):
+        self.t = tot(dc, 1)
+        self.support = dc.support()
+        self._z = {}
+        self._dz = {}
+        self._bden = {}
+
+    def filt(self, n, p):
+        """F^p Tot^n spanned by the unit vectors of the summands with first index >= p."""
+        total = self.t.dim(n)
+        coords = [off + i for (pp, _q, off, d) in self.t.summands(n) if pp >= p
+                  for i in range(d)]
+        return Subspace([[int(j == c) for j in range(total)] for c in coords], total)
+
+    def z(self, p, n, r):
+        key = (p, n, r)
+        if key not in self._z:
+            f = self.filt(n, p)
+            if r:
+                f = f.intersect(preimage(self.t.block(n), self.filt(n + 1, p + r)))
+            self._z[key] = f
+        return self._z[key]
+
+    def dz(self, p, n, r):
+        key = (p, n, r)
+        if key not in self._dz:
+            self._dz[key] = map_subspace(self.t.block(n), self.z(p, n, r))
+        return self._dz[key]
+
+    def bden(self, p, q, r):
+        key = (p, q, r)
+        if key not in self._bden:
+            n = p + q
+            self._bden[key] = self.dz(p - r + 1, n - 1, r - 1).sum(self.z(p + 1, n, r - 1))
+        return self._bden[key]
+
+    def page(self, r):
+        dims = {}
+        for (p, q) in self.support:
+            d = quotient_dim(self.z(p, p + q, r), self.bden(p, q, r))
+            if d:
+                dims[(p, q)] = d
+        ranks = {}
+        for (p, q) in dims:
+            tgt = (p + r, q - r + 1)
+            if not dims.get(tgt):
+                continue
+            b = self.bden(tgt[0], tgt[1], r)
+            rk = self.dz(p, p + q, r).sum(b).dim - b.dim
+            if rk:
+                ranks[(p, q)] = rk
+        return dims, ranks
+
+
+def reference_pages(dc, which, r_max):
+    """[(dims, dr_ranks)] for r = 1 .. r_max from SubspaceEngine."""
+    if which == "first":
+        eng = SubspaceEngine(dc)
+        return [eng.page(r) for r in range(1, r_max + 1)]
+    swap = lambda table: {(q, p): v for (p, q), v in table.items()}
+    return [(swap(d), swap(k)) for d, k in reference_pages(dc.transpose(), "first", r_max)]
+
+
+def _assert_matches_reference(dc):
+    ps = {p for p, _q in dc.support()} or {0}
+    qs = {q for _p, q in dc.support()} or {0}
+    r_max = max(max(ps) - min(ps), max(qs) - min(qs)) + 3
+    for which in ("first", "second"):
+        got = [(pg.dims, pg.dr_ranks) for pg in pages(dc, which, r_max)]
+        assert got == reference_pages(dc, which, r_max), which
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pages_match_subspace_reference_on_long_zigzags(seed):
+    params = {
+        "counts": {"dot": 1, "hseg": 1, "vseg": 1, "square": 1, "zigzag": 4},
+        "max_span": 3,
+        "max_zigzag": 8,
+    }
+    _assert_matches_reference(random_bicomplex(100 + seed, params).dc)
+
+
+def test_pages_match_subspace_reference_on_gaussian_structures():
+    _assert_matches_reference(builtin("iwasawa-complex"))
+    i = GaussianRational(0, 1)
+    # d phi^3 = i phi^1 ^ phi^2 + (1+i) phi^1 ^ phibar^1: a Gaussian,
+    # non-real structure with a (1,1) part
+    csd = ComplexStructureData(3, {3: {(0, 1): i, (0, 3): 1 + i}})
+    _assert_matches_reference(complex_bicomplex(csd))
+
+
+def test_negative_page_dimension_raises_naming_the_cell(monkeypatch):
+    # a rank table that breaks the rank bounds gives dim(p,q) - 4 < 0
+    monkeypatch.setattr(spectral._Engine, "rank_block", lambda self, n, a, b: 2 * (b - a))
+    dc = shape_complex(("dot", 2, 3))
+    for which in ("first", "second"):
+        with pytest.raises(AssertionError, match=r"dimension of E_1 at \(2, 3\) in the %s" % which):
+            pages(dc, which)
 
 
 # -- degeneration of the canonical double complex of a pair -------------------
