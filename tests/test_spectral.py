@@ -206,8 +206,8 @@ def reference_pages(dc, which, r_max):
     if which == "first":
         eng = SubspaceEngine(dc)
         return [eng.page(r) for r in range(1, r_max + 1)]
-    swap = lambda table: {(q, p): v for (p, q), v in table.items()}
-    return [(swap(d), swap(k)) for d, k in reference_pages(dc.transpose(), "first", r_max)]
+    return [tuple({(q, p): v for (p, q), v in table.items()} for table in pg)
+            for pg in reference_pages(dc.transpose(), "first", r_max)]
 
 
 def _assert_matches_reference(dc):
