@@ -26,8 +26,18 @@ exposed as cheap self-tests.
 
 The del-del-type lemma has eight equivalent formulations (injectivity /
 surjectivity of identity-induced maps among BC, A, D1, D2 and the two
-total cohomologies).  All eight are computed independently and asserted
-to agree; the verdict is formulation (1), injectivity of BC -> A.
+total cohomologies).  All eight are read from the one table of induced
+maps (induced_tables, computed once per analysis) and asserted to
+agree; the verdict is formulation (1), injectivity of BC -> A.
+
+Each induced map Z/B -> Z'/B' (Z <= Z' and B <= B', else IllFormedMap;
+B <= Z, checked by Subquotient) has kernel (Z n B')/B and image
+(Z + B')/B', so one subspace sum gives all three answers:
+
+    rank = dim(Z + B') - dim B',
+    injective <=> rank == dim Z/B,   surjective <=> rank == dim Z'/B'.
+
+A matrix m induces the same with m Z in place of Z.
 """
 
 from __future__ import annotations
@@ -35,12 +45,10 @@ from __future__ import annotations
 from math import gcd
 
 from .linalg import (
-    Matrix,
-    Subspace,
+    block_sum,
     image,
     kernel,
     map_subspace,
-    preimage,
     quotient_dim,
     rank,
 )
@@ -127,11 +135,7 @@ def induced_rank(src, dst):
         raise IllFormedMap("numerator inclusion fails: %r -> %r" % (src.label, dst.label))
     if not dst.B.contains(src.B):
         raise IllFormedMap("denominator inclusion fails: %r -> %r" % (src.label, dst.label))
-    inter = src.Z.intersect(dst.B)
-    rank = src.Z.dim - inter.dim
-    injective = inter == src.B  # src.B <= src.Z n dst.B always holds here
-    surjective = src.Z.sum(dst.B) == dst.Z
-    return InducedMap(rank, injective, surjective)
+    return _induced(src.Z, src, dst)
 
 
 def induced_map_rank(m, src, dst):
@@ -141,10 +145,13 @@ def induced_map_rank(m, src, dst):
         raise IllFormedMap("matrix does not map numerator into numerator")
     if not dst.B.contains(map_subspace(m, src.B)):
         raise IllFormedMap("matrix does not map denominator into denominator")
-    rank = mz.sum(dst.B).dim - dst.B.dim
-    injective = src.Z.intersect(preimage(m, dst.B)) == src.B
-    surjective = mz.sum(dst.B) == dst.Z
-    return InducedMap(rank, injective, surjective)
+    return _induced(mz, src, dst)
+
+
+def _induced(z, src, dst):
+    """The map with image (z + dst.B)/dst.B; see the module docstring."""
+    rank = z.sum(dst.B).dim - dst.B.dim
+    return InducedMap(rank, rank == src.dim, rank == dst.dim)
 
 
 class _Cell:
@@ -162,13 +169,16 @@ class _AnalysisBase:
     """Shared flavor/Varouchas/lemma logic over an abstract cell indexing.
 
     Subclasses provide _cell_keys(), _make_cell(key), total-degree data
-    (_tot_degrees, _tot_dim, _tot_block, _tot_parts) and the grouping of
-    cells by total degree (_cells_at).
+    (_tot_degrees, _tot_dim, _tot_block, _tot_parts), _tot_applicable()
+    and the total cohomology table (_total_table).  Cells, subquotients,
+    total tables and the induced-map table are each computed once.
     """
 
     def __init__(self):
         self._cells = {}
-        self._tot_sq = {}
+        self._sq = {}  # total-degree subquotients by label
+        self._totals = {}
+        self._induced = None
 
     def cell(self, key):
         c = self._cells.get(key)
@@ -222,93 +232,76 @@ class _AnalysisBase:
 
     # -- total-degree machinery ----------------------------------------
 
+    def total_table(self, sign):
+        t = self._totals.get(sign)
+        if t is None:
+            t = self._totals[sign] = self._total_table(sign)
+        return t
+
     def tot_subquotient(self, sign, n):
-        key = (sign, n)
-        sq = self._tot_sq.get(key)
+        label = ("TOT", sign, n)
+        sq = self._sq.get(label)
         if sq is None:
             z = kernel(self._tot_block(sign, n))
             b = image(self._tot_block(sign, n - 1))
-            sq = Subquotient(("TOT", sign, n), z, b)
-            self._tot_sq[key] = sq
+            sq = self._sq[label] = Subquotient(label, z, b)
         return sq
 
-    def _embedded(self, n, z_name, b_name):
+    def _embedded(self, name, n, z_name, b_name):
         """Direct sum of per-cell (Z, B) pairs inside total-degree coords."""
-        parts = self._tot_parts(n)  # [(cell_key, offset, dim)] in order
-        total = self._tot_dim(n)
-        zrows, zpiv = [], []
-        brows, bpiv = [], []
-        for key, off, d in parts:
-            c = self.cell(key)
-            zsub = getattr(c, z_name)
-            bsub = getattr(c, b_name)
-            for rows, piv, sub in ((zrows, zpiv, zsub), (brows, bpiv, bsub)):
-                for r, pv in zip(sub.rows, sub.pivots):
-                    row = [0] * total
-                    row[off:off + d] = list(r)
-                    rows.append(row)
-                    piv.append(off + pv)
-        z = Subspace._trusted(zrows, zpiv, total)
-        b = Subspace._trusted(brows, bpiv, total)
-        return z, b
+        label = (name, n)
+        sq = self._sq.get(label)
+        if sq is None:
+            total = self._tot_dim(n)
+            parts = [(off, d, self.cell(key)) for key, off, d in self._tot_parts(n)]
+            z = block_sum([(off, d, getattr(c, z_name)) for off, d, c in parts], total)
+            b = block_sum([(off, d, getattr(c, b_name)) for off, d, c in parts], total)
+            sq = self._sq[label] = Subquotient(label, z, b)
+        return sq
 
     def embedded_bc(self, n):
-        z, b = self._embedded(n, "zbc", "im12")
-        return Subquotient(("BC_total", n), z, b)
+        return self._embedded("BC_total", n, "zbc", "im12")
 
     def embedded_a(self, n):
-        z, b = self._embedded(n, "ker12", "ba")
-        return Subquotient(("A_total", n), z, b)
-
-    def lemma_conditions_total(self, sign):
-        """(BC -> TOT injective, TOT -> A surjective) across all degrees."""
-        inj = True
-        surj = True
-        for n in self._tot_degrees():
-            tot_sq = self.tot_subquotient(sign, n)
-            bc = self.embedded_bc(n)
-            a = self.embedded_a(n)
-            m1 = induced_rank(bc, tot_sq)
-            m2 = induced_rank(tot_sq, a)
-            inj = inj and m1.injective
-            surj = surj and m2.surjective
-        return inj, surj
+        return self._embedded("A_total", n, "ker12", "ba")
 
     def lemma_verdict(self):
-        conds = {i: True for i in range(1, 9)}
-        for key in self._cell_keys():
-            c = self.cell(key)
-            bc, a = c.subq["BC"], c.subq["A"]
-            d1, d2 = c.subq["D1"], c.subq["D2"]
-            m = induced_rank(bc, a)
-            conds[1] = conds[1] and m.injective
-            conds[2] = conds[2] and m.surjective
-            conds[3] = conds[3] and induced_rank(bc, d1).injective \
-                and induced_rank(bc, d2).injective
-            conds[4] = conds[4] and induced_rank(d1, a).surjective \
-                and induced_rank(d2, a).surjective
-        if self._tot_applicable():
-            for sign, ci, cs in ((1, 5, 6), (-1, 7, 8)):
-                inj, surj = self.lemma_conditions_total(sign)
-                conds[ci] = inj
-                conds[cs] = surj
-            agree = len({conds[i] for i in range(1, 9)}) == 1
-        else:
-            for i in (5, 6, 7, 8):
-                conds[i] = None
-            agree = len({conds[i] for i in range(1, 5)}) == 1
-        if not agree:
+        """The eight lemma conditions, read from induced_tables()."""
+        tables = self.induced_tables()
+        cells = tables["bigraded"].values()
+        conds = {
+            1: all(c["BC->A"]["injective"] for c in cells),
+            2: all(c["BC->A"]["surjective"] for c in cells),
+            3: all(c["BC->D1"]["injective"] and c["BC->D2"]["injective"]
+                   for c in cells),
+            4: all(c["D1->A"]["surjective"] and c["D2->A"]["surjective"]
+                   for c in cells),
+        }
+        rows = tables["total"].values()
+        for tag, ci, cs in (("TOT_PLUS", 5, 6), ("TOT_MINUS", 7, 8)):
+            if self._tot_applicable():
+                conds[ci] = all(r["BC->" + tag]["injective"] for r in rows)
+                conds[cs] = all(r[tag + "->A"]["surjective"] for r in rows)
+            else:
+                conds[ci] = conds[cs] = None
+        if len({v for v in conds.values() if v is not None}) != 1:
             raise AssertionError(
                 "lemma formulations disagree (engine bug): %r" % (conds,)
             )
         return {"holds": conds[1], "conditions": conds}
 
     def induced_tables(self):
-        """Ranks of all identity-induced maps, cellwise and total-degree."""
+        """Ranks of all identity-induced maps, cellwise and total-degree.
+
+        Computed on the first call and shared by every later one (the
+        lemma verdict, the property checks, the report); callers must
+        not mutate it.
+        """
+        if self._induced is not None:
+            return self._induced
         per_cell = {}
         for key in self._cell_keys():
-            c = self.cell(key)
-            s = c.subq
+            s = self.cell(key).subq
             per_cell[key] = {
                 "BC->A": induced_rank(s["BC"], s["A"]).as_dict(),
                 "BC->D1": induced_rank(s["BC"], s["D1"]).as_dict(),
@@ -327,7 +320,8 @@ class _AnalysisBase:
                     row["BC->" + tag] = induced_rank(bc, tot_sq).as_dict()
                     row[tag + "->A"] = induced_rank(tot_sq, a).as_dict()
                 per_degree[n] = row
-        return {"bigraded": per_cell, "total": per_degree}
+        self._induced = {"bigraded": per_cell, "total": per_degree}
+        return self._induced
 
 
 def _make_cell_from_blocks(dim, out1, out2, in1, in2, out11, in_prev):
@@ -398,7 +392,7 @@ class Analysis(_AnalysisBase):
             self._tots[sign] = t
         return t
 
-    def total_table(self, sign):
+    def _total_table(self, sign):
         return self.tot(sign).cohomology()
 
     def _tot_applicable(self):
@@ -506,7 +500,7 @@ class PairAnalysis(_AnalysisBase):
                          if (k - self.bp.deg2 * n) % self.delta == 0)
         return out
 
-    def total_table(self, sign):
+    def _total_table(self, sign):
         """{residue mod delta: dim} or, when deg1 == deg2, {degree: dim}."""
         if self.delta == 0:
             # d1 + sign*d2 is a single differential of degree deg1

@@ -18,7 +18,7 @@ finite direct sum and everything stays computable.
 
 from __future__ import annotations
 
-from .linalg import Matrix, Subspace, rank
+from .linalg import Matrix, rank
 
 __all__ = [
     "BidiffPair",
@@ -261,7 +261,8 @@ class TotalComplex(GradedComplex):
     layout: {n: [(p, q, offset, dim), ...]} with p ascending; the offset
     is the coordinate where the (p,q) block starts inside Tot^n.  The
     layout is what lets bigraded subspaces embed into total-degree
-    coordinates (filtrations, identity-induced comparison maps).
+    coordinates (filtrations, and identity-induced comparison maps
+    through linalg.block_sum).
     """
 
     def __init__(self, dims, d, layout, sign):
@@ -278,30 +279,6 @@ class TotalComplex(GradedComplex):
             if pp >= p:
                 return off
         return self.dim(n)
-
-    def embed(self, n, parts):
-        """Direct sum of per-summand subspaces as a subspace of Tot^n.
-
-        parts: {(p, q): Subspace inside K^{dim(p,q)}}.  Missing summands
-        contribute zero.  Block placement preserves RREF, so no
-        re-reduction is needed.
-        """
-        total = self.dim(n)
-        rows = []
-        pivots = []
-        for (p, q, off, d) in self.summands(n):
-            s = parts.get((p, q))
-            if s is None:
-                continue
-            if s.n != d:
-                raise ValueError("part at (%d,%d) has ambient %d, summand dim %d"
-                                 % (p, q, s.n, d))
-            for r, piv in zip(s.rows, s.pivots):
-                row = [0] * total
-                row[off:off + d] = list(r)
-                rows.append(row)
-                pivots.append(off + piv)
-        return Subspace._trusted(rows, pivots, total)
 
 
 def tot(dc, sign=1):
@@ -469,16 +446,16 @@ def doub_total_cohomology(bp, sign=1):
     """dim H^n(Tot Doub, d1 + sign*d2) for one n per residue class.
 
     H^n depends on n only through n mod (deg1 - deg2): shifting n by the
-    period reproduces the same summands and blocks.  Returns
+    period reproduces the same summands and blocks, so the rank into
+    degree r is the rank out of degree (r - 1) mod the period.  Returns
     {residue: dim} for residues 0 .. |deg1-deg2| - 1.
     """
     delta = abs(bp.deg1 - bp.deg2)
     if delta == 0:
         raise ValueError("Tot of Doub is infinite-dimensional when deg1 == deg2")
+    rk_out = [rank(doub_total_block(bp, r, sign)) for r in range(delta)]
     out = {}
     for r in range(delta):
         dim_n = sum(bp.dim(k) for _, k in doub_tot_summands(bp, r))
-        rk_in = rank(doub_total_block(bp, r - 1, sign))
-        rk_out = rank(doub_total_block(bp, r, sign))
-        out[r] = dim_n - rk_in - rk_out
+        out[r] = dim_n - rk_out[(r - 1) % delta] - rk_out[r]
     return out

@@ -340,9 +340,6 @@ class Sl2Operators:
         self.d_lam = d_lam
         self.unimodular = unimodular
 
-    def h_scalar(self, k):
-        return self.m - k
-
 
 def _dim(n, k):
     return math.comb(n, k) if 0 <= k <= n else 0
@@ -394,22 +391,22 @@ def symplectic_pair(sd):
     if v0 == 0:
         raise AssertionError("volume form vanished for a nondegenerate omega")
 
-    def minor_det(a, b):
-        return det(Matrix([[prow[i][j] for j in b] for i in a], len(b)))
-
     gram = {}
     star = {}
     L = {}
     for k in range(n + 1):
         idx = multi_indices(n, k)
         co = len(idx)
-        gram[k] = Matrix([[minor_det(a, b) for b in idx] for a in idx], co)
+        # Gram entries: minors of the pairing, rows a and columns b
+        gram[k] = Matrix([[det(Matrix([[prow[i][j] for j in b] for i in a], k))
+                           for b in idx] for a in idx], co)
         srows = [[0] * co for _ in range(_dim(n, n - k))]
         cpos = basis_positions(n, n - k)
         full = set(range(n))
+        grows = gram[k].rows
         for j, b in enumerate(idx):
-            for a in idx:
-                da = minor_det(a, b)
+            for i, a in enumerate(idx):
+                da = grows[i][j]
                 if not da:
                     continue
                 acomp = tuple(sorted(full - set(a)))
@@ -494,13 +491,14 @@ def _de_rham_subquotients(ops):
     return out
 
 
-def hard_lefschetz(pair, ops):
+def hard_lefschetz(pair, ops, analysis=None):
     """Lefschetz maps on d-cohomology plus the flavor-dimension slack.
 
     lefschetz_iso[k] says whether L^k: H^{m-k} -> H^{m+k} is bijective;
     the slack table is BC^j + A^j - 2 b_j (always >= 0).  For a
     unimodular algebra, total slack zero is equivalent to all Lefschetz
-    maps being bijective, and that equivalence is asserted.
+    maps being bijective, and that equivalence is asserted.  analysis,
+    when given, is the PairAnalysis of pair whose cells are reused.
     """
     n, m = ops.n, ops.m
     hq = _de_rham_subquotients(ops)
@@ -513,7 +511,7 @@ def hard_lefschetz(pair, ops):
         iso[k] = res.injective and res.surjective
     holds = all(iso.values())
 
-    pa = PairAnalysis(pair, validated=True)
+    pa = analysis if analysis is not None else PairAnalysis(pair, validated=True)
     bc = pa.flavor_table("BC", keep_zeros=True)
     aa = pa.flavor_table("A", keep_zeros=True)
     betti = {k: hq[k].dim for k in range(n + 1)}

@@ -28,6 +28,7 @@ __all__ = [
     "Matrix",
     "NotASubspace",
     "Subspace",
+    "block_sum",
     "det",
     "image",
     "kernel",
@@ -243,6 +244,16 @@ def _parts(x):
     return x, 0
 
 
+def _split_row(row):
+    """A Q(i) row as one integer row of (re, im) parts, interleaved."""
+    return _int_row([t for x in row for t in _parts(x)])
+
+
+def _times_i(v):
+    """The split row of i*w, given the split row v of w."""
+    return [t for a, b in zip(v[::2], v[1::2]) for t in (-b, a)]
+
+
 def _rref_rows(rows, ncols):
     """Canonical RREF (rows, pivot columns) of any exact rows.
 
@@ -260,9 +271,9 @@ def _rref_rows(rows, ncols):
         return _rref_int([_int_row(r) for r in rows], ncols)
     split = []
     for row in rows:
-        v = _int_row([t for x in row for t in _parts(x)])
+        v = _split_row(row)
         split.append(v)
-        split.append([t for a, b in zip(v[::2], v[1::2]) for t in (-b, a)])
+        split.append(_times_i(v))
     out, pivots = [], []
     for row, p in zip(*_rref_int(split, 2 * ncols)):
         if p % 2 == 0:
@@ -348,25 +359,39 @@ class Subspace:
     def __repr__(self):
         return "Subspace(dim %d of K^%d)" % (self.dim, self.n)
 
-    def contains_vector(self, vec):
-        if len(vec) != self.n:
-            raise ValueError("ambient dimension mismatch")
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            a = v[p]
-            if a:
-                v = [x - a * y for x, y in zip(v, row)]
-        return not any(v)
-
     def contains(self, other):
-        """other <= self as subspaces."""
+        """other <= self as subspaces.
+
+        Reduces the rows of other against those of self by cross-
+        multiplication on integer rows.  Over Q(i) both sides are split
+        as in _rref_rows; a row w of self with its pivot at p gives the
+        split rows of w and i*w, echelon at 2p and 2p+1.
+        """
         if self.n != other.n:
             raise ValueError("ambient dimension mismatch")
         if self.is_full():
             return True
         if other.dim > self.dim:
             return False
-        return all(self.contains_vector(r) for r in other.rows)
+        if any(type(x) is GaussianRational
+               for rows in (self.rows, other.rows) for row in rows for x in row):
+            basis = []
+            for row, p in zip(self.rows, self.pivots):
+                w = _split_row(row)
+                basis += [(w, 2 * p), (_times_i(w), 2 * p + 1)]
+            vecs = [_split_row(row) for row in other.rows]
+        else:
+            basis = [(_int_row(row), p) for row, p in zip(self.rows, self.pivots)]
+            vecs = [_int_row(row) for row in other.rows]
+        for v in vecs:
+            for w, p in basis:
+                a = v[p]
+                if a:
+                    c = w[p]
+                    v = [c * x - a * y for x, y in zip(v, w)]
+            if any(v):
+                return False
+        return True
 
     def sum(self, other):
         if self.n != other.n:
@@ -400,6 +425,26 @@ class Subspace:
         # rows with pivot in the right half have zero left half, and their
         # right halves are already mutually reduced: canonical as they are
         return Subspace._trusted(inter_rows, inter_pivots, n)
+
+
+def block_sum(blocks, n):
+    """Direct sum of subspaces placed at coordinate offsets inside K^n.
+
+    blocks: [(offset, dim, Subspace of K^dim)] with ascending, disjoint
+    coordinate ranges.  Block placement preserves RREF, so no
+    re-reduction is needed.
+    """
+    rows, pivots = [], []
+    for off, d, s in blocks:
+        if s.n != d:
+            raise ValueError("block at offset %d has ambient %d, expected %d"
+                             % (off, s.n, d))
+        for r, p in zip(s.rows, s.pivots):
+            row = [0] * n
+            row[off:off + d] = r
+            rows.append(row)
+            pivots.append(off + p)
+    return Subspace._trusted(rows, pivots, n)
 
 
 def quotient_dim(z, b):

@@ -7,10 +7,18 @@ cannot change.
 """
 
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cohomlab.linalg import Matrix, Subspace
+from cohomlab import cohomology
+from cohomlab.geometry import builtin
+from cohomlab.io import BuildResult
+from cohomlab.linalg import Matrix, Subspace, map_subspace, preimage
+from cohomlab.report import make_report
+from cohomlab.scalars import GaussianRational
 from cohomlab.complexes import BidiffPair, DoubleComplex
 from cohomlab.cohomology import (
     Analysis,
@@ -305,6 +313,120 @@ def test_induced_map_rank_rejects_ill_formed():
     dst = Subquotient("z", Subspace.zero(1), Subspace.zero(1))
     with pytest.raises(IllFormedMap):
         induced_map_rank(Matrix.identity(1), src, dst)
+
+
+def reference_induced(src, dst):
+    """(rank, injective, surjective) by the Zassenhaus formulas:
+    the kernel is (Z n B')/B, the image (Z + B')/B'."""
+    inter = src.Z.intersect(dst.B)
+    return (src.Z.dim - inter.dim, inter == src.B, src.Z.sum(dst.B) == dst.Z)
+
+
+def reference_induced_map(m, src, dst):
+    """Same for a matrix m: the kernel is (Z n m^-1 B')/B."""
+    mz = map_subspace(m, src.Z)
+    return (mz.sum(dst.B).dim - dst.B.dim,
+            src.Z.intersect(preimage(m, dst.B)) == src.B,
+            mz.sum(dst.B) == dst.Z)
+
+
+ENTRIES = st.one_of(
+    st.integers(-2, 2),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    st.builds(GaussianRational, st.integers(-2, 2),
+              st.fractions(min_value=-2, max_value=2, max_denominator=3)),
+)
+
+
+def drawn_rows(draw, n, most=2):
+    return [[draw(ENTRIES) for _ in range(n)]
+            for _ in range(draw(st.integers(0, most)))]
+
+
+@st.composite
+def induced_pairs(draw):
+    """(src, dst) with src.B <= src.Z <= dst.Z and src.B <= dst.B <= dst.Z."""
+    n = draw(st.integers(1, 4))
+    b = drawn_rows(draw, n)
+    z = b + drawn_rows(draw, n)
+    b2 = b + drawn_rows(draw, n)
+    z2 = z + b2 + drawn_rows(draw, n)
+    return (Subquotient("src", Subspace(z, n), Subspace(b, n)),
+            Subquotient("dst", Subspace(z2, n), Subspace(b2, n)))
+
+
+@st.composite
+def induced_map_triples(draw):
+    """(m, src, dst) with m src.Z <= dst.Z and m src.B <= dst.B."""
+    n, n2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    m = Matrix([[draw(ENTRIES) for _ in range(n)] if draw(st.booleans()) else [0] * n
+                for _ in range(n2)], n)
+    b = drawn_rows(draw, n)
+    src = Subquotient("src", Subspace(b + drawn_rows(draw, n), n), Subspace(b, n))
+    b2 = map_subspace(m, src.B).sum(Subspace(drawn_rows(draw, n2), n2))
+    z2 = map_subspace(m, src.Z).sum(b2).sum(Subspace(drawn_rows(draw, n2), n2))
+    return m, src, Subquotient("dst", z2, b2)
+
+
+def as_tuple(r):
+    return (r.rank, r.injective, r.surjective)
+
+
+@given(induced_pairs())
+@settings(max_examples=300)
+def test_induced_rank_matches_intersection_formulas(pair):
+    src, dst = pair
+    assert as_tuple(induced_rank(src, dst)) == reference_induced(src, dst)
+
+
+@given(induced_map_triples())
+@settings(max_examples=300)
+def test_induced_map_rank_matches_preimage_formulas(triple):
+    m, src, dst = triple
+    assert as_tuple(induced_map_rank(m, src, dst)) == reference_induced_map(m, src, dst)
+
+
+def test_induced_map_rank_kernel_through_the_matrix():
+    # m kills e2, so Z/B = K^2/0 -> K^1/0 has rank 1 and is not injective
+    src = full_mod_zero(2)
+    dst = full_mod_zero(1)
+    r = induced_map_rank(Matrix([[1, 0]]), src, dst)
+    assert as_tuple(r) == (1, False, True)
+    # B' absorbs the image of e1 but not the rational multiple of e2
+    half = Fraction(1, 2)
+    src = Subquotient("s", Subspace.full(2), Subspace([[1, 0]], 2))
+    dst = Subquotient("d", Subspace.full(2), Subspace([[1, 0]], 2))
+    r = induced_map_rank(Matrix([[1, 0], [0, half]]), src, dst)
+    assert as_tuple(r) == (1, True, True)
+
+
+def test_report_computes_each_map_and_cell_once(monkeypatch):
+    """make_report on iwasawa-symplectic: one induced_rank call per entry
+    of the induced table (the lemma verdict reads that table) and one
+    build per cell (hard_lefschetz reuses the report's analysis)."""
+    rank_calls = []
+    built = []
+    orig_rank = cohomology.induced_rank
+    orig_cell = PairAnalysis._make_cell
+
+    def counted_rank(src, dst):
+        rank_calls.append((src, dst))
+        return orig_rank(src, dst)
+
+    def counted_cell(self, key):
+        built.append(key)
+        return orig_cell(self, key)
+
+    monkeypatch.setattr(cohomology, "induced_rank", counted_rank)
+    monkeypatch.setattr(PairAnalysis, "_make_cell", counted_cell)
+    pair, ops = builtin("iwasawa-symplectic")
+    doc = make_report(BuildResult("lie_symplectic", pair, ops=ops), {"sha256": ""})
+    induced = doc["cohomology"]["induced"]
+    maps = sum(len(row) for part in induced.values() for row in part.values())
+    assert maps == 7 * 5 + 2 * 4
+    assert len(rank_calls) == maps
+    assert len({(id(src), id(dst)) for src, dst in rank_calls}) == maps
+    assert sorted(built) == sorted(set(built)) == pair.support()
 
 
 # -- bidifferential pairs ------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cohomlab.linalg import Matrix, Subspace
+from cohomlab.linalg import Matrix, Subspace, block_sum, rank
 from cohomlab.complexes import (
     BidiffPair,
     DoubleComplex,
@@ -124,19 +124,25 @@ def test_filtration_of_square_total_degree_one():
     assert [t.filtration_start(1, p) for p in (-1, 0, 1, 2, 5)] == [0, 0, 1, 2, 2]
 
 
+def embed(t, n, parts):
+    """Per-summand subspaces {(p, q): Subspace} placed in Tot^n by the layout."""
+    return block_sum([(off, d, parts[(p, q)]) for p, q, off, d in t.summands(n)
+                      if (p, q) in parts], t.dim(n))
+
+
 def test_embed_places_blocks():
     t = tot(square())
     one = Subspace([[1]], 1)
-    assert t.embed(1, {(0, 1): one}).rows == ((1, 0),)
-    assert t.embed(1, {(1, 0): one}).rows == ((0, 1),)
-    assert t.embed(1, {(0, 1): one, (1, 0): one}).is_full()
-    assert t.embed(1, {}).is_zero()
+    assert embed(t, 1, {(0, 1): one}).rows == ((1, 0),)
+    assert embed(t, 1, {(1, 0): one}).rows == ((0, 1),)
+    assert embed(t, 1, {(0, 1): one, (1, 0): one}).is_full()
+    assert embed(t, 1, {}).is_zero()
 
 
 def test_embed_rejects_wrong_ambient():
     t = tot(square())
     with pytest.raises(ValueError):
-        t.embed(1, {(0, 1): Subspace([[1, 0]], 2)})
+        embed(t, 1, {(0, 1): Subspace([[1, 0]], 2)})
 
 
 def test_graded_complex_cohomology():
@@ -232,6 +238,14 @@ def test_doub_total_cohomology_zero_differentials():
     bp = BidiffPair({0: 1, 1: 1, 2: 1}, 1, -1, {}, {})
     # each residue class collects its degrees with zero differential
     assert doub_total_cohomology(bp) == {0: 2, 1: 1}
+
+
+def test_doub_total_cohomology_reads_the_rank_into_r_from_r_minus_one():
+    # deg1 = 2, deg2 = -1, period 3: Tot^0 = A^0, Tot^1 = A^2, Tot^2 = 0,
+    # and d1: A^0 -> A^2 is the only map, from residue 0 into residue 1
+    bp = BidiffPair({0: 1, 2: 1}, 2, -1, {0: Matrix([[1]])}, {})
+    assert [rank(doub_total_block(bp, r)) for r in range(-1, 3)] == [0, 1, 0, 0]
+    assert doub_total_cohomology(bp) == {0: 0, 1: 0, 2: 0}
 
 
 def test_pair_with_fraction_entries():

@@ -1,5 +1,6 @@
 """Input-document parsing, building, and the command line."""
 
+import hashlib
 import io as pyio
 import json
 
@@ -188,6 +189,33 @@ def test_spectral_pages_in_report():
     assert code == 0
     rep = json.loads(out)
     assert {p["r"] for p in rep["spectral"]["first"]} == {1, 2}
+
+
+# sha256 of `analyze --builtin` output, recorded from the engine before
+# induced maps were computed from one sum; rewrites of the engine must
+# leave these report bytes unchanged
+REPORT_SHA256 = [
+    (("iwasawa-complex", "--spectral", "4"),
+     "e13b709447f119d88a01add72c8b8ea137544f5174332e8725a77c7081acfe77"),
+    (("iwasawa-complex", "--view", "type-n"),
+     "85bae49d43958a795574fa889235405012ce0f39e63dbae946f8d2e3a6445b78"),
+    (("iwasawa-symplectic",),
+     "a5935313430e86328440f4d67023b8a38ddeaf3722dd34b65e0287f4fc57a390"),
+    (("iwasawa-symplectic", "--format", "md"),
+     "bc19b0249b04b48852c290187e20a6df80f53d145e0c315da2ffd34ceb610dbd"),
+    (("heisenberg3",),
+     "67c9740a619a1bd044f4213428ecb9c692ca87aa9f9863533564d3ee3d8e4f94"),
+    (("abelian:4",),
+     "abc73754d3a12d3a2a02aa7f83d6728dbdd7903eba2e3c21b9b51c6d184b5aaf"),
+]
+
+
+@pytest.mark.parametrize("args,sha", REPORT_SHA256,
+                         ids=[" ".join(args) for args, _ in REPORT_SHA256])
+def test_analyze_builtin_report_bytes_are_pinned(args, sha):
+    code, out, _ = run_cli("analyze", "--builtin", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 def test_analyze_input_xor_builtin(tmp_path):

@@ -297,11 +297,61 @@ def test_equality_agrees_with_mutual_contains(pair):
     assert (u == v) == (u.contains(v) and v.contains(u))
 
 
+def contains_vector(s, vec):
+    """Reference: reduce vec against the RREF rows of s over the field."""
+    v = list(vec)
+    for row, p in zip(s.rows, s.pivots):
+        a = v[p]
+        if a:
+            v = [x - a * y for x, y in zip(v, row)]
+    return not any(v)
+
+
 def test_contains_vector():
     u = Subspace([[1, 0, 1], [0, 1, 1]], 3)
-    assert u.contains_vector([1, 1, 2])
-    assert not u.contains_vector([0, 0, 1])
-    assert u.contains_vector([0, 0, 0])
+    assert contains_vector(u, [1, 1, 2])
+    assert not contains_vector(u, [0, 0, 1])
+    assert contains_vector(u, [0, 0, 0])
+    assert u.contains(Subspace([[1, 1, 2]], 3))
+    assert not u.contains(Subspace([[1, 1, 2], [0, 0, 1]], 3))
+
+
+@st.composite
+def containment_pairs(draw, n=4):
+    """(u, v) over one entry kind; v is spanned by combinations of u's
+    rows, plus sometimes one drawn row, so both answers occur."""
+    entries = draw(st.sampled_from(entry_kinds))
+    u = Subspace([[draw(entries) for _ in range(n)]
+                  for _ in range(draw(st.integers(0, n)))], n)
+    vrows = []
+    for _ in range(draw(st.integers(0, 3))):
+        new = [0] * n
+        for r in u.rows:
+            c = draw(entries)
+            new = [x + c * y for x, y in zip(new, r)]
+        vrows.append([demote(x) for x in new])
+    if draw(st.booleans()):
+        vrows.append([draw(entries) for _ in range(n)])
+    return u, Subspace(vrows, n)
+
+
+@given(containment_pairs())
+@settings(max_examples=300)
+def test_contains_matches_per_vector_reference(pair):
+    u, v = pair
+    assert u.contains(v) == all(contains_vector(u, r) for r in v.rows)
+
+
+def test_contains_needs_the_i_multiples_of_rows():
+    # each vector below is a row plus i times another row, so reducing
+    # it needs the split rows of i*w as well as those of w
+    i = GaussianRational(0, 1)
+    u = Subspace([[1, 0, Fraction(1, 2)], [0, 1, 0]], 3)  # rational rows
+    assert u.contains(Subspace([[1, i, Fraction(1, 2)]], 3))
+    assert not u.contains(Subspace([[1, i, 1]], 3))
+    w = Subspace([[1, 0, i], [0, 1, 1]], 3)
+    assert w.contains(Subspace([[1, i, 2 * i]], 3))
+    assert not w.contains(Subspace([[1, i, i]], 3))
 
 
 # -- quotients --------------------------------------------------------------
