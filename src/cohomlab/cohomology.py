@@ -236,7 +236,7 @@ class _AnalysisBase:
         t = self._totals.get(sign)
         if t is None:
             t = self._totals[sign] = self._total_table(sign)
-        return t
+        return dict(t)
 
     def tot_subquotient(self, sign, n):
         label = ("TOT", sign, n)
@@ -266,8 +266,8 @@ class _AnalysisBase:
         return self._embedded("A_total", n, "ker12", "ba")
 
     def lemma_verdict(self):
-        """The eight lemma conditions, read from induced_tables()."""
-        tables = self.induced_tables()
+        """The eight lemma conditions, read from the induced-map table."""
+        tables = self._induced_memo()
         cells = tables["bigraded"].values()
         conds = {
             1: all(c["BC->A"]["injective"] for c in cells),
@@ -293,10 +293,14 @@ class _AnalysisBase:
     def induced_tables(self):
         """Ranks of all identity-induced maps, cellwise and total-degree.
 
-        Computed on the first call and shared by every later one (the
-        lemma verdict, the property checks, the report); callers must
-        not mutate it.
+        The maps are computed once per analysis; each call returns a
+        fresh copy, so a caller's edits never reach the lemma verdict.
         """
+        return {part: {k: {m: dict(r) for m, r in row.items()}
+                       for k, row in t.items()}
+                for part, t in self._induced_memo().items()}
+
+    def _induced_memo(self):
         if self._induced is not None:
             return self._induced
         per_cell = {}

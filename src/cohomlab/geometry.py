@@ -57,7 +57,7 @@ from .exterior import (
     wedge_power,
 )
 from .complexes import BidiffPair, DoubleComplex, GradedComplex, require_valid
-from .cohomology import Analysis, PairAnalysis, Subquotient, induced_map_rank
+from .cohomology import Analysis, Subquotient, induced_map_rank
 
 __all__ = [
     "ComplexStructureData",
@@ -491,14 +491,14 @@ def _de_rham_subquotients(ops):
     return out
 
 
-def hard_lefschetz(pair, ops, analysis=None):
+def hard_lefschetz(pa, ops):
     """Lefschetz maps on d-cohomology plus the flavor-dimension slack.
 
     lefschetz_iso[k] says whether L^k: H^{m-k} -> H^{m+k} is bijective;
     the slack table is BC^j + A^j - 2 b_j (always >= 0).  For a
     unimodular algebra, total slack zero is equivalent to all Lefschetz
-    maps being bijective, and that equivalence is asserted.  analysis,
-    when given, is the PairAnalysis of pair whose cells are reused.
+    maps being bijective, and that equivalence is asserted.  pa is the
+    PairAnalysis of the symplectic pair built with ops.
     """
     n, m = ops.n, ops.m
     hq = _de_rham_subquotients(ops)
@@ -511,7 +511,6 @@ def hard_lefschetz(pair, ops, analysis=None):
         iso[k] = res.injective and res.surjective
     holds = all(iso.values())
 
-    pa = analysis if analysis is not None else PairAnalysis(pair, validated=True)
     bc = pa.flavor_table("BC", keep_zeros=True)
     aa = pa.flavor_table("A", keep_zeros=True)
     betti = {k: hq[k].dim for k in range(n + 1)}

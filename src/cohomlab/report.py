@@ -140,7 +140,7 @@ def make_report(result, echo, view="bigraded", spectral_rmax=None):
     except ValueError as e:
         doc["degeneration"] = {"applicable": False, "reason": str(e)}
     if result.kind == "lie_symplectic":
-        hl = hard_lefschetz(bp, result.ops, analysis=a)
+        hl = hard_lefschetz(a, result.ops)
         prim = primitive_and_lefschetz_decomposition(bp, result.ops)
         doc["symplectic"] = {
             "betti": _table_json(hl["betti"]),

@@ -314,7 +314,7 @@ def test_criterion_6_fifty_random_symplectic_algebras():
                 assert bc.get(k, 0) == av.get(nn - k, 0), "BC/A duality"
             chk = doub_degeneration_check(pair, validated=True)
             assert chk["first"] and chk["second"], "degeneration"
-            hard_lefschetz(pair, ops)
+            hard_lefschetz(pa, ops)
         except AssertionError as e:
             failures.append("%s: %s" % (tag, e))
             break

@@ -429,6 +429,26 @@ def test_report_computes_each_map_and_cell_once(monkeypatch):
     assert sorted(built) == sorted(set(built)) == pair.support()
 
 
+def test_edits_to_returned_tables_do_not_reach_the_analysis():
+    """The induced and total tables are memoised, but callers get copies:
+    editing a report's tables leaves the lemma verdict and later reads
+    unchanged."""
+    pair, _ops = builtin("iwasawa-symplectic")
+    a = PairAnalysis(pair, validated=True)
+    rep = frolicher_report(pair, analysis=a)
+    fresh = a.induced_tables()
+    assert rep.induced == fresh and rep.induced is not fresh
+    for part in rep.induced.values():
+        for row in part.values():
+            for res in row.values():
+                res["injective"] = res["surjective"] = True
+    a.total_table(1)[0] = -1
+    assert a.induced_tables() == fresh
+    assert a.total_table(1) == rep.tables["TOT_PLUS"]
+    assert a.lemma_verdict() == {"holds": False,
+                                 "conditions": dict.fromkeys(range(1, 9), False)}
+
+
 # -- bidifferential pairs ------------------------------------------------------
 
 

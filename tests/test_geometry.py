@@ -249,7 +249,7 @@ def test_iwasawa_symplectic_tables():
     assert pa.total_table(-1) == {0: 18, 1: 18}
     assert not pa.lemma_verdict()["holds"]
 
-    hl = hard_lefschetz(pair, ops)
+    hl = hard_lefschetz(pa, ops)
     assert hl["betti"] == {0: 1, 1: 4, 2: 8, 3: 10, 4: 8, 5: 4, 6: 1}
     assert hl["slack"] == {0: 0, 1: 0, 2: 4, 3: 2, 4: 4, 5: 0, 6: 0}
     assert hl["lefschetz_iso"] == {0: True, 1: False, 2: False, 3: True}
@@ -306,7 +306,7 @@ def test_abelian_torus_lefschetz():
     lie = builtin("abelian:2")
     pair, ops = symplectic_pair(SymplecticData(lie, {(1, 2): 1}))
     verify_operator_identities(ops)
-    hl = hard_lefschetz(pair, ops)
+    hl = hard_lefschetz(PairAnalysis(pair, validated=True), ops)
     assert hl["holds"]
     assert hl["slack"] == {0: 0, 1: 0, 2: 0}
     dec = primitive_and_lefschetz_decomposition(pair, ops)
@@ -357,7 +357,7 @@ def test_random_symplectic_batch():
             assert bc.get(k, 0) == av.get(nn - k, 0)
         chk = doub_degeneration_check(pair, validated=True)
         assert chk["first"] and chk["second"]
-        hard_lefschetz(pair, ops)
+        hard_lefschetz(pa, ops)
         made += 1
 
 
