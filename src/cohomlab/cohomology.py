@@ -1,43 +1,63 @@
 """Cohomology flavors of double complexes and bidifferential pairs.
 
-Six flavors are computed from the same cached per-cell subspaces:
+Per cell (a bidegree, or a degree of a pair) the flavors are
 
-    D1  = ker d1 / im d1                 (one-sided)
-    D2  = ker d2 / im d2                 (one-sided)
-    BC  = (ker d1 n ker d2) / im d1d2    (Bott-Chern type)
-    A   = ker d1d2 / (im d1 + im d2)     (Aeppli type)
-    TOT_PLUS / TOT_MINUS                 (total, d = d1 +- d2)
+    D1 = ker d1 / im d1                  BC = (ker d1 n ker d2) / im d1d2
+    D2 = ker d2 / im d2                  A  = ker d1d2 / (im d1 + im d2)
 
-plus the six Varouchas quotients
+and the six Varouchas quotients
 
     V1 = (im d1 n im d2) / im d1d2       V4 = ker d1d2 / (ker d1 + im d2)
     V2 = (ker d1 n im d2) / im d1d2      V5 = ker d1d2 / (ker d2 + im d1)
     V3 = (ker d2 n im d1) / im d1d2      V6 = ker d1d2 / (ker d1 + ker d2)
 
-which fit into four exact sequences; their alternating dimension sums
-give, per bidegree,
+with TOT_PLUS / TOT_MINUS the cohomology of Tot with d = d1 +- d2.  No
+subspace is built: every value is a signed sum of ranks of blocks, by
+one fact beyond rank-nullity, dim(im M n ker N) = rk M - rk NM.  For a
+cell c of dimension n, r1, r2, r12 and rO are the ranks of d1, d2, d1d2
+and [d1; d2] out of c, and rI the rank of [d1 | d2] into c.  A suffix
+names the cell a block leaves: @1 = (p-1,q), @2 = (p,q-1) and
+@12 = (p-1,q-1), or k-deg1, k-deg2 and k-deg1-deg2 for a pair.  As d1
+and d2 anticommute, d2d1 has rank r12 and [d1; d2][d1 | d2] rank
+r12@2 + r12@1.  _CELL_FORMULAS lists the results; e.g. V2 is
+im d2 n ker d1 over im d1d2, so V2 = r2@2 - r12@2 - r12@12.
+
+The eight formulations of the del-del-type lemma are injectivity or
+surjectivity of identity-induced maps among BC, A, D1, D2 and the two
+total cohomologies.  A map's rank is its source dimension minus its
+kernel or its target dimension minus its cokernel; it is injective iff
+rank == source, surjective iff rank == target.  ker(BC -> A) is in
+_CELL_FORMULAS; BC -> D1 and BC -> D2 have kernels V3 and V2, and
+D1 -> A and D2 -> A cokernels V4 and V5.  Per total degree n, with D_n
+the Tot differential of one sign and S_n a sum over the cells of Tot^n
+(degrees run mod |deg1 - deg2| for a pair):
+
+  * BC -> TOT has kernel (ker d1 n ker d2 n im D_{n-1}) / im d1d2, and
+    [d1; d2] D_{n-1} = (d1d2, -d1d2) up to sign, so
+    ker = rk D_{n-1} - S_{n-1} r12 - S_{n-2} r12;
+  * TOT -> A has image (ker D_n + B)/B for B = im [d1 | d2], of
+    dimension dim ker D_n - dim(B n ker D_n), and D_n [d1 | d2] is
+    d1d2 on the difference of the two inputs, so
+    rank = (dim Tot^n - rk D_n) - S_n rI + S_{n-1} r12.
+
+Each block rank, cell and rk D_n is computed once per analysis; rk D_n
+also gives the total tables.  TOT_MINUS reads its own matrix, so the
+two-sign agreement stays a check.  A negative value means a broken rank
+and raises AssertionError naming the cell, the value and its formula.
+The exact sequences of the Varouchas quotients give, per cell,
 
     A  = V1 - V2 + D1 + V4 = V1 - V3 + D2 + V5
     BC = V3 + D1 - V5 + V6 = V2 + D2 - V4 + V6
 
-and, summing, BC + A = D1 + D2 + V1 + V6.  These identities hold for
-every valid complex; a failed check means an engine bug, so they are
-exposed as cheap self-tests.
+and BC + A = D1 + D2 + V1 + V6.  On the formulas these are algebra: the
+self-tests exposing them check the formula table, and the shape ground
+truth in randomgen checks the values.
 
-The del-del-type lemma has eight equivalent formulations (injectivity /
-surjectivity of identity-induced maps among BC, A, D1, D2 and the two
-total cohomologies).  All eight are read from the one table of induced
-maps (induced_tables, computed once per analysis) and asserted to
-agree; the verdict is formulation (1), injectivity of BC -> A.
-
-Each induced map Z/B -> Z'/B' (Z <= Z' and B <= B', else IllFormedMap;
-B <= Z, checked by Subquotient) has kernel (Z n B')/B and image
-(Z + B')/B', so one subspace sum gives all three answers:
-
-    rank = dim(Z + B') - dim B',
-    injective <=> rank == dim Z/B,   surjective <=> rank == dim Z'/B'.
-
-A matrix m induces the same with m Z in place of Z.
+Subquotient and induced_rank / induced_map_rank treat explicit subspaces
+Z/B -> Z'/B' (Z <= Z' and B <= B', else IllFormedMap; B <= Z, checked
+by Subquotient): the image is (Z + B')/B', so rank = dim(Z + B') -
+dim B'.  A matrix m induces the same with m Z in place of Z, as in
+hard_lefschetz.
 """
 
 from __future__ import annotations
@@ -45,17 +65,17 @@ from __future__ import annotations
 from math import gcd
 
 from .linalg import (
-    block_sum,
+    hstack,
     image,
     kernel,
     map_subspace,
     quotient_dim,
     rank,
+    vstack,
 )
 from .complexes import (
     doub_tot_summands,
     doub_total_block,
-    doub_total_cohomology,
     require_valid,
     tot,
 )
@@ -154,44 +174,113 @@ def _induced(z, src, dst):
     return InducedMap(rank, rank == src.dim, rank == dst.dim)
 
 
-class _Cell:
-    __slots__ = (
-        "dim", "ker1", "ker2", "im1", "im2", "ker12", "im12",
-        "zbc", "ba", "subq", "var",
-    )
+def _map(rank, src, dst):
+    return InducedMap(rank, rank == src, rank == dst).as_dict()
+
+
+def _terms(text):
+    """'n - r1 - r1@1' -> ((1, 'n', ''), (-1, 'r1', ''), (-1, 'r1', '1'))."""
+    out = []
+    for tok in text.replace("- ", "-").replace("+ ", "").split():
+        block, _, at = tok.lstrip("-").partition("@")
+        out.append((-1 if tok[0] == "-" else 1, block, at))
+    return tuple(out)
+
+
+# name = formula, n the cell's dimension; see the module docstring
+_CELL_FORMULAS = tuple((name.strip(), text.strip(), _terms(text)) for name, text in (
+    line.split("=") for line in """
+D1 = n - r1 - r1@1
+D2 = n - r2 - r2@2
+BC = n - rO - r12@12
+A = n - r12 - rI
+V1 = r1@1 + r2@2 - rI - r12@12
+V2 = r2@2 - r12@2 - r12@12
+V3 = r1@1 - r12@1 - r12@12
+V4 = r1 - r12 - r12@2
+V5 = r2 - r12 - r12@1
+V6 = r1 + r2 - rO - r12
+ker BC->A = rI - r12@2 - r12@1 - r12@12
+""".strip().splitlines()))
+
+_TOT = "dim Tot^n - rk D_n - rk D_{n-1}"
+_KER_BC_TOT = "rk D_{n-1} - S_{n-1} r12 - S_{n-2} r12"
+_RANK_TOT_A = "(dim Tot^n - rk D_n) - S_n rI + S_{n-1} r12"
 
 
 def _strip_zeros(table):
     return {k: v for k, v in table.items() if v}
 
 
-class _AnalysisBase:
-    """Shared flavor/Varouchas/lemma logic over an abstract cell indexing.
+def _checked(value, where, key, name, formula):
+    if value < 0:
+        raise AssertionError("rank-table engine bug: %s at %s %r is %d = %s"
+                             % (name, where, key, value, formula))
+    return value
 
-    Subclasses provide _cell_keys(), _make_cell(key), total-degree data
-    (_tot_degrees, _tot_dim, _tot_block, _tot_parts), _tot_applicable()
-    and the total cohomology table (_total_table).  Cells, subquotients,
-    total tables and the induced-map table are each computed once.
+
+class _AnalysisBase:
+    """Flavor/Varouchas/lemma logic from block ranks over abstract cells.
+
+    Subclasses provide _cell_keys(), _dim(key), _out(key) (the d1 and d2
+    blocks out of key and the d1 block out of where d2 lands, None where
+    absent), _preds(key) (the keys @1, @2, @12), the total-degree data
+    _tot_degrees(), _tot_prev(n), _tot_keys(n), _tot_dim(n),
+    _tot_block(sign, n), and _tot_applicable().
     """
 
     def __init__(self):
         self._cells = {}
-        self._sq = {}  # total-degree subquotients by label
+        self._ranks = {}  # (block, key) -> rank
+        self._tot_ranks = {}  # (sign, n) -> rk D_n
         self._totals = {}
         self._induced = None
 
     def cell(self, key):
+        """{value name: int} for one cell: the flavors, V1-V6, ker BC->A."""
         c = self._cells.get(key)
         if c is None:
-            c = self._make_cell(key)
-            self._cells[key] = c
+            c = self._cells[key] = self._make_cell(key)
         return c
+
+    def _make_cell(self, key):
+        at = dict(zip(("", "1", "2", "12"), (key,) + self._preds(key)))
+        n = self._dim(key)
+        out = {}
+        for name, text, terms in _CELL_FORMULAS:
+            v = 0
+            for sign, block, suffix in terms:
+                v += sign * (n if block == "n" else self._rank(block, at[suffix]))
+            out[name] = _checked(v, "cell", key, name, text)
+        return out
+
+    def _rank(self, block, key):
+        r = self._ranks.get((block, key))
+        if r is None:
+            r = self._ranks[(block, key)] = self._block_rank(block, key) if self._dim(key) else 0
+        return r
+
+    def _block_rank(self, block, key):
+        d1, d2, d1_next = self._out(key)
+        if block == "r1":
+            m = d1
+        elif block == "r2":
+            m = d2
+        elif block == "r12":
+            m = d1_next.mul(d2) if d1_next and d2 else None
+        elif block == "rO":
+            m = vstack(d1, d2) if d1 and d2 else d1 or d2
+        else:  # rI: d1 from @1 and d2 from @2, side by side
+            at1, at2, _ = self._preds(key)
+            a, b = self._out(at1)[0], self._out(at2)[1]
+            m = hstack(a, b) if a and b else a or b
+        return rank(m) if m else 0
 
     def flavor_table(self, name, keep_zeros=False):
         if name in ("TOT_PLUS", "TOT_MINUS"):
             t = self.total_table(1 if name == "TOT_PLUS" else -1)
         elif name in BIGRADED_FLAVORS:
-            t = {k: self.cell(k).subq[name].dim for k in self._cell_keys()}
+            t = {k: self.cell(k)[name] for k in self._cell_keys()}
         else:
             raise ValueError("unknown flavor %r" % (name,))
         return dict(t) if keep_zeros else _strip_zeros(t)
@@ -199,7 +288,7 @@ class _AnalysisBase:
     def varouchas_tables(self, keep_zeros=False):
         out = {}
         for v in VAROUCHAS:
-            t = {k: self.cell(k).var[v] for k in self._cell_keys()}
+            t = {k: self.cell(k)[v] for k in self._cell_keys()}
             out[v] = dict(t) if keep_zeros else _strip_zeros(t)
         return out
 
@@ -207,9 +296,7 @@ class _AnalysisBase:
         """BC + A = D1 + D2 + V1 + V6 in every cell."""
         for k in self._cell_keys():
             c = self.cell(k)
-            lhs = c.subq["BC"].dim + c.subq["A"].dim
-            rhs = c.subq["D1"].dim + c.subq["D2"].dim + c.var["V1"] + c.var["V6"]
-            if lhs != rhs:
+            if c["BC"] + c["A"] != c["D1"] + c["D2"] + c["V1"] + c["V6"]:
                 return False
         return True
 
@@ -217,53 +304,62 @@ class _AnalysisBase:
         """The four alternating-sum identities of the exact sequences."""
         for k in self._cell_keys():
             c = self.cell(k)
-            d1, d2 = c.subq["D1"].dim, c.subq["D2"].dim
-            bc, a = c.subq["BC"].dim, c.subq["A"].dim
-            v = c.var
-            if a != v["V1"] - v["V2"] + d1 + v["V4"]:
+            d1, d2, bc, a = c["D1"], c["D2"], c["BC"], c["A"]
+            if a != c["V1"] - c["V2"] + d1 + c["V4"]:
                 return False
-            if a != v["V1"] - v["V3"] + d2 + v["V5"]:
+            if a != c["V1"] - c["V3"] + d2 + c["V5"]:
                 return False
-            if bc != v["V3"] + d1 - v["V5"] + v["V6"]:
+            if bc != c["V3"] + d1 - c["V5"] + c["V6"]:
                 return False
-            if bc != v["V2"] + d2 - v["V4"] + v["V6"]:
+            if bc != c["V2"] + d2 - c["V4"] + c["V6"]:
                 return False
         return True
 
     # -- total-degree machinery ----------------------------------------
 
-    def total_table(self, sign):
+    def _tot_rank(self, sign, n):
+        r = self._tot_ranks.get((sign, n))
+        if r is None:
+            r = self._tot_ranks[(sign, n)] = rank(self._tot_block(sign, n))
+        return r
+
+    def _total(self, sign):
         t = self._totals.get(sign)
         if t is None:
-            t = self._totals[sign] = self._total_table(sign)
-        return dict(t)
+            name = "TOT_PLUS" if sign == 1 else "TOT_MINUS"
+            t = self._totals[sign] = {
+                n: _checked(self._tot_dim(n) - self._tot_rank(sign, n)
+                            - self._tot_rank(sign, self._tot_prev(n)),
+                            "total degree", n, name, _TOT)
+                for n in self._tot_degrees()}
+        return t
+
+    def total_table(self, sign):
+        return dict(self._total(sign))
 
     def tot_subquotient(self, sign, n):
-        label = ("TOT", sign, n)
-        sq = self._sq.get(label)
-        if sq is None:
-            z = kernel(self._tot_block(sign, n))
-            b = image(self._tot_block(sign, n - 1))
-            sq = self._sq[label] = Subquotient(label, z, b)
-        return sq
+        """Z/B of total degree n as subspaces.  No table reads it;
+        perfbench's tracer hooks the name."""
+        return Subquotient(("TOT", sign, n), kernel(self._tot_block(sign, n)),
+                           image(self._tot_block(sign, n - 1)))
 
-    def _embedded(self, name, n, z_name, b_name):
-        """Direct sum of per-cell (Z, B) pairs inside total-degree coords."""
-        label = (name, n)
-        sq = self._sq.get(label)
-        if sq is None:
-            total = self._tot_dim(n)
-            parts = [(off, d, self.cell(key)) for key, off, d in self._tot_parts(n)]
-            z = block_sum([(off, d, getattr(c, z_name)) for off, d, c in parts], total)
-            b = block_sum([(off, d, getattr(c, b_name)) for off, d, c in parts], total)
-            sq = self._sq[label] = Subquotient(label, z, b)
-        return sq
-
-    def embedded_bc(self, n):
-        return self._embedded("BC_total", n, "zbc", "im12")
-
-    def embedded_a(self, n):
-        return self._embedded("A_total", n, "ker12", "ba")
+    def _total_row(self, n):
+        """The four maps between BC, A and both total cohomologies at n."""
+        keys = self._tot_keys
+        bc = sum(self.cell(k)["BC"] for k in keys(n))
+        a = sum(self.cell(k)["A"] for k in keys(n))
+        r_in = sum(self._rank("rI", k) for k in keys(n))
+        r12_1, r12_2 = (sum(self._rank("r12", k) for k in keys(m)) for m in (n - 1, n - 2))
+        row = {}
+        for sign, tag in ((1, "TOT_PLUS"), (-1, "TOT_MINUS")):
+            h = self._total(sign)[n]
+            ker = _checked(self._tot_rank(sign, self._tot_prev(n)) - r12_1 - r12_2,
+                           "total degree", n, "ker BC->" + tag, _KER_BC_TOT)
+            into = _checked(self._tot_dim(n) - self._tot_rank(sign, n) - r_in + r12_1,
+                            "total degree", n, "rank %s->A" % tag, _RANK_TOT_A)
+            row["BC->" + tag] = _map(bc - ker, bc, h)
+            row[tag + "->A"] = _map(into, h, a)
+        return row
 
     def lemma_verdict(self):
         """The eight lemma conditions, read from the induced-map table."""
@@ -305,62 +401,20 @@ class _AnalysisBase:
             return self._induced
         per_cell = {}
         for key in self._cell_keys():
-            s = self.cell(key).subq
+            c = self.cell(key)
+            bc, a = c["BC"], c["A"]
             per_cell[key] = {
-                "BC->A": induced_rank(s["BC"], s["A"]).as_dict(),
-                "BC->D1": induced_rank(s["BC"], s["D1"]).as_dict(),
-                "BC->D2": induced_rank(s["BC"], s["D2"]).as_dict(),
-                "D1->A": induced_rank(s["D1"], s["A"]).as_dict(),
-                "D2->A": induced_rank(s["D2"], s["A"]).as_dict(),
+                "BC->A": _map(bc - c["ker BC->A"], bc, a),
+                "BC->D1": _map(bc - c["V3"], bc, c["D1"]),
+                "BC->D2": _map(bc - c["V2"], bc, c["D2"]),
+                "D1->A": _map(a - c["V4"], c["D1"], a),
+                "D2->A": _map(a - c["V5"], c["D2"], a),
             }
         per_degree = {}
         if self._tot_applicable():
-            for n in self._tot_degrees():
-                bc = self.embedded_bc(n)
-                a = self.embedded_a(n)
-                row = {}
-                for sign, tag in ((1, "TOT_PLUS"), (-1, "TOT_MINUS")):
-                    tot_sq = self.tot_subquotient(sign, n)
-                    row["BC->" + tag] = induced_rank(bc, tot_sq).as_dict()
-                    row[tag + "->A"] = induced_rank(tot_sq, a).as_dict()
-                per_degree[n] = row
+            per_degree = {n: self._total_row(n) for n in self._tot_degrees()}
         self._induced = {"bigraded": per_cell, "total": per_degree}
         return self._induced
-
-
-def _make_cell_from_blocks(dim, out1, out2, in1, in2, out11, in_prev):
-    """Build one cell's cached subspaces.
-
-    out1/out2: differentials out of the cell; in1/in2: into the cell;
-    out11: the d1 block one d2-step ahead (for d1 d2 out of the cell);
-    in_prev: the d2 block feeding the d1 block that lands here (for
-    im d1 d2 into the cell).
-    """
-    c = _Cell()
-    c.dim = dim
-    c.ker1 = kernel(out1)
-    c.ker2 = kernel(out2)
-    c.im1 = image(in1)
-    c.im2 = image(in2)
-    c.ker12 = kernel(out11.mul(out2))
-    c.im12 = image(in1.mul(in_prev))
-    c.zbc = c.ker1.intersect(c.ker2)
-    c.ba = c.im1.sum(c.im2)
-    c.subq = {
-        "D1": Subquotient("D1", c.ker1, c.im1),
-        "D2": Subquotient("D2", c.ker2, c.im2),
-        "BC": Subquotient("BC", c.zbc, c.im12),
-        "A": Subquotient("A", c.ker12, c.ba),
-    }
-    c.var = {
-        "V1": quotient_dim(c.im1.intersect(c.im2), c.im12),
-        "V2": quotient_dim(c.ker1.intersect(c.im2), c.im12),
-        "V3": quotient_dim(c.ker2.intersect(c.im1), c.im12),
-        "V4": quotient_dim(c.ker12, c.ker1.sum(c.im2)),
-        "V5": quotient_dim(c.ker12, c.ker2.sum(c.im1)),
-        "V6": quotient_dim(c.ker12, c.ker1.sum(c.ker2)),
-    }
-    return c
 
 
 class Analysis(_AnalysisBase):
@@ -376,18 +430,17 @@ class Analysis(_AnalysisBase):
     def _cell_keys(self):
         return self.dc.support()
 
-    def _make_cell(self, key):
+    def _dim(self, key):
+        return self.dc.spaces.get(key, 0)
+
+    def _out(self, key):
         p, q = key
-        dc = self.dc
-        return _make_cell_from_blocks(
-            dc.dim(p, q),
-            dc.d1_block(p, q),
-            dc.d2_block(p, q),
-            dc.d1_block(p - 1, q),
-            dc.d2_block(p, q - 1),
-            dc.d1_block(p, q + 1),
-            dc.d2_block(p - 1, q - 1),
-        )
+        d1, d2 = self.dc.d1, self.dc.d2
+        return d1.get(key), d2.get(key), d1.get((p, q + 1))
+
+    def _preds(self, key):
+        p, q = key
+        return (p - 1, q), (p, q - 1), (p - 1, q - 1)
 
     def tot(self, sign):
         t = self._tots.get(sign)
@@ -396,9 +449,6 @@ class Analysis(_AnalysisBase):
             self._tots[sign] = t
         return t
 
-    def _total_table(self, sign):
-        return self.tot(sign).cohomology()
-
     def _tot_applicable(self):
         return True
 
@@ -406,14 +456,17 @@ class Analysis(_AnalysisBase):
         lo, hi = self.dc.total_range()
         return range(lo, hi + 1)
 
+    def _tot_prev(self, n):
+        return n - 1
+
+    def _tot_keys(self, n):
+        return [(p, q) for (p, q, _off, _d) in self.tot(1).summands(n)]
+
     def _tot_dim(self, n):
         return self.tot(1).dim(n)
 
     def _tot_block(self, sign, n):
         return self.tot(sign).block(n)
-
-    def _tot_parts(self, n):
-        return [((p, q), off, d) for (p, q, off, d) in self.tot(1).summands(n)]
 
     def total_degree_sums(self, name):
         """Flavor table summed along antidiagonals: {n: sum over p+q=n}."""
@@ -442,49 +495,45 @@ class PairAnalysis(_AnalysisBase):
             require_valid(bp)
         self.bp = bp
         self.delta = bp.deg1 - bp.deg2
-        self._tot_blocks = {}
 
     def _cell_keys(self):
         return self.bp.support()
 
-    def _make_cell(self, key):
-        k = key
+    def _dim(self, k):
+        return self.bp.dim(k)
+
+    def _out(self, k):
         bp = self.bp
-        return _make_cell_from_blocks(
-            bp.dim(k),
-            bp.d1_block(k),
-            bp.d2_block(k),
-            bp.d1_block(k - bp.deg1),
-            bp.d2_block(k - bp.deg2),
-            bp.d1_block(k + bp.deg2),
-            bp.d2_block(k - bp.deg1 - bp.deg2),
-        )
+        return bp.d1.get(k), bp.d2.get(k), bp.d1.get(k + bp.deg2)
+
+    def _preds(self, k):
+        e1, e2 = self.bp.deg1, self.bp.deg2
+        return k - e1, k - e2, k - e1 - e2
 
     def _tot_applicable(self):
         return self.delta != 0
 
     def _tot_degrees(self):
-        return range(abs(self.delta))
+        """Residues mod |delta|, or the plain degrees when delta == 0."""
+        return range(abs(self.delta)) if self.delta else self.bp.support()
+
+    def _tot_prev(self, n):
+        # rk D is periodic in n; with delta == 0, d1 +- d2 has degree deg1
+        return (n - 1) % abs(self.delta) if self.delta else n - self.bp.deg1
+
+    def _tot_keys(self, n):
+        return [k for _p, k in doub_tot_summands(self.bp, n)]
 
     def _tot_dim(self, n):
-        return sum(self.bp.dim(k) for _, k in doub_tot_summands(self.bp, n))
+        if not self.delta:
+            return self.bp.dim(n)
+        return sum(self.bp.dim(k) for k in self._tot_keys(n))
 
     def _tot_block(self, sign, n):
-        key = (sign, n)
-        b = self._tot_blocks.get(key)
-        if b is None:
-            b = doub_total_block(self.bp, n, sign)
-            self._tot_blocks[key] = b
-        return b
-
-    def _tot_parts(self, n):
-        parts = []
-        off = 0
-        for p, k in doub_tot_summands(self.bp, n):
-            d = self.bp.dim(k)
-            parts.append((k, off, d))
-            off += d
-        return parts
+        if not self.delta:
+            bp = self.bp
+            return bp.d1_block(n).add(bp.d2_block(n).scale(sign))
+        return doub_total_block(self.bp, n, sign)
 
     def total_degree_sums(self, name):
         """Flavor dims summed the way the total grading groups them.
@@ -503,23 +552,6 @@ class PairAnalysis(_AnalysisBase):
             out[n] = sum(v for k, v in table.items()
                          if (k - self.bp.deg2 * n) % self.delta == 0)
         return out
-
-    def _total_table(self, sign):
-        """{residue mod delta: dim} or, when deg1 == deg2, {degree: dim}."""
-        if self.delta == 0:
-            # d1 + sign*d2 is a single differential of degree deg1
-            bp = self.bp
-            e = bp.deg1
-            ranks = {}
-
-            def rk(k):
-                if k not in ranks:
-                    m = bp.d1_block(k).add(bp.d2_block(k).scale(sign))
-                    ranks[k] = rank(m)
-                return ranks[k]
-
-            return {k: bp.dim(k) - rk(k) - rk(k - e) for k in bp.support()}
-        return doub_total_cohomology(self.bp, sign)
 
 
 # ---------------------------------------------------------------------------

@@ -259,10 +259,8 @@ class TotalComplex(GradedComplex):
     """Tot of a double complex, with the summand layout retained.
 
     layout: {n: [(p, q, offset, dim), ...]} with p ascending; the offset
-    is the coordinate where the (p,q) block starts inside Tot^n.  The
-    layout is what lets bigraded subspaces embed into total-degree
-    coordinates (filtrations, and identity-induced comparison maps
-    through linalg.block_sum).
+    is the coordinate where the (p,q) block starts inside Tot^n; the
+    filtrations of the spectral sequences are read off it.
     """
 
     def __init__(self, dims, d, layout, sign):

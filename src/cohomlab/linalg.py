@@ -28,7 +28,6 @@ __all__ = [
     "Matrix",
     "NotASubspace",
     "Subspace",
-    "block_sum",
     "det",
     "image",
     "kernel",
@@ -425,26 +424,6 @@ class Subspace:
         # rows with pivot in the right half have zero left half, and their
         # right halves are already mutually reduced: canonical as they are
         return Subspace._trusted(inter_rows, inter_pivots, n)
-
-
-def block_sum(blocks, n):
-    """Direct sum of subspaces placed at coordinate offsets inside K^n.
-
-    blocks: [(offset, dim, Subspace of K^dim)] with ascending, disjoint
-    coordinate ranges.  Block placement preserves RREF, so no
-    re-reduction is needed.
-    """
-    rows, pivots = [], []
-    for off, d, s in blocks:
-        if s.n != d:
-            raise ValueError("block at offset %d has ambient %d, expected %d"
-                             % (off, s.n, d))
-        for r, p in zip(s.rows, s.pivots):
-            row = [0] * n
-            row[off:off + d] = r
-            rows.append(row)
-            pivots.append(off + p)
-    return Subspace._trusted(rows, pivots, n)
 
 
 def quotient_dim(z, b):

@@ -130,10 +130,14 @@ def _check_spectral(a, dc, hp):
 
 def _check_ground_truth(a, shapes, holds):
     want = predicted_tables(shapes)
-    for name in ("D1", "D2", "BC", "A"):
-        got = a.flavor_table(name)
-        if got != want[name]:
-            _fail("ground-truth", "%s table %r != predicted %r" % (name, got, want[name]))
+    got = {name: a.flavor_table(name) for name in ("D1", "D2", "BC", "A")}
+    got.update(a.varouchas_tables())
+    got["BC->A"] = {k: row["BC->A"]["rank"]
+                    for k, row in a.induced_tables()["bigraded"].items()
+                    if row["BC->A"]["rank"]}
+    for name, table in got.items():
+        if table != want[name]:
+            _fail("ground-truth", "%s table %r != predicted %r" % (name, table, want[name]))
     for sign in (1, -1):
         if _sparse(a.total_table(sign)) != want["TOT"]:
             _fail("ground-truth", "total table != predicted")

@@ -257,37 +257,60 @@ def random_bicomplex(seed, params):
 # ground truth
 
 
-def _zigzag_truth(shape, add):
-    _kind, p, q, length, orient = shape
-    spots = zigzag_spots(p, q, length, orient)
-    for idx, cell in enumerate(spots, start=1):
-        even = idx % 2 == 0
-        if orient == "lower":
-            if even:
-                add("BC", cell)
-            else:
-                add("A", cell)
-        else:
-            if even:
-                add("A", cell)
-            else:
-                add("BC", cell)
-    if length % 2 == 1:
-        add("D1", spots[-1])
-        add("TOT", p + q)
-    else:
-        add("D2", spots[-1])
-    add("D2", spots[0])
+# Per-spot ground truth, read off the arrows of the shape.  Outside the
+# squares every spot is one-dimensional, no d1d2 arrow exists (so im d1d2
+# is 0 and ker d1d2 is the spot), an arrow into a spot makes its image
+# the spot, an arrow out makes its kernel 0, and a spot has arrows in
+# only (a sink) or out only (a source).  A quotient of these is 1 exactly
+# when its numerator is the spot and its denominator 0:
+#
+#   D1 = ker d1 / im d1:  no d1 arrow         D2: no d2 arrow
+#   BC = ker d1 n ker d2: no arrow out         A = spot / (im d1 + im d2): no arrow in
+#   V1 = im d1 n im d2:   d1 and d2 in         V2 = ker d1 n im d2: d2 in
+#   V3 = ker d2 n im d1:  d1 in                V4 = spot / (ker d1 + im d2): d1 out
+#   V5 = spot / (ker d2 + im d1): d2 out       V6 = spot / (ker d1 + ker d2): d1 and d2 out
+#   rank BC -> A: BC and A, so no arrow at all (the dots, Stelzig 1812.00865)
+#
+# A square is exact for d1, d2, d1 + d2 and both BC and A senses, so it
+# adds nothing.  Each value maps to (arrows required, arrows excluded).
+_SPOT_RULES = {
+    "D1": ((), ("in1", "out1")),
+    "D2": ((), ("in2", "out2")),
+    "BC": ((), ("out1", "out2")),
+    "A": ((), ("in1", "in2")),
+    "V1": (("in1", "in2"), ()),
+    "V2": (("in2",), ()),
+    "V3": (("in1",), ()),
+    "V4": (("out1",), ()),
+    "V5": (("out2",), ()),
+    "V6": (("out1", "out2"), ()),
+    "BC->A": ((), ("in1", "in2", "out1", "out2")),
+}
+
+
+def _spot_arrows(shape):
+    """{spot: set of "in1", "out1", "in2", "out2"} from the shape's blocks."""
+    dc = shape_complex(shape)
+    arrows = {spot: set() for spot in dc.spaces}
+    for (p, q) in dc.d1:
+        arrows[(p, q)].add("out1")
+        arrows[(p + 1, q)].add("in1")
+    for (p, q) in dc.d2:
+        arrows[(p, q)].add("out2")
+        arrows[(p, q + 1)].add("in2")
+    return arrows
 
 
 def predicted_tables(shapes):
     """Dimension tables forced by the shape multiset.
 
-    Returns {"D1": {...}, "D2": {...}, "BC": {...}, "A": {...},
-    "TOT": {...}, "lemma": bool}.  Bigraded tables are keyed by (p, q),
-    the total table by total degree; only nonzero entries appear.
+    Returns {"D1", "D2", "BC", "A", "V1".."V6", "BC->A": {(p, q): ...},
+    "TOT": {n: ...}, "lemma": bool}; "BC->A" is the rank of that map.
+    Only nonzero entries appear.  Total cohomology is one class per dot
+    and per odd-length zigzag, in the total degree of its first spot.
     """
-    tables = {"D1": {}, "D2": {}, "BC": {}, "A": {}, "TOT": {}}
+    tables = {name: {} for name in _SPOT_RULES}
+    tables["TOT"] = {}
 
     def add(name, key):
         t = tables[name]
@@ -296,31 +319,15 @@ def predicted_tables(shapes):
     lemma = True
     for shape in shapes:
         kind = shape[0]
-        if kind == "dot":
-            cell = (shape[1], shape[2])
-            for name in ("D1", "D2", "BC", "A"):
-                add(name, cell)
+        if kind == "square":
+            continue
+        for spot, arrows in _spot_arrows(shape).items():
+            for name, (need, lack) in _SPOT_RULES.items():
+                if arrows.issuperset(need) and arrows.isdisjoint(lack):
+                    add(name, spot)
+        if kind == "dot" or (kind == "zigzag" and shape[3] % 2 == 1):
             add("TOT", shape[1] + shape[2])
-        elif kind == "square":
-            pass
-        elif kind == "hseg":
+        if kind != "dot":
             lemma = False
-            p, q = shape[1], shape[2]
-            add("BC", (p + 1, q))
-            add("A", (p, q))
-            add("D2", (p, q))
-            add("D2", (p + 1, q))
-        elif kind == "vseg":
-            lemma = False
-            p, q = shape[1], shape[2]
-            add("BC", (p, q + 1))
-            add("A", (p, q))
-            add("D1", (p, q))
-            add("D1", (p, q + 1))
-        elif kind == "zigzag":
-            lemma = False
-            _zigzag_truth(shape, add)
-        else:
-            raise ValueError("unknown shape kind %r" % (kind,))
     tables["lemma"] = lemma
     return tables

@@ -25,10 +25,11 @@ the image of d_r) meets the target's in d Z_{r-1}^{p+1} + d Z_{r+1}^p:
     rank d_r out of (p,q) = [R_n(p, p+r+1) - R_n(p, p+r)]
                           - [R_n(p+1, p+r+1) - R_n(p+1, p+r)]
 
-R is memoised by its two offsets.  Pages run only on validated
-complexes, so a negative dimension or rank is an engine bug and raises.
-The page recurrence follows from these formulas by algebra, so the
-tests check pages against an independent subspace computation instead.
+R is memoised by its two offsets, and by (n, a, b) in front of that.
+Pages run only on validated complexes, so a negative dimension or rank
+is an engine bug and raises.  The page recurrence follows from these
+formulas by algebra, so the tests check pages against an independent
+subspace computation instead.
 
 The second filtration (by rows) is the first filtration of the
 transposed complex, with the bidegree keys swapped back.
@@ -88,7 +89,8 @@ class _Engine:
         self.which = which
         self.t = tot(dc, 1)
         self.support = dc.support()
-        self._ranks = {}
+        self._ranks = {}  # by (n, offsets): many (a, b) share a block
+        self._by_index = {}  # by (n, a, b), to skip the offset scans
 
     def r_stab(self):
         if not self.support:
@@ -97,13 +99,16 @@ class _Engine:
         return max(ps) - min(ps) + 1
 
     def rank_block(self, n, a, b):
-        t = self.t
-        lo, hi = t.filtration_start(n, a), t.filtration_start(n + 1, b)
-        key = (n, lo, hi)
-        if key not in self._ranks:
-            rows = [row[lo:] for row in t.block(n).rows[:hi]]
-            self._ranks[key] = rank(Matrix(rows, t.dim(n) - lo))
-        return self._ranks[key]
+        r = self._by_index.get((n, a, b))
+        if r is None:
+            t = self.t
+            lo, hi = t.filtration_start(n, a), t.filtration_start(n + 1, b)
+            key = (n, lo, hi)
+            if key not in self._ranks:
+                rows = [row[lo:] for row in t.block(n).rows[:hi]]
+                self._ranks[key] = rank(Matrix(rows, t.dim(n) - lo))
+            r = self._by_index[(n, a, b)] = self._ranks[key]
+        return r
 
     def _checked(self, value, what, r, p, q):
         if value < 0:

@@ -39,6 +39,8 @@ from cohomlab.randomgen import (
     shape_complex,
 )
 
+from subspace_reference import reference
+
 
 def analysis_of(shape):
     return Analysis(shape_complex(shape))
@@ -178,17 +180,17 @@ def test_v1_v6_vanishing_implications():
     # upper length-3 zigzag: V1 vanishes everywhere, so BC -> TOT_PLUS is
     # surjective in every total degree even though the lemma fails
     a = analysis_of(("zigzag", 0, 0, 3, "upper"))
-    assert all(v == {} for v in [a.varouchas_tables()["V1"]])
-    for n in a._tot_degrees():
-        m = induced_rank(a.embedded_bc(n), a.tot_subquotient(1, n))
-        assert m.surjective
+    assert a.varouchas_tables()["V1"] == {}
+    rows = a.induced_tables()["total"]
+    assert rows and all(r["BC->TOT_PLUS"]["surjective"] for r in rows.values())
+    assert rows == reference(a.dc)["induced"]["total"]
     # lower length-3 zigzag: V6 vanishes everywhere, so TOT_PLUS -> A is
     # injective in every total degree
     b = analysis_of(("zigzag", 0, 0, 3, "lower"))
     assert b.varouchas_tables()["V6"] == {}
-    for n in b._tot_degrees():
-        m = induced_rank(b.tot_subquotient(1, n), b.embedded_a(n))
-        assert m.injective
+    rows = b.induced_tables()["total"]
+    assert rows and all(r["TOT_PLUS->A"]["injective"] for r in rows.values())
+    assert rows == reference(b.dc)["induced"]["total"]
 
 
 # -- random complexes vs ground truth ----------------------------------------
@@ -401,32 +403,31 @@ def test_induced_map_rank_kernel_through_the_matrix():
 
 
 def test_report_computes_each_map_and_cell_once(monkeypatch):
-    """make_report on iwasawa-symplectic: one induced_rank call per entry
-    of the induced table (the lemma verdict reads that table) and one
-    build per cell (hard_lefschetz reuses the report's analysis)."""
-    rank_calls = []
-    built = []
-    orig_rank = cohomology.induced_rank
-    orig_cell = PairAnalysis._make_cell
+    """make_report on iwasawa-symplectic: each block rank, each rk D_n,
+    each cell and each total-degree row is computed once (the lemma
+    verdict reads the induced table, hard_lefschetz the report's
+    analysis), and the total rows match the subspace reference."""
+    calls = {"block": [], "tot": [], "cell": [], "row": []}
+    for name, attr in (("block", "_block_rank"), ("tot", "_tot_block"),
+                       ("cell", "_make_cell"), ("row", "_total_row")):
+        def counted(self, *args, _orig=getattr(PairAnalysis, attr), _log=calls[name]):
+            _log.append(args)
+            return _orig(self, *args)
 
-    def counted_rank(src, dst):
-        rank_calls.append((src, dst))
-        return orig_rank(src, dst)
-
-    def counted_cell(self, key):
-        built.append(key)
-        return orig_cell(self, key)
-
-    monkeypatch.setattr(cohomology, "induced_rank", counted_rank)
-    monkeypatch.setattr(PairAnalysis, "_make_cell", counted_cell)
+        monkeypatch.setattr(PairAnalysis, attr, counted)
     pair, ops = builtin("iwasawa-symplectic")
     doc = make_report(BuildResult("lie_symplectic", pair, ops=ops), {"sha256": ""})
     induced = doc["cohomology"]["induced"]
     maps = sum(len(row) for part in induced.values() for row in part.values())
     assert maps == 7 * 5 + 2 * 4
-    assert len(rank_calls) == maps
-    assert len({(id(src), id(dst)) for src, dst in rank_calls}) == maps
-    assert sorted(built) == sorted(set(built)) == pair.support()
+    for name, log in calls.items():
+        assert len(log) == len(set(log)), name
+    assert sorted(key for key, in calls["cell"]) == pair.support()
+    assert sorted(n for n, in calls["row"]) == [0, 1]
+    assert {block for block, _key in calls["block"]} == {"r1", "r2", "r12", "rO", "rI"}
+    want = reference(pair)["induced"]["total"]
+    assert PairAnalysis(pair).induced_tables()["total"] == want
+    assert induced["total"] == {str(n): row for n, row in want.items()}
 
 
 def test_edits_to_returned_tables_do_not_reach_the_analysis():

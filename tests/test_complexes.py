@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cohomlab.linalg import Matrix, Subspace, block_sum, rank
+from cohomlab.linalg import Matrix, rank
 from cohomlab.complexes import (
     BidiffPair,
     DoubleComplex,
@@ -122,27 +122,6 @@ def test_filtration_of_square_total_degree_one():
     # Tot^1 = (0,1) + (1,0): F^p starts at 0 for p <= 0, at 1 for p = 1
     # and is empty (starts at dim 2) beyond
     assert [t.filtration_start(1, p) for p in (-1, 0, 1, 2, 5)] == [0, 0, 1, 2, 2]
-
-
-def embed(t, n, parts):
-    """Per-summand subspaces {(p, q): Subspace} placed in Tot^n by the layout."""
-    return block_sum([(off, d, parts[(p, q)]) for p, q, off, d in t.summands(n)
-                      if (p, q) in parts], t.dim(n))
-
-
-def test_embed_places_blocks():
-    t = tot(square())
-    one = Subspace([[1]], 1)
-    assert embed(t, 1, {(0, 1): one}).rows == ((1, 0),)
-    assert embed(t, 1, {(1, 0): one}).rows == ((0, 1),)
-    assert embed(t, 1, {(0, 1): one, (1, 0): one}).is_full()
-    assert embed(t, 1, {}).is_zero()
-
-
-def test_embed_rejects_wrong_ambient():
-    t = tot(square())
-    with pytest.raises(ValueError):
-        embed(t, 1, {(0, 1): Subspace([[1, 0]], 2)})
 
 
 def test_graded_complex_cohomology():

@@ -193,6 +193,51 @@ def test_iwasawa_complex_matches_real_form():
     assert norm(real_d(bar[2])) == norm(form_scale(wedge(bar[0], bar[1]), -1))
 
 
+def gaussian_structures(seed, count, n=3):
+    """Nilpotent complex structures with d phi^i in span{phi^a phi^b,
+    phi^a phibar^b : a, b < i}, some coefficient non-real, that
+    complex_bicomplex accepts."""
+    coeffs = (1, -1, 2, I, GaussianRational(1, -1), GaussianRational(Fraction(1, 2), 1))
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        dphi = {}
+        for i in range(1, n):
+            cands = [(a, b) for a in range(i) for b in range(a + 1, i)]
+            cands += [(a, n + b) for a in range(i) for b in range(i)]
+            form = {m: rng.choice(coeffs) for m in cands if rng.random() < 0.5}
+            if form:
+                dphi[i + 1] = form
+        if not any(isinstance(c, GaussianRational) for f in dphi.values()
+                   for c in f.values()):
+            continue
+        try:
+            out.append(complex_bicomplex(ComplexStructureData(n, dphi)))
+        except ValueError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("which", ["iwasawa", 0, 1, 2])
+def test_complex_structure_dualities(which):
+    """Serre-type duality BC^{p,q} = A^{n-p,n-q}, conjugation D1^{p,q} =
+    D2^{q,p}, and equal total cohomology for both signs."""
+    if which == "iwasawa":
+        dc = builtin("iwasawa-complex")
+    else:
+        dc = gaussian_structures(2014, 3)[which]
+    n = 3
+    a = Analysis(dc, validated=True)
+    bc, aa = a.flavor_table("BC", True), a.flavor_table("A", True)
+    d1, d2 = a.flavor_table("D1", True), a.flavor_table("D2", True)
+    assert set(bc) == {(p, q) for p in range(n + 1) for q in range(n + 1)}
+    for p, q in bc:
+        assert bc[(p, q)] == aa[(n - p, n - q)], (p, q)
+        assert d1[(p, q)] == d2[(q, p)], (p, q)
+    assert a.total_table(1) == a.total_table(-1)
+    assert a.lemma_verdict()["holds"] is False
+
+
 # ---------------------------------------------------------------------------
 # symplectic structures
 

@@ -1,5 +1,7 @@
 """Shape builders, direct sums, conjugation, and ground-truth tables."""
 
+import json
+import pathlib
 import random
 
 import pytest
@@ -190,3 +192,44 @@ def test_predicted_tables_accumulate():
     assert t["A"] == {(0, 0): 3}
     assert t["BC"] == {(0, 0): 2, (1, 0): 1}
     assert t["lemma"] is False
+
+
+GOLDEN_SHAPES = {
+    "dot": ("dot", 0, 0),
+    "square": ("square", 0, 0),
+    "hseg": ("hseg", 0, 0),
+    "vseg": ("vseg", 0, 0),
+    "zigzag3": ("zigzag", 0, 0, 3, "lower"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHAPES))
+def test_predicted_tables_match_the_goldens(name):
+    """The arrow rules reproduce every pinned flavor and Varouchas table."""
+    path = pathlib.Path(__file__).parent / "golden" / ("%s.json" % name)
+    expected = json.loads(path.read_text())["expected"]
+    t = predicted_tables([GOLDEN_SHAPES[name]])
+
+    def cells(table):
+        return {tuple(int(x) for x in k.split(",")): v for k, v in table.items()}
+
+    for group in ("tables", "varouchas"):
+        for flavor, table in expected[group].items():
+            assert t[flavor] == cells(table), flavor
+    assert t["BC->A"] == ({(0, 0): 1} if name == "dot" else {})
+
+
+def test_predicted_varouchas_of_zigzags():
+    # lower zigzag of length 4: s1 -d1-> s2 <-d2- s3 -d1-> s4
+    t = predicted_tables([("zigzag", 0, 0, 4, "lower")])
+    assert t["V1"] == t["V2"] == {(1, 0): 1}
+    assert t["V3"] == {(1, 0): 1, (2, -1): 1}
+    assert t["V4"] == {(0, 0): 1, (1, -1): 1}
+    assert t["V5"] == t["V6"] == {(1, -1): 1}
+    assert t["BC->A"] == {}
+    # upper zigzag of length 3: the reflection, sources and sinks swapped
+    t = predicted_tables([("zigzag", 0, 0, 3, "upper")])
+    assert t["V1"] == {}
+    assert t["V2"] == {(-1, 1): 1}
+    assert t["V3"] == {(0, 0): 1}
+    assert t["V4"] == t["V5"] == t["V6"] == {(-1, 0): 1}

@@ -1,0 +1,171 @@
+"""The rank-table engine against the subspace reference engine.
+
+Random bicomplexes are direct sums of Stelzig's indecomposables (dots,
+segments, squares, zigzags), conjugated per cell by random invertible
+matrices with Fraction or Gaussian entries, so every entry is generic
+while the answer stays that of the shapes.  Pairs are such complexes
+collapsed along (p, q) -> deg1*p + deg2*q and conjugated per degree,
+with periods |deg1 - deg2| of 1, 2 and 3 and with deg1 = deg2; pairs
+(a D, b D) built on one differential D add equal-degree pairs whose two
+total tables differ.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cohomlab.cohomology import Analysis, PairAnalysis
+from cohomlab.complexes import BidiffPair, tot
+from cohomlab.linalg import Matrix, mat_inverse
+from cohomlab.randomgen import assemble
+from cohomlab.scalars import GaussianRational
+
+from subspace_reference import engine_view, reference
+
+FRACTIONS = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+ENTRIES = {
+    "fraction": FRACTIONS,
+    "gaussian": st.builds(GaussianRational, FRACTIONS, FRACTIONS),
+}
+
+SHAPES = st.one_of(
+    st.tuples(st.sampled_from(["dot", "hseg", "vseg", "square"]),
+              st.integers(-1, 1), st.integers(-1, 1)),
+    st.tuples(st.just("zigzag"), st.integers(-1, 1), st.integers(-1, 1),
+              st.integers(2, 6), st.sampled_from(["lower", "upper"])),
+)
+
+# (deg1, deg2) of the collapsed pairs: periods 3, 2, 2, 1, 1 and deg1 = deg2
+DEGREES = [(2, -1), (1, -1), (3, 1), (1, 0), (2, 1), (1, 1)]
+
+
+def invertible(draw, entries, n):
+    """L U with L unit lower triangular and U upper with nonzero diagonal."""
+    def entry(i, j):
+        x = draw(entries) if i <= j else 0
+        return x if x or i != j else 1
+
+    lower = Matrix([[1 if i == j else draw(entries) if j < i else 0
+                     for j in range(n)] for i in range(n)], n)
+    upper = Matrix([[entry(i, j) for j in range(n)] for i in range(n)], n)
+    return lower.mul(upper)
+
+
+def conjugated(draw, entries, dims, blocks):
+    """Blocks {(src, tgt, tag): Matrix} after a change of basis in every space."""
+    base = {k: invertible(draw, entries, d) for k, d in sorted(dims.items())}
+    return {(s, t, tag): base[t].mul(m).mul(mat_inverse(base[s]))
+            for (s, t, tag), m in blocks.items()}
+
+
+@st.composite
+def bicomplexes(draw):
+    dc = assemble(draw(st.lists(SHAPES, min_size=1, max_size=4)))
+    entries = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    blocks = {((p, q), (p + 1, q), 1): m for (p, q), m in dc.d1.items()}
+    blocks.update({((p, q), (p, q + 1), 2): m for (p, q), m in dc.d2.items()})
+    new = conjugated(draw, entries, dc.spaces, blocks)
+    dc.d1 = {s: m for (s, _t, tag), m in new.items() if tag == 1}
+    dc.d2 = {s: m for (s, _t, tag), m in new.items() if tag == 2}
+    return dc
+
+
+def collapse(dc, deg1, deg2):
+    """The pair on A^k = sum of the cells with deg1*p + deg2*q = k."""
+    where, dims = {}, {}
+    for p, q in dc.support():
+        k = deg1 * p + deg2 * q
+        where[(p, q)] = (k, dims.get(k, 0))
+        dims[k] = dims.get(k, 0) + dc.dim(p, q)
+    out = []
+    for blocks, shift in ((dc.d1, (1, 0)), (dc.d2, (0, 1))):
+        rows = {}
+        for (p, q), m in blocks.items():
+            k, so = where[(p, q)]
+            t, to = where[(p + shift[0], q + shift[1])]
+            big = rows.setdefault(k, [[0] * dims[k] for _ in range(dims[t])])
+            for i, row in enumerate(m.rows):
+                big[to + i][so:so + m.ncols] = row
+        out.append({k: Matrix(r, dims[k]) for k, r in rows.items()})
+    return BidiffPair(dims, deg1, deg2, out[0], out[1])
+
+
+@st.composite
+def pairs(draw):
+    deg1, deg2 = draw(st.sampled_from(DEGREES))
+    dc = assemble(draw(st.lists(SHAPES, min_size=1, max_size=3)))
+    bp = collapse(dc, deg1, deg2)
+    entries = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    blocks = {(k, k + deg1, 1): m for k, m in bp.d1.items()}
+    blocks.update({(k, k + deg2, 2): m for k, m in bp.d2.items()})
+    new = conjugated(draw, entries, bp.dims, blocks)
+    bp.d1 = {k: m for (k, _t, tag), m in new.items() if tag == 1}
+    bp.d2 = {k: m for (k, _t, tag), m in new.items() if tag == 2}
+    return bp
+
+
+@st.composite
+def proportional_pairs(draw):
+    """(a D, b D) for D the total differential of a bicomplex; deg1 = deg2."""
+    t = tot(draw(bicomplexes()), 1)
+    a, b = draw(st.sampled_from([(1, 1), (1, -1), (2, 1), (1, 0), (Fraction(1, 2), -1)]))
+    return BidiffPair(t.dims, 1, 1, {n: m.scale(a) for n, m in t.d.items()},
+                      {n: m.scale(b) for n, m in t.d.items()})
+
+
+@given(bicomplexes())
+@settings(max_examples=80, deadline=None)
+def test_bicomplex_matches_reference(dc):
+    assert dc.validate() == []
+    assert engine_view(Analysis(dc)) == reference(dc)
+
+
+@given(pairs())
+@settings(max_examples=80, deadline=None)
+def test_collapsed_pair_matches_reference(bp):
+    assert bp.validate() == []
+    assert engine_view(PairAnalysis(bp)) == reference(bp)
+
+
+@given(proportional_pairs())
+@settings(max_examples=30, deadline=None)
+def test_equal_degree_pair_matches_reference(bp):
+    assert bp.validate() == []
+    assert engine_view(PairAnalysis(bp)) == reference(bp)
+
+
+def test_equal_degree_signs_read_their_own_matrices():
+    # d1 = d2: d1 + d2 = 2 d1 is exact, d1 - d2 = 0 leaves everything
+    one = Matrix([[1]])
+    bp = BidiffPair({0: 1, 1: 1}, 1, 1, {0: one}, {0: one})
+    a = PairAnalysis(bp)
+    assert a.total_table(1) == {0: 0, 1: 0}
+    assert a.total_table(-1) == {0: 1, 1: 1}
+    assert engine_view(a) == reference(bp)
+
+
+def test_broken_rank_names_cell_flavor_and_formula(monkeypatch):
+    dc = assemble([("hseg", 0, 0)])
+    real = Analysis._block_rank
+
+    def broken(self, block, key):
+        return 2 if (block, key) == ("r1", (0, 0)) else real(self, block, key)
+
+    monkeypatch.setattr(Analysis, "_block_rank", broken)
+    with pytest.raises(AssertionError) as err:
+        Analysis(dc).flavor_table("D1")
+    msg = str(err.value)
+    assert "D1 at cell (0, 0) is -1" in msg
+    assert "n - r1 - r1@1" in msg
+
+
+def test_broken_tot_rank_names_degree_and_formula(monkeypatch):
+    dc = assemble([("dot", 0, 0)])
+    monkeypatch.setattr(Analysis, "_tot_block", lambda self, sign, n: Matrix.identity(1))
+    with pytest.raises(AssertionError) as err:
+        Analysis(dc).total_table(-1)
+    msg = str(err.value)
+    assert "TOT_MINUS at total degree 0 is -1" in msg
+    assert "dim Tot^n - rk D_n - rk D_{n-1}" in msg
