@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohomlab import cohomology
 from cohomlab.geometry import builtin
 from cohomlab.io import BuildResult
 from cohomlab.linalg import Matrix, Subspace, map_subspace, preimage
