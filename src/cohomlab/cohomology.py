@@ -53,11 +53,11 @@ and BC + A = D1 + D2 + V1 + V6.  On the formulas these are algebra: the
 self-tests exposing them check the formula table, and the shape ground
 truth in randomgen checks the values.
 
-Subquotient and induced_rank / induced_map_rank treat explicit subspaces
-Z/B -> Z'/B' (Z <= Z' and B <= B', else IllFormedMap; B <= Z, checked
-by Subquotient): the image is (Z + B')/B', so rank = dim(Z + B') -
-dim B'.  A matrix m induces the same with m Z in place of Z, as in
-hard_lefschetz.
+Subquotient and induced_rank treat explicit subspaces Z/B -> Z'/B'
+(Z <= Z' and B <= B', else IllFormedMap; B <= Z, checked by
+Subquotient): the image is (Z + B')/B', so rank = dim(Z + B') - dim B'.
+No table reads them any more; they serve the subspace reference in the
+tests and the names perfbench's tracer hooks.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ from .linalg import (
     hstack,
     image,
     kernel,
-    map_subspace,
     quotient_dim,
     rank,
     vstack,
@@ -90,7 +89,6 @@ __all__ = [
     "Subquotient",
     "cohom",
     "frolicher_report",
-    "induced_map_rank",
     "induced_rank",
     "lemma_verdict",
     "varouchas",
@@ -155,22 +153,8 @@ def induced_rank(src, dst):
         raise IllFormedMap("numerator inclusion fails: %r -> %r" % (src.label, dst.label))
     if not dst.B.contains(src.B):
         raise IllFormedMap("denominator inclusion fails: %r -> %r" % (src.label, dst.label))
-    return _induced(src.Z, src, dst)
-
-
-def induced_map_rank(m, src, dst):
-    """Same for the map a given matrix induces between subquotients."""
-    mz = map_subspace(m, src.Z)
-    if not dst.Z.contains(mz):
-        raise IllFormedMap("matrix does not map numerator into numerator")
-    if not dst.B.contains(map_subspace(m, src.B)):
-        raise IllFormedMap("matrix does not map denominator into denominator")
-    return _induced(mz, src, dst)
-
-
-def _induced(z, src, dst):
-    """The map with image (z + dst.B)/dst.B; see the module docstring."""
-    rank = z.sum(dst.B).dim - dst.B.dim
+    # the image is (Z + B')/B'; see the module docstring
+    rank = src.Z.sum(dst.B).dim - dst.B.dim
     return InducedMap(rank, rank == src.dim, rank == dst.dim)
 
 
@@ -601,7 +585,7 @@ class CohomReport:
         self.slack = slack
 
 
-def frolicher_report(obj, analysis=None):
+def frolicher_report(obj):
     """Dimension tables, inequality slacks and verdicts for one complex.
 
     Per total degree n the three inequalities are checked and their
@@ -622,7 +606,7 @@ def frolicher_report(obj, analysis=None):
     degrees to be coprime, since the total complex only ever sees the
     part of the space sitting in degrees divisible by their gcd.
     """
-    a = analysis if analysis is not None else _analysis_for(obj)
+    a = _analysis_for(obj)
     tables = {f: a.flavor_table(f, keep_zeros=True) for f in FLAVORS}
     var = a.varouchas_tables(keep_zeros=True)
     verdict = a.lemma_verdict()

@@ -439,21 +439,3 @@ def doub_total_block(bp, n, sign=1):
                         trow[so + j] = scale * x if scale != 1 else x
     return Matrix(rows, sdim)
 
-
-def doub_total_cohomology(bp, sign=1):
-    """dim H^n(Tot Doub, d1 + sign*d2) for one n per residue class.
-
-    H^n depends on n only through n mod (deg1 - deg2): shifting n by the
-    period reproduces the same summands and blocks, so the rank into
-    degree r is the rank out of degree (r - 1) mod the period.  Returns
-    {residue: dim} for residues 0 .. |deg1-deg2| - 1.
-    """
-    delta = abs(bp.deg1 - bp.deg2)
-    if delta == 0:
-        raise ValueError("Tot of Doub is infinite-dimensional when deg1 == deg2")
-    rk_out = [rank(doub_total_block(bp, r, sign)) for r in range(delta)]
-    out = {}
-    for r in range(delta):
-        dim_n = sum(bp.dim(k) for _, k in doub_tot_summands(bp, r))
-        out[r] = dim_n - rk_out[(r - 1) % delta] - rk_out[r]
-    return out

@@ -22,13 +22,20 @@ Three constructions feed the complex machinery:
 
     Lambda is computed twice, through the pairing Gram matrices and as
     star L star, and the two must agree; the star must square to the
-    identity (this pins the volume normalization omega^m / m!), and
-    [Lambda, L] = H pins all the sign conventions.  Any mismatch raises,
-    so a constructed pair is a certificate that the calculus holds.
+    identity (this pins the volume normalization omega^m / m!),
+    [Lambda, L] = H pins all the sign conventions, and d L = L d (omega
+    is closed) makes L a map on d-cohomology.  Any mismatch raises, so a
+    constructed pair is a certificate that the calculus holds.
+
+hard_lefschetz and primitive_and_lefschetz_decomposition read the Betti
+numbers from the pair's PairAnalysis (its D1 table) and everything else
+from ranks of stacked operator matrices: a quotient (span + im D) / im D
+has dimension rk[span | D] - rk D.  No subspace lattice is involved.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import warnings
@@ -38,11 +45,11 @@ from .linalg import (
     Matrix,
     Subspace,
     det,
-    image,
+    hstack,
     kernel,
-    map_subspace,
     mat_inverse,
-    quotient_dim,
+    rank,
+    vstack,
 )
 from .scalars import conj, demote
 from .exterior import (
@@ -57,7 +64,7 @@ from .exterior import (
     wedge_power,
 )
 from .complexes import BidiffPair, DoubleComplex, GradedComplex, require_valid
-from .cohomology import Analysis, Subquotient, induced_map_rank
+from .cohomology import Analysis, _checked
 
 __all__ = [
     "ComplexStructureData",
@@ -444,6 +451,8 @@ def symplectic_pair(sd):
         )
         if commutator != Matrix.identity(co).scale(m - k):
             raise AssertionError("[Lambda, L] != (m - k) id in degree %d" % k)
+        if _get(d, n, k + 2, 1).mul(L[k]) != _get(L, n, k + 1, 2).mul(d[k]):
+            raise AssertionError("d L != L d in degree %d" % k)
 
     d_lam = {}
     for k in range(n + 1):
@@ -480,46 +489,56 @@ def symplectic_pair(sd):
     return pair, ops
 
 
-def _de_rham_subquotients(ops):
-    """{k: Subquotient} for the d-cohomology on Lambda^k."""
-    n = ops.n
-    out = {}
-    for k in range(n + 1):
-        z = kernel(ops.d[k])
-        b = image(_get(ops.d, n, k - 1, 1))
-        out[k] = Subquotient(("H_d", k), z, b)
-    return out
+def _dim_mod_image(cols, d, rank_d):
+    """dim((column span of cols + im d) / im d), given rank_d = rk d."""
+    return rank(hstack(cols, d)) - rank_d
+
+
+def _apply_L(ops, cols, s, r):
+    """L^r applied to the columns of cols, which live in Lambda^s."""
+    for t in range(r):
+        cols = ops.L[s + 2 * t].mul(cols)
+    return cols
+
+
+def _kernel_columns(m):
+    """A basis of ker m, as the columns of a matrix."""
+    return kernel(m).basis_matrix().transpose()
 
 
 def hard_lefschetz(pa, ops):
     """Lefschetz maps on d-cohomology plus the flavor-dimension slack.
 
     lefschetz_iso[k] says whether L^k: H^{m-k} -> H^{m+k} is bijective;
-    the slack table is BC^j + A^j - 2 b_j (always >= 0).  For a
-    unimodular algebra, total slack zero is equivalent to all Lefschetz
-    maps being bijective, and that equivalence is asserted.  pa is the
-    PairAnalysis of the symplectic pair built with ops.
+    the slack table is BC^j + A^j - 2 b_j.  For a unimodular algebra
+    D2^j = b_{n-j} = b_j, so the slack is BC + A - D1 - D2 >= 0, and
+    total slack zero is equivalent to all Lefschetz maps being
+    bijective; both are asserted.  Without unimodularity the slack can
+    be negative.  pa is the PairAnalysis of the symplectic pair built
+    with ops; the Betti numbers are its D1 table.
+
+    With K a basis of ker d_{m-k} and D = d_{m+k-1}, L^k maps H^{m-k}
+    onto (span L^k K + im D) / im D, so its rank is rk[L^k K | D] - rk D
+    (d L = L d makes the map well defined), and it is bijective iff that
+    rank equals b_{m-k} = b_{m+k}.
     """
     n, m = ops.n, ops.m
-    hq = _de_rham_subquotients(ops)
+    betti = pa.flavor_table("D1", keep_zeros=True)
     iso = {}
     for k in range(m + 1):
-        mat = Matrix.identity(_dim(n, m - k))
-        for j in range(k):
-            mat = ops.L[m - k + 2 * j].mul(mat)
-        res = induced_map_rank(mat, hq[m - k], hq[m + k])
-        iso[k] = res.injective and res.surjective
+        d = _get(ops.d, n, m + k - 1, 1)
+        image_k = _apply_L(ops, _kernel_columns(ops.d[m - k]), m - k, k)
+        r = _dim_mod_image(image_k, d, rank(d))
+        iso[k] = r == betti[m - k] == betti[m + k]
     holds = all(iso.values())
 
     bc = pa.flavor_table("BC", keep_zeros=True)
     aa = pa.flavor_table("A", keep_zeros=True)
-    betti = {k: hq[k].dim for k in range(n + 1)}
     slack = {}
     for k in range(n + 1):
-        s = bc.get(k, 0) + aa.get(k, 0) - 2 * betti[k]
-        if s < 0:
+        slack[k] = bc.get(k, 0) + aa.get(k, 0) - 2 * betti[k]
+        if ops.unimodular and slack[k] < 0:
             raise AssertionError("flavor slack negative in degree %d" % k)
-        slack[k] = s
     if ops.unimodular and (sum(slack.values()) == 0) != holds:
         raise AssertionError(
             "slack criterion and Lefschetz maps disagree on a unimodular algebra"
@@ -532,50 +551,45 @@ def hard_lefschetz(pa, ops):
     }
 
 
-def primitive_and_lefschetz_decomposition(pair, ops):
+_PRIMITIVE = "dim - rk N_k - (rk N_{k-1} - rk [d_lam; Lam]_{k-1})"
+
+
+def primitive_and_lefschetz_decomposition(pa, ops):
     """Primitive cohomology and the Lefschetz decomposition test.
 
     primitive[k] = dim of (ker d n ker d_lam n ker Lambda)^k modulo
-    d((ker d_lam n ker Lambda)^{k-1}).  The decomposition check asks,
-    degree by degree, whether the images of L^r on the d- and
-    Lambda-closed forms span H^j directly and exhaust it.
+    d((ker d_lam n ker Lambda)^{k-1}).  With N_k = [d; d_lam; Lambda]_k
+    and dim M(ker N) = rk[M; N] - rk N, that is
+    (dim Lambda^k - rk N_k) - (rk N_{k-1} - rk [d_lam; Lambda]_{k-1}).
+
+    The decomposition check asks, degree by degree, whether the images
+    of L^r on P_{j-2r} = ker d n ker Lambda span H^j directly and exhaust
+    it: with D = d_{j-1}, each part has dimension rk[L^r P | D] - rk D,
+    all of them together rk[all parts | D] - rk D, and degree j holds iff
+    that total equals the sum of the parts and b_j.  pa is the
+    PairAnalysis of the symplectic pair built with ops.
     """
-    n, m = ops.n, ops.m
-    ker_d = {k: kernel(ops.d[k]) for k in range(n + 1)}
-    ker_dlam = {k: kernel(ops.d_lam[k]) for k in range(n + 1)}
-    ker_lam = {k: kernel(ops.Lam[k]) for k in range(n + 1)}
-
-    primitive = {}
+    n = ops.n
+    rk_n, rk_dlam = {-1: 0}, {-1: 0}
     for k in range(n + 1):
-        znum = ker_d[k].intersect(ker_dlam[k]).intersect(ker_lam[k])
-        if k == 0:
-            bden = Subspace.zero(_dim(n, 0))
-        else:
-            bden = map_subspace(
-                ops.d[k - 1], ker_dlam[k - 1].intersect(ker_lam[k - 1])
-            )
-        primitive[k] = quotient_dim(znum, bden)
+        dlam_lam = vstack(ops.d_lam[k], ops.Lam[k])
+        rk_dlam[k] = rank(dlam_lam)
+        rk_n[k] = rank(vstack(ops.d[k], dlam_lam))
+    primitive = {k: _checked(_dim(n, k) - rk_n[k] - (rk_n[k - 1] - rk_dlam[k - 1]),
+                             "degree", k, "primitive", _PRIMITIVE)
+                 for k in range(n + 1)}
 
+    betti = pa.flavor_table("D1", keep_zeros=True)
+    prim_forms = {s: _kernel_columns(vstack(ops.d[s], ops.Lam[s])) for s in range(n + 1)}
     per_degree = {}
     for j in range(n + 1):
-        b = image(_get(ops.d, n, j - 1, 1))
-        bj = quotient_dim(ker_d[j], b)
-        parts = []
-        for r in range(0, j // 2 + 1):
-            s = j - 2 * r
-            if s > n:
-                continue
-            sub = ker_d[s].intersect(ker_lam[s])
-            mat = Matrix.identity(_dim(n, s))
-            for t in range(r):
-                mat = ops.L[s + 2 * t].mul(mat)
-            parts.append(map_subspace(mat, sub).sum(b))
-        total = b
-        indep_sum = 0
-        for u in parts:
-            total = total.sum(u)
-            indep_sum += u.dim - b.dim
-        per_degree[j] = (total.dim - b.dim == indep_sum) and (indep_sum == bj)
+        d = _get(ops.d, n, j - 1, 1)
+        rank_d = rank(d)
+        parts = [_apply_L(ops, prim_forms[j - 2 * r], j - 2 * r, r)
+                 for r in range(j // 2 + 1)]
+        indep_sum = sum(_dim_mod_image(u, d, rank_d) for u in parts)
+        total = _dim_mod_image(functools.reduce(hstack, parts), d, rank_d)
+        per_degree[j] = total == indep_sum == betti[j]
     return {
         "primitive": primitive,
         "per_degree": per_degree,

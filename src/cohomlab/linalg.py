@@ -33,7 +33,6 @@ __all__ = [
     "kernel",
     "mat_inverse",
     "preimage",
-    "map_subspace",
     "quotient_dim",
     "rank",
     "rref",
@@ -462,14 +461,6 @@ def kernel(m):
 def image(m):
     """Column space of m as a subspace of K^nrows."""
     return Subspace(m.transpose().rows, m.nrows)
-
-
-def map_subspace(m, s):
-    """Image of the subspace s under the matrix m."""
-    if m.ncols != s.n:
-        raise ValueError("ambient dimension mismatch")
-    cols = m.mul(s.basis_matrix().transpose())
-    return image(cols)
 
 
 def annihilator(s):

@@ -112,7 +112,7 @@ def make_report(result, echo, view="bigraded", spectral_rmax=None):
     if result.kind in ("double_complex", "lie_complex"):
         dc = result.obj
         a = Analysis(dc, validated=True)
-        doc["cohomology"] = _cohom_section(frolicher_report(dc, analysis=a))
+        doc["cohomology"] = _cohom_section(frolicher_report(a))
         doc["totals"] = _totals_section(a)
         if view == "type-n":
             doc["type_n"] = {f: _table_json(t) for f, t in type_n_view(a).items()}
@@ -123,12 +123,11 @@ def make_report(result, echo, view="bigraded", spectral_rmax=None):
     # bidiff_pair / lie_symplectic
     if view == "type-n":
         raise ValueError("the type-n view needs a double complex")
-    bp = result.obj
-    a = PairAnalysis(bp, validated=True)
-    doc["cohomology"] = _cohom_section(frolicher_report(bp, analysis=a))
+    a = PairAnalysis(result.obj, validated=True)
+    doc["cohomology"] = _cohom_section(frolicher_report(a))
     doc["totals"] = _totals_section(a)
     try:
-        deg = doub_degeneration_check(bp, validated=True)
+        deg = doub_degeneration_check(a)
         doc["degeneration"] = {
             "applicable": True,
             "first": deg["first"],
@@ -141,7 +140,7 @@ def make_report(result, echo, view="bigraded", spectral_rmax=None):
         doc["degeneration"] = {"applicable": False, "reason": str(e)}
     if result.kind == "lie_symplectic":
         hl = hard_lefschetz(a, result.ops)
-        prim = primitive_and_lefschetz_decomposition(bp, result.ops)
+        prim = primitive_and_lefschetz_decomposition(a, result.ops)
         doc["symplectic"] = {
             "betti": _table_json(hl["betti"]),
             "hard_lefschetz": {

@@ -45,12 +45,7 @@ from __future__ import annotations
 import math
 
 from .linalg import Matrix, rank
-from .complexes import (
-    doub_tot_summands,
-    doub_total_cohomology,
-    require_valid,
-    tot,
-)
+from .complexes import require_valid, tot
 
 __all__ = [
     "SpectralPage",
@@ -170,7 +165,7 @@ def degenerates_at(dc, which="first", r=1, validated=False):
     return pgs[r - 1].dims == pgs[-1].dims
 
 
-def doub_degeneration_check(bp, validated=False):
+def doub_degeneration_check(pa):
     """Dimension test for first-page degeneration of both sequences of Doub.
 
     For a pair with coprime differential degrees (and deg1 != deg2, so
@@ -178,29 +173,17 @@ def doub_degeneration_check(bp, validated=False):
     sequence restricted to one total degree n sums the D2 flavor over
     the degrees hitting n, and the row sequence sums the D1 flavor.
     Degeneration at the first page is equivalent to those sums equaling
-    dim H^n(Tot Doub); periodicity makes one period of n enough.
+    dim H^n(Tot Doub); periodicity makes one period of n enough.  pa is
+    the pair's PairAnalysis, which already holds all three tables.
     """
-    if not validated:
-        require_valid(bp)
-    delta = bp.deg1 - bp.deg2
-    if delta == 0:
+    bp = pa.bp
+    if pa.delta == 0:
         raise ValueError("Tot of Doub is infinite-dimensional when deg1 == deg2")
     if math.gcd(abs(bp.deg1), abs(bp.deg2)) != 1:
         raise ValueError("degeneration check needs coprime differential degrees")
-
-    def d1_dim(k):
-        return bp.dim(k) - rank(bp.d1_block(k)) - rank(bp.d1_block(k - bp.deg1))
-
-    def d2_dim(k):
-        return bp.dim(k) - rank(bp.d2_block(k)) - rank(bp.d2_block(k - bp.deg2))
-
-    h = doub_total_cohomology(bp, 1)
-    first = {}
-    second = {}
-    for n in range(abs(delta)):
-        ks = [k for _p, k in doub_tot_summands(bp, n)]
-        first[n] = h[n] == sum(d2_dim(k) for k in ks)
-        second[n] = h[n] == sum(d1_dim(k) for k in ks)
+    h = pa.total_table(1)
+    first, second = ({n: h[n] == s[n] for n in h}
+                     for s in (pa.total_degree_sums("D2"), pa.total_degree_sums("D1")))
     return {
         "first": all(first.values()),
         "second": all(second.values()),

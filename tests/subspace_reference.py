@@ -1,4 +1,4 @@
-"""The subspace cell engine, kept as a reference for the rank table.
+"""The subspace engines, kept as references for the rank-based code.
 
 Each cell's kernels and images are built as Subspaces, and every flavor,
 Varouchas quotient and induced map is read off their sums and
@@ -8,17 +8,47 @@ at their coordinates in Tot^n, with the kernel and image of the Tot
 differential of each sign.  Total tables come from GradedComplex and
 doub_total_cohomology.  Nothing here shares a formula with
 cohomlab.cohomology's rank table.
+
+hard_lefschetz and primitive_and_lefschetz_decomposition are the
+subspace versions of cohomlab.geometry's: de Rham subquotients, maps
+induced by L^k on them, Zassenhaus intersections and subspace sums.
 """
 
-from cohomlab.cohomology import Subquotient, induced_rank
+from cohomlab.cohomology import IllFormedMap, Subquotient, induced_rank
 from cohomlab.complexes import (
     DoubleComplex,
     doub_tot_summands,
     doub_total_block,
-    doub_total_cohomology,
     tot,
 )
-from cohomlab.linalg import Subspace, image, kernel, quotient_dim, rank
+from cohomlab.geometry import _dim, _get
+from cohomlab.linalg import Matrix, Subspace, image, kernel, quotient_dim, rank
+
+def map_subspace(m, s):
+    """Image of the subspace s under the matrix m."""
+    if m.ncols != s.n:
+        raise ValueError("ambient dimension mismatch")
+    return image(m.mul(s.basis_matrix().transpose()))
+
+
+def doub_total_cohomology(bp, sign=1):
+    """dim H^n(Tot Doub, d1 + sign*d2) for one n per residue class.
+
+    H^n depends on n only through n mod (deg1 - deg2): shifting n by the
+    period reproduces the same summands and blocks, so the rank into
+    degree r is the rank out of degree (r - 1) mod the period.  Returns
+    {residue: dim} for residues 0 .. |deg1-deg2| - 1.
+    """
+    delta = abs(bp.deg1 - bp.deg2)
+    if delta == 0:
+        raise ValueError("Tot of Doub is infinite-dimensional when deg1 == deg2")
+    rk_out = [rank(doub_total_block(bp, r, sign)) for r in range(delta)]
+    out = {}
+    for r in range(delta):
+        dim_n = sum(bp.dim(k) for _, k in doub_tot_summands(bp, r))
+        out[r] = dim_n - rk_out[(r - 1) % delta] - rk_out[r]
+    return out
+
 
 CELL_MAPS = (
     ("BC->A", "BC", "A"),
@@ -157,3 +187,73 @@ def engine_view(a):
         "TOT_MINUS": a.total_table(-1),
         "induced": a.induced_tables(),
     }
+
+
+# -- symplectic sections -------------------------------------------------------
+
+
+def _de_rham_subquotients(ops):
+    """{k: Subquotient} for the d-cohomology on Lambda^k."""
+    return {k: Subquotient(("H_d", k), kernel(ops.d[k]),
+                           image(_get(ops.d, ops.n, k - 1, 1)))
+            for k in range(ops.n + 1)}
+
+
+def _induced_map_rank(m, src, dst):
+    """Rank of the map the matrix m induces from src to dst, after
+    checking that m maps numerator into numerator and denominator into
+    denominator."""
+    mz = map_subspace(m, src.Z)
+    if not dst.Z.contains(mz):
+        raise IllFormedMap("matrix does not map numerator into numerator")
+    if not dst.B.contains(map_subspace(m, src.B)):
+        raise IllFormedMap("matrix does not map denominator into denominator")
+    return mz.sum(dst.B).dim - dst.B.dim
+
+
+def _power_of_L(ops, s, r):
+    """L^r on Lambda^s as one matrix."""
+    mat = Matrix.identity(_dim(ops.n, s))
+    for t in range(r):
+        mat = ops.L[s + 2 * t].mul(mat)
+    return mat
+
+
+def hard_lefschetz(ops):
+    """{"lefschetz_iso", "betti"} from de Rham subquotients."""
+    hq = _de_rham_subquotients(ops)
+    m = ops.m
+    iso = {}
+    for k in range(m + 1):
+        r = _induced_map_rank(_power_of_L(ops, m - k, k), hq[m - k], hq[m + k])
+        iso[k] = r == hq[m - k].dim and r == hq[m + k].dim
+    return {"lefschetz_iso": iso, "betti": {k: q.dim for k, q in hq.items()}}
+
+
+def primitive_and_lefschetz_decomposition(ops):
+    """{"primitive", "per_degree"} from subspace intersections and sums."""
+    n = ops.n
+    ker_d = {k: kernel(ops.d[k]) for k in range(n + 1)}
+    ker_dlam = {k: kernel(ops.d_lam[k]) for k in range(n + 1)}
+    ker_lam = {k: kernel(ops.Lam[k]) for k in range(n + 1)}
+    primitive = {}
+    for k in range(n + 1):
+        znum = ker_d[k].intersect(ker_dlam[k]).intersect(ker_lam[k])
+        if k == 0:
+            bden = Subspace.zero(_dim(n, 0))
+        else:
+            bden = map_subspace(ops.d[k - 1], ker_dlam[k - 1].intersect(ker_lam[k - 1]))
+        primitive[k] = quotient_dim(znum, bden)
+    per_degree = {}
+    for j in range(n + 1):
+        b = image(_get(ops.d, n, j - 1, 1))
+        parts = [map_subspace(_power_of_L(ops, j - 2 * r, r),
+                              ker_d[j - 2 * r].intersect(ker_lam[j - 2 * r])).sum(b)
+                 for r in range(j // 2 + 1)]
+        total = b
+        for u in parts:
+            total = total.sum(u)
+        indep_sum = sum(u.dim - b.dim for u in parts)
+        per_degree[j] = (total.dim - b.dim == indep_sum
+                         and indep_sum == quotient_dim(ker_d[j], b))
+    return {"primitive": primitive, "per_degree": per_degree}

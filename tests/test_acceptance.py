@@ -312,7 +312,7 @@ def test_criterion_6_fifty_random_symplectic_algebras():
             for k in range(nn + 1):
                 assert d1.get(k, 0) == d2.get(nn - k, 0), "D1/D2 duality"
                 assert bc.get(k, 0) == av.get(nn - k, 0), "BC/A duality"
-            chk = doub_degeneration_check(pair, validated=True)
+            chk = doub_degeneration_check(pa)
             assert chk["first"] and chk["second"], "degeneration"
             hard_lefschetz(pa, ops)
         except AssertionError as e:

@@ -7,7 +7,6 @@ cannot change.
 """
 
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 
 from cohomlab.geometry import builtin
 from cohomlab.io import BuildResult
-from cohomlab.linalg import Matrix, Subspace, map_subspace, preimage
+from cohomlab.linalg import Matrix, Subspace
 from cohomlab.report import make_report
 from cohomlab.scalars import GaussianRational
 from cohomlab.complexes import BidiffPair, DoubleComplex
@@ -26,7 +25,6 @@ from cohomlab.cohomology import (
     Subquotient,
     cohom,
     frolicher_report,
-    induced_map_rank,
     induced_rank,
     lemma_verdict,
     varouchas,
@@ -298,37 +296,11 @@ def test_induced_rank_rejects_bad_inclusions():
         induced_rank(full_mod_zero(1), full_mod_zero(2))
 
 
-def test_induced_map_rank_with_matrix():
-    src = full_mod_zero(2)
-    dst = full_mod_zero(2)
-    ident = induced_map_rank(Matrix.identity(2), src, dst)
-    assert ident.bijective and ident.rank == 2
-    zero = induced_map_rank(Matrix.zero(2, 2), src, dst)
-    assert zero.rank == 0 and not zero.injective and zero.surjective is False
-    proj = induced_map_rank(Matrix([[1, 0], [0, 0]]), src, dst)
-    assert proj.rank == 1 and not proj.injective and not proj.surjective
-
-
-def test_induced_map_rank_rejects_ill_formed():
-    src = full_mod_zero(1)
-    dst = Subquotient("z", Subspace.zero(1), Subspace.zero(1))
-    with pytest.raises(IllFormedMap):
-        induced_map_rank(Matrix.identity(1), src, dst)
-
-
 def reference_induced(src, dst):
     """(rank, injective, surjective) by the Zassenhaus formulas:
     the kernel is (Z n B')/B, the image (Z + B')/B'."""
     inter = src.Z.intersect(dst.B)
     return (src.Z.dim - inter.dim, inter == src.B, src.Z.sum(dst.B) == dst.Z)
-
-
-def reference_induced_map(m, src, dst):
-    """Same for a matrix m: the kernel is (Z n m^-1 B')/B."""
-    mz = map_subspace(m, src.Z)
-    return (mz.sum(dst.B).dim - dst.B.dim,
-            src.Z.intersect(preimage(m, dst.B)) == src.B,
-            mz.sum(dst.B) == dst.Z)
 
 
 ENTRIES = st.one_of(
@@ -356,19 +328,6 @@ def induced_pairs(draw):
             Subquotient("dst", Subspace(z2, n), Subspace(b2, n)))
 
 
-@st.composite
-def induced_map_triples(draw):
-    """(m, src, dst) with m src.Z <= dst.Z and m src.B <= dst.B."""
-    n, n2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    m = Matrix([[draw(ENTRIES) for _ in range(n)] if draw(st.booleans()) else [0] * n
-                for _ in range(n2)], n)
-    b = drawn_rows(draw, n)
-    src = Subquotient("src", Subspace(b + drawn_rows(draw, n), n), Subspace(b, n))
-    b2 = map_subspace(m, src.B).sum(Subspace(drawn_rows(draw, n2), n2))
-    z2 = map_subspace(m, src.Z).sum(b2).sum(Subspace(drawn_rows(draw, n2), n2))
-    return m, src, Subquotient("dst", z2, b2)
-
-
 def as_tuple(r):
     return (r.rank, r.injective, r.surjective)
 
@@ -380,32 +339,11 @@ def test_induced_rank_matches_intersection_formulas(pair):
     assert as_tuple(induced_rank(src, dst)) == reference_induced(src, dst)
 
 
-@given(induced_map_triples())
-@settings(max_examples=300)
-def test_induced_map_rank_matches_preimage_formulas(triple):
-    m, src, dst = triple
-    assert as_tuple(induced_map_rank(m, src, dst)) == reference_induced_map(m, src, dst)
-
-
-def test_induced_map_rank_kernel_through_the_matrix():
-    # m kills e2, so Z/B = K^2/0 -> K^1/0 has rank 1 and is not injective
-    src = full_mod_zero(2)
-    dst = full_mod_zero(1)
-    r = induced_map_rank(Matrix([[1, 0]]), src, dst)
-    assert as_tuple(r) == (1, False, True)
-    # B' absorbs the image of e1 but not the rational multiple of e2
-    half = Fraction(1, 2)
-    src = Subquotient("s", Subspace.full(2), Subspace([[1, 0]], 2))
-    dst = Subquotient("d", Subspace.full(2), Subspace([[1, 0]], 2))
-    r = induced_map_rank(Matrix([[1, 0], [0, half]]), src, dst)
-    assert as_tuple(r) == (1, True, True)
-
-
 def test_report_computes_each_map_and_cell_once(monkeypatch):
     """make_report on iwasawa-symplectic: each block rank, each rk D_n,
     each cell and each total-degree row is computed once (the lemma
-    verdict reads the induced table, hard_lefschetz the report's
-    analysis), and the total rows match the subspace reference."""
+    verdict reads the induced table, the symplectic sections the
+    report's analysis), and the total rows match the subspace reference."""
     calls = {"block": [], "tot": [], "cell": [], "row": []}
     for name, attr in (("block", "_block_rank"), ("tot", "_tot_block"),
                        ("cell", "_make_cell"), ("row", "_total_row")):
@@ -435,7 +373,7 @@ def test_edits_to_returned_tables_do_not_reach_the_analysis():
     unchanged."""
     pair, _ops = builtin("iwasawa-symplectic")
     a = PairAnalysis(pair, validated=True)
-    rep = frolicher_report(pair, analysis=a)
+    rep = frolicher_report(a)
     fresh = a.induced_tables()
     assert rep.induced == fresh and rep.induced is not fresh
     for part in rep.induced.values():

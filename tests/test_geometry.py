@@ -7,10 +7,12 @@ test bodies themselves).
 """
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
+from cohomlab import geometry, linalg, report
 from cohomlab.cohomology import Analysis, PairAnalysis
 from cohomlab.complexes import tot
 from cohomlab.exterior import extend_derivation, wedge, form_scale, form_add
@@ -33,11 +35,16 @@ from cohomlab.geometry import (
     symplectic_pair,
     type_n_view,
 )
-from cohomlab.linalg import Matrix, image, kernel, map_subspace, vstack
+from cohomlab.io import BuildResult
+from cohomlab.linalg import Matrix, image, kernel, vstack
+from cohomlab.report import make_report
 from cohomlab.scalars import GaussianRational, I, demote
 from cohomlab.spectral import doub_degeneration_check
 
 import random
+
+import subspace_reference
+from subspace_reference import map_subspace
 
 
 def test_presentation_validation():
@@ -267,6 +274,7 @@ def verify_operator_identities(ops):
         assert comm == Matrix.identity(co).scale(m - k)
         assert _get(ops.d, n, k + 1, 1).mul(ops.d[k]).is_zero()
         assert _get(ops.d_lam, n, k - 1, -1).mul(ops.d_lam[k]).is_zero()
+        assert _get(ops.d, n, k + 2, 1).mul(ops.L[k]) == _get(ops.L, n, k + 1, 2).mul(ops.d[k])
         anti = _get(ops.d, n, k - 1, 1).mul(ops.d_lam[k]).add(
             _get(ops.d_lam, n, k + 1, -1).mul(ops.d[k])
         )
@@ -300,7 +308,7 @@ def test_iwasawa_symplectic_tables():
     assert hl["lefschetz_iso"] == {0: True, 1: False, 2: False, 3: True}
     assert not hl["holds"]
 
-    chk = doub_degeneration_check(pair, validated=True)
+    chk = doub_degeneration_check(pa)
     assert chk["first"] and chk["second"]
 
 
@@ -351,24 +359,122 @@ def test_abelian_torus_lefschetz():
     lie = builtin("abelian:2")
     pair, ops = symplectic_pair(SymplecticData(lie, {(1, 2): 1}))
     verify_operator_identities(ops)
-    hl = hard_lefschetz(PairAnalysis(pair, validated=True), ops)
+    pa = PairAnalysis(pair, validated=True)
+    hl = hard_lefschetz(pa, ops)
     assert hl["holds"]
     assert hl["slack"] == {0: 0, 1: 0, 2: 0}
-    dec = primitive_and_lefschetz_decomposition(pair, ops)
+    dec = primitive_and_lefschetz_decomposition(pa, ops)
     assert dec["primitive"] == {0: 1, 1: 2, 2: 0}
     assert dec["decomposition_holds"]
-    pa = PairAnalysis(pair, validated=True)
     assert pa.lemma_verdict()["holds"]
 
 
 def test_iwasawa_symplectic_primitive_decomposition():
     pair, ops = builtin("iwasawa-symplectic")
-    dec = primitive_and_lefschetz_decomposition(pair, ops)
+    dec = primitive_and_lefschetz_decomposition(PairAnalysis(pair, validated=True), ops)
     # primitive forms sit in degrees <= m
     assert all(dec["primitive"][k] == 0 for k in range(4, 7))
     assert dec["primitive"][0] == 1
     # the decomposition cannot exhaust de Rham when Lefschetz fails
     assert not dec["decomposition_holds"]
+
+
+def criterion_6_algebras(count):
+    """The first count algebras of acceptance criterion 6 (dims 2, 4, 6)."""
+    out, seed = [], 0
+    while len(out) < count:
+        sd = random_symplectic((2, 4, 6)[len(out) % 3], seed)
+        seed += 1
+        if sd is not None:
+            out.append(sd)
+    return out
+
+
+def affine_symplectic(copies):
+    """copies of aff(1): [e1, e2] = e2 with omega = e12, side by side.
+    Solvable and not unimodular, so D2^k = b_{n-k} differs from b_k."""
+    brackets = {(2 * i + 1, 2 * i + 2): {2 * i + 2: 1} for i in range(copies)}
+    omega = {(2 * i + 1, 2 * i + 2): 1 for i in range(copies)}
+    return SymplecticData(LieAlgebraPresentation(2 * copies, brackets), omega)
+
+
+SECTION_INPUTS = [("iwasawa", iwasawa_symplectic()),
+                  ("torus", SymplecticData(builtin("abelian:2"), {(1, 2): 1})),
+                  ("aff", affine_symplectic(1)),
+                  ("aff2", affine_symplectic(2))]
+SECTION_INPUTS += [("criterion6-%d" % i, sd) for i, sd in enumerate(criterion_6_algebras(12))]
+
+
+@pytest.mark.filterwarnings("ignore:Lie algebra is not nilpotent")
+@pytest.mark.parametrize("name,sd", SECTION_INPUTS, ids=[n for n, _ in SECTION_INPUTS])
+def test_symplectic_sections_match_subspace_reference(name, sd):
+    """The rank-based Lefschetz maps, Betti numbers, primitive cohomology
+    and decomposition agree with the subspace computation; the Betti
+    numbers also agree with the cohomology of the Chevalley-Eilenberg
+    complex."""
+    pair, ops = symplectic_pair(sd)
+    pa = PairAnalysis(pair, validated=True)
+    hl = hard_lefschetz(pa, ops)
+    dec = primitive_and_lefschetz_decomposition(pa, ops)
+    ref_hl = subspace_reference.hard_lefschetz(ops)
+    ref_dec = subspace_reference.primitive_and_lefschetz_decomposition(ops)
+    assert hl["betti"] == ref_hl["betti"] == ce_complex(sd.lie).cohomology()
+    assert hl["lefschetz_iso"] == ref_hl["lefschetz_iso"]
+    assert dec["primitive"] == ref_dec["primitive"]
+    assert dec["per_degree"] == ref_dec["per_degree"]
+    assert dec["decomposition_holds"] == all(ref_dec["per_degree"].values())
+
+
+@pytest.mark.filterwarnings("ignore:Lie algebra is not nilpotent")
+def test_non_unimodular_algebra_reports_negative_slack():
+    """Without Poincare duality BC + A - 2 b can be negative; the report
+    carries it instead of raising.  aff(1): b = (1, 1, 0), BC = (1, 1, 1),
+    A = (0, 2, 0)."""
+    pair, ops = symplectic_pair(affine_symplectic(1))
+    assert not ops.unimodular
+    hl = hard_lefschetz(PairAnalysis(pair, validated=True), ops)
+    assert hl["betti"] == {0: 1, 1: 1, 2: 0}
+    assert hl["slack"] == {0: -1, 1: 1, 2: 1}
+    assert hl["lefschetz_iso"] == {0: True, 1: False}
+
+
+def test_degeneration_check_reads_the_report_tables(monkeypatch):
+    """Inside make_report, doub_degeneration_check runs no row reduction:
+    D1, D2 and TOT_PLUS are already in the report's analysis."""
+    reductions = []
+    real_rref, real_check = linalg._rref_rows, report.doub_degeneration_check
+
+    def counting_rref(rows, ncols):
+        reductions.append(ncols)
+        return real_rref(rows, ncols)
+
+    def check(*args, **kwargs):
+        monkeypatch.setattr(linalg, "_rref_rows", counting_rref)
+        try:
+            return real_check(*args, **kwargs)
+        finally:
+            monkeypatch.setattr(linalg, "_rref_rows", real_rref)
+
+    monkeypatch.setattr(report, "doub_degeneration_check", check)
+    pair, ops = builtin("iwasawa-symplectic")
+    doc = make_report(BuildResult("lie_symplectic", pair, ops=ops), {"sha256": ""})
+    assert doc["degeneration"]["first"] and doc["degeneration"]["second"]
+    assert reductions == []
+    # the counter does see the reductions of a fresh analysis
+    check(PairAnalysis(pair, validated=True))
+    assert reductions
+
+
+def test_primitive_guard_names_degree_and_formula(monkeypatch):
+    """A broken rank (one too high) makes the torus' primitive dimension
+    in degree 2 equal to 1 - 2 - (1 - 1) = -1, which raises."""
+    pair, ops = symplectic_pair(SymplecticData(builtin("abelian:2"), {(1, 2): 1}))
+    pa = PairAnalysis(pair, validated=True)
+    real_rank = geometry.rank
+    monkeypatch.setattr(geometry, "rank", lambda m: real_rank(m) + 1)
+    with pytest.raises(AssertionError, match=re.escape(
+            "primitive at degree 2 is -1 = dim - rk N_k - (rk N_{k-1} - rk [d_lam; Lam]_{k-1})")):
+        primitive_and_lefschetz_decomposition(pa, ops)
 
 
 def test_random_nilpotent_lie():
@@ -400,7 +506,7 @@ def test_random_symplectic_batch():
         for k in range(nn + 1):
             assert d1.get(k, 0) == d2.get(nn - k, 0)
             assert bc.get(k, 0) == av.get(nn - k, 0)
-        chk = doub_degeneration_check(pair, validated=True)
+        chk = doub_degeneration_check(pa)
         assert chk["first"] and chk["second"]
         hard_lefschetz(pa, ops)
         made += 1

@@ -276,6 +276,28 @@ def test_oversized_inputs_exit_two(tmp_path):
     assert "builtin abelian:64" in err and "bound 4096" in err
 
 
+def symplectic_torus(n):
+    """The abelian algebra of dim n with omega = e12 + e34 + ... ."""
+    return {"lie_algebra": {"dim": n, "symplectic": {"omega": [
+        {"j": j, "k": j + 1, "coeff": "1"} for j in range(1, n, 2)]}}}
+
+
+def test_symplectic_algebras_above_the_bound_exit_two(tmp_path):
+    bound = cio.MAX_SYMPLECTIC_DIM
+    assert bound == 10
+    # parsing only; nothing of the bound's size is built
+    assert cio.parse_document(symplectic_torus(bound)).payload[0] == "symplectic"
+    big = tmp_path / "torus12.json"
+    big.write_text(json.dumps(symplectic_torus(bound + 2)))
+    code, out, err = run_cli("analyze", str(big))
+    assert (code, out) == (2, "")
+    assert "symplectic: dimension 12 is above the bound 10" in err
+    # the plain algebra of that dimension is still accepted
+    plain = symplectic_torus(bound + 2)
+    del plain["lie_algebra"]["symplectic"]
+    assert cio.parse_document(plain).payload[0] == "plain"
+
+
 def test_usage_errors_exit_one_not_two():
     code, _, _ = run_cli("analyze", "--no-such-flag")
     assert code == 1

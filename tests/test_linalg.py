@@ -13,7 +13,6 @@ from cohomlab.linalg import (
     hstack,
     image,
     kernel,
-    map_subspace,
     mat_inverse,
     preimage,
     quotient_dim,
@@ -21,6 +20,7 @@ from cohomlab.linalg import (
     rref,
 )
 from cohomlab.scalars import GaussianRational, demote
+from subspace_reference import map_subspace
 
 
 def M(rows, ncols=None):
