@@ -20,12 +20,18 @@ Three constructions feed the complex machinery:
     differential d_lam = d Lambda - Lambda d of degree -1.  The pair
     (d, d_lam) is a bidifferential pair with degrees (+1, -1).
 
-    Lambda is computed twice, through the pairing Gram matrices and as
-    star L star, and the two must agree; the star must square to the
-    identity (this pins the volume normalization omega^m / m!),
-    [Lambda, L] = H pins all the sign conventions, and d L = L d (omega
-    is closed) makes L a map on d-cohomology.  Any mismatch raises, so a
-    constructed pair is a certificate that the calculus holds.
+    The Gram matrix of the pairing on Lambda^k is the k-th exterior
+    compound C_k(P) of P = omega^-1 (Cauchy-Binet: its entries are the
+    k-by-k minors of P), built column by column from wedges of the
+    columns of P.  Its inverse is C_k(omega), so no determinant and no
+    Gram inversion is computed, and nondegeneracy of omega is a rank.
+    Lambda is computed twice, as C_{k-2}(omega)^T L^T C_k(P)^T through
+    the Gram matrices and as star L star, and the two must agree; the
+    star must square to the identity (this pins the volume normalization
+    omega^m / m!), [Lambda, L] = H pins all the sign conventions, and
+    d L = L d (omega is closed) makes L a map on d-cohomology.  Any
+    mismatch raises, so a constructed pair is a certificate that the
+    calculus holds.
 
 hard_lefschetz and primitive_and_lefschetz_decomposition read the Betti
 numbers from the pair's PairAnalysis (its D1 table) and everything else
@@ -44,7 +50,6 @@ from fractions import Fraction
 from .linalg import (
     Matrix,
     Subspace,
-    det,
     hstack,
     kernel,
     mat_inverse,
@@ -57,7 +62,6 @@ from .exterior import (
     derivation_matrix,
     extend_derivation,
     form_add,
-    form_scale,
     merge_sign,
     multi_indices,
     wedge,
@@ -360,6 +364,31 @@ def _get(table, n, k, shift):
     return m
 
 
+def _compounds(mat, top):
+    """{k: C_k(mat)} for k = 0 .. top, the exterior compounds of a square
+    matrix in the lex bases of Lambda^k.
+
+    Entry (a, b) of C_k(mat) is the minor of mat on rows a and columns b,
+    so column b is the k-form mat e_b1 ^ ... ^ mat e_bk: one wedge of a
+    column of mat onto the memoised form of the prefix (b1 .. b_{k-1}).
+    """
+    n = mat.ncols
+    cols = [{(i,): row[j] for i, row in enumerate(mat.rows) if row[j]}
+            for j in range(n)]
+    forms = {(): {(): 1}}
+    out = {}
+    for k in range(top + 1):
+        pos = basis_positions(n, k)
+        rows = [[0] * len(pos) for _ in pos]
+        for j, b in enumerate(multi_indices(n, k)):
+            if k:
+                forms[b] = wedge(forms[b[:-1]], cols[b[-1]])
+            for a, c in forms[b].items():
+                rows[pos[a]][j] = c
+        out[k] = Matrix(rows, len(pos))
+    return out
+
+
 def symplectic_pair(sd):
     """(BidiffPair, Sl2Operators) for a closed nondegenerate 2-form.
 
@@ -379,7 +408,7 @@ def symplectic_pair(sd):
     if extend_derivation(n, dgen)(omega):
         raise ValueError("omega is not closed")
     om = sd.omega_matrix()
-    if det(om) == 0:
+    if rank(om) != n:
         raise ValueError("omega is degenerate")
     # Pairing on covectors used by the Gram matrices and the star.  Its
     # overall sign is a convention: this orientation makes the star
@@ -388,7 +417,6 @@ def symplectic_pair(sd):
     # per degree and nothing else (Lambda and both differentials are
     # unaffected either way).
     p_mat = mat_inverse(om)
-    prow = p_mat.rows
 
     d = {k: derivation_matrix(n, dgen, k) for k in range(n + 1)}
 
@@ -398,15 +426,12 @@ def symplectic_pair(sd):
     if v0 == 0:
         raise AssertionError("volume form vanished for a nondegenerate omega")
 
-    gram = {}
+    gram = _compounds(p_mat, n)
     star = {}
     L = {}
     for k in range(n + 1):
         idx = multi_indices(n, k)
         co = len(idx)
-        # Gram entries: minors of the pairing, rows a and columns b
-        gram[k] = Matrix([[det(Matrix([[prow[i][j] for j in b] for i in a], k))
-                           for b in idx] for a in idx], co)
         srows = [[0] * co for _ in range(_dim(n, n - k))]
         cpos = basis_positions(n, n - k)
         full = set(range(n))
@@ -428,12 +453,14 @@ def symplectic_pair(sd):
                     lrows[lpos[mtup]][j] = c
         L[k] = Matrix(lrows, co)
 
+    # gram[k]^-1 = C_k(P)^-1 = C_k(omega)
+    gram_inv = _compounds(om, n - 2)
     lam = {}
     for k in range(n + 1):
         if k < 2:
             lam[k] = Matrix.zero(0, _dim(n, k))
             continue
-        lam[k] = mat_inverse(gram[k - 2].transpose()).mul(
+        lam[k] = gram_inv[k - 2].transpose().mul(
             L[k - 2].transpose()
         ).mul(gram[k].transpose())
         via_star = star[n - k + 2].mul(L[n - k]).mul(star[k])
@@ -510,12 +537,12 @@ def hard_lefschetz(pa, ops):
     """Lefschetz maps on d-cohomology plus the flavor-dimension slack.
 
     lefschetz_iso[k] says whether L^k: H^{m-k} -> H^{m+k} is bijective;
-    the slack table is BC^j + A^j - 2 b_j.  For a unimodular algebra
-    D2^j = b_{n-j} = b_j, so the slack is BC + A - D1 - D2 >= 0, and
-    total slack zero is equivalent to all Lefschetz maps being
-    bijective; both are asserted.  Without unimodularity the slack can
-    be negative.  pa is the PairAnalysis of the symplectic pair built
-    with ops; the Betti numbers are its D1 table.
+    the slack table is BC^j + A^j - D1^j - D2^j, the slack of the refined
+    inequality in degree j, and is asserted nonnegative.  pa is the
+    PairAnalysis of the symplectic pair built with ops; the Betti numbers
+    are its D1 table.  For a unimodular algebra D2^j = b_{n-j} = b_j, so
+    the slack is BC + A - 2 b, and total slack zero is equivalent to all
+    Lefschetz maps being bijective; that is asserted too.
 
     With K a basis of ker d_{m-k} and D = d_{m+k-1}, L^k maps H^{m-k}
     onto (span L^k K + im D) / im D, so its rank is rk[L^k K | D] - rk D
@@ -534,10 +561,11 @@ def hard_lefschetz(pa, ops):
 
     bc = pa.flavor_table("BC", keep_zeros=True)
     aa = pa.flavor_table("A", keep_zeros=True)
+    d2 = pa.flavor_table("D2", keep_zeros=True)
     slack = {}
     for k in range(n + 1):
-        slack[k] = bc.get(k, 0) + aa.get(k, 0) - 2 * betti[k]
-        if ops.unimodular and slack[k] < 0:
+        slack[k] = bc.get(k, 0) + aa.get(k, 0) - betti[k] - d2.get(k, 0)
+        if slack[k] < 0:
             raise AssertionError("flavor slack negative in degree %d" % k)
     if ops.unimodular and (sum(slack.values()) == 0) != holds:
         raise AssertionError(
@@ -731,6 +759,6 @@ def random_symplectic(n, seed, max_tries=40):
         if not omega:
             continue
         sd = SymplecticData(lie, omega)
-        if det(sd.omega_matrix()) != 0:
+        if rank(sd.omega_matrix()) == n:
             return sd
     return None

@@ -14,12 +14,18 @@ Every row reduction runs through one division-free integer kernel.
 Rational rows are scaled to integer rows with the same span, and a
 Gaussian row is split into the interleaved real rows of v and i*v (see
 _rref_rows); rank, kernel, image and the subspace lattice all sit on
-that one routine.  det keeps its own elimination.
+that one routine.  Products of rational matrices are taken on integers
+too (see Matrix.mul).
+
+det keeps its own elimination and has no caller in the package: the
+benchmark tracer (perfbench/tracer.py) still hooks it by name, and it
+goes together with that hook.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .scalars import GaussianRational, conj, demote
@@ -37,6 +43,12 @@ __all__ = [
     "rank",
     "rref",
 ]
+
+
+# Below 3x3x3 multiply-adds, scaling rational operands to integers costs
+# more than the Fraction arithmetic it saves, and the scan for the entry
+# kinds would be most of the cost of the many tiny integer products.
+_CLEARED_MIN = 27
 
 
 class NotASubspace(Exception):
@@ -76,24 +88,27 @@ class Matrix:
         return all(not x for row in self.rows for x in row)
 
     def mul(self, other):
-        """self @ other (composition: apply other first)."""
+        """self @ other (composition: apply other first).
+
+        When the entries are rational and not all integers, and the
+        product takes at least _CLEARED_MIN multiply-adds, each operand
+        is scaled to integers once by the lcm of its denominators, the
+        integers are multiplied, and each nonzero entry of the product is
+        divided by both scales.
+        """
         if self.ncols != other.nrows:
             raise ValueError(
                 "shape mismatch: %dx%d times %dx%d"
                 % (self.nrows, self.ncols, other.nrows, other.ncols)
             )
-        out = []
-        orows = other.rows
-        for arow in self.rows:
-            acc = [0] * other.ncols
-            for k, a in enumerate(arow):
-                if not a:
-                    continue
-                brow = orows[k]
-                for j, b in enumerate(brow):
-                    if b:
-                        acc[j] = acc[j] + a * b
-            out.append(acc)
+        if (self.nrows * self.ncols * other.ncols < _CLEARED_MIN
+                or not _has_fractions_only(self.rows, other.rows)):
+            return Matrix(_product(self.rows, other.rows, other.ncols), other.ncols)
+        da, arows = _int_rows(self.rows)
+        db, brows = _int_rows(other.rows)
+        den = da * db
+        out = [[Fraction(v, den) if v else 0 for v in row]
+               for row in _product(arows, brows, other.ncols)]
         return Matrix(out, other.ncols)
 
     def apply(self, vec):
@@ -146,6 +161,39 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%d x %d)" % (self.nrows, self.ncols)
+
+
+def _product(arows, brows, ncols):
+    """The rows of arows @ brows, skipping zero entries."""
+    out = []
+    for arow in arows:
+        acc = [0] * ncols
+        for k, a in enumerate(arow):
+            if not a:
+                continue
+            for j, b in enumerate(brows[k]):
+                if b:
+                    acc[j] = acc[j] + a * b
+        out.append(acc)
+    return out
+
+
+def _has_fractions_only(arows, brows):
+    """Every entry of both is an int or a Fraction, and some entry is a
+    Fraction.  brows is not scanned when arows already fails."""
+    kinds = set(map(type, chain.from_iterable(arows)))
+    if kinds <= {int, Fraction}:
+        kinds |= set(map(type, chain.from_iterable(brows)))
+    return Fraction in kinds and kinds <= {int, Fraction}
+
+
+def _int_rows(rows):
+    """(den, int rows): rational rows scaled by the lcm den of their
+    denominators."""
+    den = 1
+    for x in chain.from_iterable(rows):
+        den = lcm(den, x.denominator)
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
 def hstack(a, b):

@@ -12,8 +12,13 @@ cohomlab.cohomology's rank table.
 hard_lefschetz and primitive_and_lefschetz_decomposition are the
 subspace versions of cohomlab.geometry's: de Rham subquotients, maps
 induced by L^k on them, Zassenhaus intersections and subspace sums.
+
+gram_by_minors is the Gram matrix of the symplectic pairing as
+cohomlab.geometry once built it, one determinant per minor; geometry
+now reads it as an exterior compound.
 """
 
+from cohomlab import linalg
 from cohomlab.cohomology import IllFormedMap, Subquotient, induced_rank
 from cohomlab.complexes import (
     DoubleComplex,
@@ -21,6 +26,7 @@ from cohomlab.complexes import (
     doub_total_block,
     tot,
 )
+from cohomlab.exterior import multi_indices
 from cohomlab.geometry import _dim, _get
 from cohomlab.linalg import Matrix, Subspace, image, kernel, quotient_dim, rank
 
@@ -257,3 +263,11 @@ def primitive_and_lefschetz_decomposition(ops):
         per_degree[j] = (total.dim - b.dim == indep_sum
                          and indep_sum == quotient_dim(ker_d[j], b))
     return {"primitive": primitive, "per_degree": per_degree}
+
+
+def gram_by_minors(p_mat, k):
+    """The Gram matrix of the pairing p_mat on Lambda^k: entry (a, b) is
+    the determinant of the k-by-k minor on rows a and columns b."""
+    idx = multi_indices(p_mat.ncols, k)
+    return Matrix([[linalg.det(Matrix([[p_mat.rows[i][j] for j in b] for i in a], k))
+                    for b in idx] for a in idx], len(idx))

@@ -95,6 +95,39 @@ def subspace_pairs(draw, n=4):
 # -- rref -------------------------------------------------------------------
 
 
+@st.composite
+def products(draw):
+    """Two matrices of chained shapes (0 rows or columns allowed), each
+    with its own entry kind: int, Fraction, Gaussian or a mix.  Shapes
+    reach 5x5x5, so both sides of linalg._CLEARED_MIN are drawn."""
+    m, k, n = (draw(st.integers(0, 5)) for _ in range(3))
+    kinds = st.sampled_from(entry_kinds)
+    a, b = draw(kinds), draw(kinds)
+    return (Matrix([[draw(a) for _ in range(k)] for _ in range(m)], k),
+            Matrix([[draw(b) for _ in range(n)] for _ in range(k)], n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(products())
+def test_mul_matches_the_entrywise_sums(ab):
+    a, b = ab
+    c = a.mul(b)
+    assert (c.nrows, c.ncols) == (a.nrows, b.ncols)
+    assert c.rows == [[sum((a.rows[i][t] * b.rows[t][j] for t in range(a.ncols)), 0)
+                       for j in range(b.ncols)] for i in range(a.nrows)]
+
+
+def test_mul_of_fractions_reduces_each_entry():
+    """3x3x3 products clear denominators; each entry comes out reduced
+    and a cancelled entry is the int 0."""
+    a = M([[Fraction(1, 2), Fraction(1, 3), 0], [Fraction(1, 2), -1, 0], [0, 0, 1]])
+    b = M([[Fraction(3, 4), 2, 0], [Fraction(3, 2), 1, 0], [0, 0, Fraction(2, 6)]])
+    assert a.mul(b).rows == [[Fraction(7, 8), Fraction(4, 3), 0],
+                             [Fraction(-9, 8), 0, 0],
+                             [0, 0, Fraction(1, 3)]]
+    assert type(a.mul(b).rows[1][1]) is int
+
+
 def test_rref_identity():
     r, rank = rref(Matrix.identity(2))
     assert r == Matrix.identity(2)

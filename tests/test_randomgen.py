@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from cohomlab.linalg import Matrix, mat_inverse, rref
+from cohomlab.linalg import mat_inverse, rref
 from cohomlab.randomgen import (
     assemble,
     direct_sum,
