@@ -47,9 +47,13 @@ import random
 import warnings
 from fractions import Fraction
 
+# det has no caller here: the benchmark tracer's self-test checks that
+# geometry.det is linalg.det, and this binding goes with the tracer's det
+# hook (tests/test_imports.py lists it as the one kept unused import).
 from .linalg import (
     Matrix,
     Subspace,
+    det,
     hstack,
     kernel,
     mat_inverse,

@@ -104,8 +104,8 @@ class Matrix:
         if (self.nrows * self.ncols * other.ncols < _CLEARED_MIN
                 or not _has_fractions_only(self.rows, other.rows)):
             return Matrix(_product(self.rows, other.rows, other.ncols), other.ncols)
-        da, arows = _int_rows(self.rows)
-        db, brows = _int_rows(other.rows)
+        da, arows = _int_rows(self.rows, self.ncols)
+        db, brows = _int_rows(other.rows, other.ncols)
         den = da * db
         out = [[Fraction(v, den) if v else 0 for v in row]
                for row in _product(arows, brows, other.ncols)]
@@ -178,22 +178,33 @@ def _product(arows, brows, ncols):
     return out
 
 
+def _kinds(rows):
+    """The set of entry types in rows."""
+    return set(map(type, chain.from_iterable(rows)))
+
+
 def _has_fractions_only(arows, brows):
     """Every entry of both is an int or a Fraction, and some entry is a
     Fraction.  brows is not scanned when arows already fails."""
-    kinds = set(map(type, chain.from_iterable(arows)))
+    kinds = _kinds(arows)
     if kinds <= {int, Fraction}:
-        kinds |= set(map(type, chain.from_iterable(brows)))
+        kinds |= _kinds(brows)
     return Fraction in kinds and kinds <= {int, Fraction}
 
 
-def _int_rows(rows):
-    """(den, int rows): rational rows scaled by the lcm den of their
+def _cleared(values):
+    """(den, ints): rational values times the lcm den of their
     denominators."""
     den = 1
-    for x in chain.from_iterable(rows):
+    for x in values:
         den = lcm(den, x.denominator)
-    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
+def _int_rows(rows, ncols):
+    """(den, int rows): rational rows scaled by one common den."""
+    den, flat = _cleared(list(chain.from_iterable(rows)))
+    return den, [flat[i * ncols:(i + 1) * ncols] for i in range(len(rows))]
 
 
 def hstack(a, b):
@@ -278,10 +289,7 @@ def _rref_int(rows, ncols):
 
 def _int_row(row):
     """A rational row scaled by the lcm of its denominators, as ints."""
-    den = 1
-    for x in row:
-        den = lcm(den, x.denominator)
-    return [x.numerator * (den // x.denominator) for x in row]
+    return _cleared(row)[1]
 
 
 def _parts(x):
@@ -310,7 +318,7 @@ def _rref_rows(rows, ncols):
     the interleaved Gaussian RREF: pivots come in pairs (2c, 2c+1) and
     the rows at even pivots decode to the Gaussian rows.
     """
-    kinds = {type(x) for row in rows for x in row}
+    kinds = _kinds(rows)
     if kinds <= {int}:
         return _rref_int(list(rows), ncols)
     if GaussianRational not in kinds:

@@ -2,6 +2,7 @@
 
 A name counts as used when it is read anywhere in the module or listed in
 its __all__.  `from __future__` imports bind nothing and are skipped.
+KEPT lists the few imports a module keeps without reading them.
 """
 
 import ast
@@ -42,6 +43,14 @@ def test_the_scan_sees_unused_names():
     assert unused_imports(source) == [(2, "osp"), (3, "gcd")]
 
 
+# Imports kept on purpose, by module: the one list of exceptions.  An entry
+# that the module starts to read fails the test too, so none goes stale.
+# geometry.det: perfbench/test_perfbench.py checks that geometry.det is
+# linalg.det; the binding goes together with the tracer's det hook.
+KEPT = {"src/cohomlab/geometry.py": ["det"]}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_no_unused_imports(path):
-    assert unused_imports(path.read_text()) == []
+    unused = [name for _line, name in unused_imports(path.read_text())]
+    assert unused == KEPT.get(path.relative_to(ROOT).as_posix(), [])
