@@ -178,23 +178,19 @@ def _product(arows, brows, ncols):
     return out
 
 
-def _kinds(rows):
-    """The set of entry types in rows."""
-    return set(map(type, chain.from_iterable(rows)))
-
-
 def _has_fractions_only(arows, brows):
     """Every entry of both is an int or a Fraction, and some entry is a
     Fraction.  brows is not scanned when arows already fails."""
-    kinds = _kinds(arows)
+    kinds = {type(x) for row in arows for x in row}
     if kinds <= {int, Fraction}:
-        kinds |= _kinds(brows)
+        kinds |= {type(x) for row in brows for x in row}
     return Fraction in kinds and kinds <= {int, Fraction}
 
 
 def _cleared(values):
     """(den, ints): rational values times the lcm den of their
-    denominators."""
+    denominators.  The one scaling routine: a rational row enters a
+    reduction as _cleared(row)[1], which has the same span."""
     den = 1
     for x in values:
         den = lcm(den, x.denominator)
@@ -287,11 +283,6 @@ def _rref_int(rows, ncols):
     return out, pivots
 
 
-def _int_row(row):
-    """A rational row scaled by the lcm of its denominators, as ints."""
-    return _cleared(row)[1]
-
-
 def _parts(x):
     if type(x) is GaussianRational:
         return x.re, x.im
@@ -300,7 +291,7 @@ def _parts(x):
 
 def _split_row(row):
     """A Q(i) row as one integer row of (re, im) parts, interleaved."""
-    return _int_row([t for x in row for t in _parts(x)])
+    return _cleared([t for x in row for t in _parts(x)])[1]
 
 
 def _times_i(v):
@@ -318,11 +309,13 @@ def _rref_rows(rows, ncols):
     the interleaved Gaussian RREF: pivots come in pairs (2c, 2c+1) and
     the rows at even pivots decode to the Gaussian rows.
     """
-    kinds = _kinds(rows)
+    # inline, like _has_fractions_only's: a helper call per reduction
+    # costs about 1% on many tiny integer matrices
+    kinds = {type(x) for row in rows for x in row}
     if kinds <= {int}:
         return _rref_int(list(rows), ncols)
     if GaussianRational not in kinds:
-        return _rref_int([_int_row(r) for r in rows], ncols)
+        return _rref_int([_cleared(r)[1] for r in rows], ncols)
     split = []
     for row in rows:
         v = _split_row(row)
@@ -435,8 +428,8 @@ class Subspace:
                 basis += [(w, 2 * p), (_times_i(w), 2 * p + 1)]
             vecs = [_split_row(row) for row in other.rows]
         else:
-            basis = [(_int_row(row), p) for row, p in zip(self.rows, self.pivots)]
-            vecs = [_int_row(row) for row in other.rows]
+            basis = [(_cleared(row)[1], p) for row, p in zip(self.rows, self.pivots)]
+            vecs = [_cleared(row)[1] for row in other.rows]
         for v in vecs:
             for w, p in basis:
                 a = v[p]
