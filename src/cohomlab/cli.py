@@ -16,6 +16,7 @@ import traceback
 
 from .geometry import BUILTIN_NAMES, builtin, ce_complex
 from .io import (
+    MAX_TOTAL_DIM,
     BuildResult,
     ParseError,
     ValidationError,
@@ -54,6 +55,11 @@ def _cmd_analyze(args, out, err):
     if (args.input is None) == (args.builtin is None):
         print("analyze: give an input file or --builtin, not both", file=err)
         return EXIT_PARSE
+    # pages stop changing once r passes the total dimension, which is
+    # at most MAX_TOTAL_DIM, so a larger R only repeats the last page
+    if args.spectral is not None and not 1 <= args.spectral <= MAX_TOTAL_DIM:
+        raise ParseError("--spectral R must be between 1 and the bound %d, got %d"
+                         % (MAX_TOTAL_DIM, args.spectral))
     if args.builtin is not None:
         raw = {"builtin": args.builtin}
         result = _builtin_result(args.builtin)

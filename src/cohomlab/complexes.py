@@ -271,13 +271,6 @@ class TotalComplex(GradedComplex):
     def summands(self, n):
         return self.layout.get(n, [])
 
-    def filtration_start(self, n, p):
-        """Offset where F^p Tot^n starts: its first summand with first index >= p."""
-        for (pp, _q, off, _d) in self.summands(n):
-            if pp >= p:
-                return off
-        return self.dim(n)
-
 
 def tot(dc, sign=1):
     """Total complex of a double complex with differential d1 + sign*d2."""

@@ -10,12 +10,15 @@ form.  RREF is a canonical representative, so subspace equality is plain
 tuple comparison and every lattice operation lands back in canonical
 form for free.
 
-Every row reduction runs through one division-free integer kernel.
-Rational rows are scaled to integer rows with the same span, and a
-Gaussian row is split into the interleaved real rows of v and i*v (see
-_rref_rows); rank, kernel, image and the subspace lattice all sit on
-that one routine.  Products of rational matrices are taken on integers
-too (see Matrix.mul).
+Row reductions run on integers, division-free.  Rational rows are
+scaled to integer rows with the same span, and a Gaussian row is split
+into the interleaved real rows of v and i*v.  rank, kernel, image and
+the subspace lattice sit on one Gauss-Jordan kernel (see _rref_rows).
+rank_profile takes the rows one at a time into an echelon basis instead,
+with the same arithmetic, to give the ranks of all row prefixes x column
+suffixes from one pass; the spectral pages read theirs from it.
+Products of rational matrices are taken on integers too (see
+Matrix.mul).
 
 det keeps its own elimination and has no caller in the package: the
 benchmark tracer (perfbench/tracer.py) still hooks it by name, and it
@@ -41,6 +44,7 @@ __all__ = [
     "preimage",
     "quotient_dim",
     "rank",
+    "rank_profile",
     "rref",
 ]
 
@@ -191,9 +195,9 @@ def _cleared(values):
     """(den, ints): rational values times the lcm den of their
     denominators.  The one scaling routine: a rational row enters a
     reduction as _cleared(row)[1], which has the same span."""
-    den = 1
-    for x in values:
-        den = lcm(den, x.denominator)
+    den = lcm(*{x.denominator for x in values})
+    if den == 1:
+        return 1, [x.numerator for x in values]
     return den, [x.numerator * (den // x.denominator) for x in values]
 
 
@@ -343,6 +347,64 @@ def rref(m):
 def rank(m):
     """Rank of m; 0 for a matrix with no rows or no columns."""
     return len(_rref_rows(m.rows, m.ncols)[1])
+
+
+def rank_profile(m):
+    """The ranks of all row prefixes x column suffixes of m, from one pass.
+
+    Returns leads, one per row of m, with
+
+        rank(rows[:hi] restricted to columns lo:) = #{i < hi : leads[i] >= lo}
+
+    for every hi and lo; leads[i] is -1 when row i lies in the span of
+    the rows above it.  With the columns reversed, a suffix is a prefix,
+    and the rows are inserted in order into an echelon basis keyed by
+    lead column, reduced left to right by cross-multiplication with gcd
+    reduction as in _rref_int.  A row's lead is its first nonzero column
+    that no basis row leads; basis rows vanish before their leads, so
+    the basis rows of rows[:hi] with leads below k are independent on
+    the first k columns and the others vanish there.
+
+    Rows enter on integers as in _rref_rows.  A Gaussian row v enters as
+    the split rows of v and i*v; the split span of any row prefix
+    restricted to a column prefix is closed under i, so the two leads
+    fall on the same Gaussian column, which is the row's lead.
+    """
+    kinds = {type(x) for row in m.rows for x in row}
+    if kinds <= {int}:
+        rows = [row[::-1] for row in m.rows]
+    elif GaussianRational not in kinds:
+        rows = [_cleared(row[::-1])[1] for row in m.rows]
+    else:
+        rows = []
+        for row in m.rows:
+            v = _split_row(row[::-1])
+            rows += (v, _times_i(v))
+    basis = {}
+    leads = []
+    for v in rows:
+        lead = -1
+        # v is rebound at each step, so index it afresh rather than
+        # iterating over the row it started as
+        for c in range(len(v)):
+            a = v[c]
+            if not a:
+                continue
+            w = basis.get(c)
+            if w is None:
+                basis[c] = v
+                lead = c
+                break
+            p = w[c]
+            v = _row_gcd_reduce([p * x - a * y for x, y in zip(v, w)])
+        leads.append(lead)
+    if len(rows) > m.nrows:
+        pairs = list(zip(leads[::2], leads[1::2]))
+        if any(x // 2 != y // 2 for x, y in pairs):
+            raise AssertionError("rank_profile: split leads of a Gaussian row disagree")
+        leads = [x // 2 for x, _y in pairs]
+    top = m.ncols - 1
+    return [top - x if x >= 0 else -1 for x in leads]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,20 @@ the image of d_r) meets the target's in d Z_{r-1}^{p+1} + d Z_{r+1}^p:
     rank d_r out of (p,q) = [R_n(p, p+r+1) - R_n(p, p+r)]
                           - [R_n(p+1, p+r+1) - R_n(p+1, p+r)]
 
-R is memoised by its two offsets, and by (n, a, b) in front of that.
+R comes from one rank profile per degree (Dumas, Pernet, Sultan,
+Computing the rank profile matrix, ISSAC 2015).  linalg.rank_profile
+inserts the rows of D_n in order into an echelon basis of the columns
+read right to left; row i gets a lead column when it is independent of
+the rows above it, and then
+
+    rank(rows[:hi] restricted to columns lo:) = #{i < hi : lead_i >= lo}
+
+for every row bound hi and column offset lo.  Both bounds are summand
+boundaries, so R_n(a, b) counts the pivots (i, lead_i) whose row lies
+in a summand with p < b and whose lead in one with p >= a: a pass per
+n gives every (a, b).  The pivots are counted per pair of first
+indices, and R is memoised by (n, a, b).
+
 Pages run only on validated complexes, so a negative dimension or rank
 is an engine bug and raises.  The page recurrence follows from these
 formulas by algebra, so the tests check pages against an independent
@@ -43,8 +56,9 @@ compares page r against page r_stab.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
-from .linalg import Matrix, rank
+from .linalg import rank_profile
 from .complexes import require_valid, tot
 
 __all__ = [
@@ -84,8 +98,8 @@ class _Engine:
         self.which = which
         self.t = tot(dc, 1)
         self.support = dc.support()
-        self._ranks = {}  # by (n, offsets): many (a, b) share a block
-        self._by_index = {}  # by (n, a, b), to skip the offset scans
+        self._pivots = {}  # by n: {(row p, lead p): count} of the profile of D_n
+        self._by_index = {}  # by (n, a, b)
 
     def r_stab(self):
         if not self.support:
@@ -96,14 +110,21 @@ class _Engine:
     def rank_block(self, n, a, b):
         r = self._by_index.get((n, a, b))
         if r is None:
-            t = self.t
-            lo, hi = t.filtration_start(n, a), t.filtration_start(n + 1, b)
-            key = (n, lo, hi)
-            if key not in self._ranks:
-                rows = [row[lo:] for row in t.block(n).rows[:hi]]
-                self._ranks[key] = rank(Matrix(rows, t.dim(n) - lo))
-            r = self._by_index[(n, a, b)] = self._ranks[key]
+            pivots = self._pivots.get(n)
+            if pivots is None:
+                pivots = self._pivots[n] = self._profile(n)
+            r = self._by_index[(n, a, b)] = sum(
+                k for (pr, pl), k in pivots.items() if pr < b and pl >= a)
         return r
+
+    def _profile(self, n):
+        """The rank profile of D_n, each pivot keyed by the first index of
+        the summand holding its row and of the summand holding its lead."""
+        t = self.t
+        col_p = [p for (p, _q, _off, d) in t.summands(n) for _ in range(d)]
+        row_p = [p for (p, _q, _off, d) in t.summands(n + 1) for _ in range(d)]
+        return Counter((row_p[i], col_p[x])
+                       for i, x in enumerate(rank_profile(t.block(n))) if x >= 0)
 
     def _checked(self, value, what, r, p, q):
         if value < 0:

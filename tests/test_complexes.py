@@ -117,13 +117,6 @@ def test_tot_layout_orders_by_p():
     assert cells == [(0, 1), (1, 0)]
 
 
-def test_filtration_of_square_total_degree_one():
-    t = tot(square())
-    # Tot^1 = (0,1) + (1,0): F^p starts at 0 for p <= 0, at 1 for p = 1
-    # and is empty (starts at dim 2) beyond
-    assert [t.filtration_start(1, p) for p in (-1, 0, 1, 2, 5)] == [0, 0, 1, 2, 2]
-
-
 def test_graded_complex_cohomology():
     g = GradedComplex({0: 1, 1: 1}, {0: Matrix([[1]])})
     assert g.cohomology() == {0: 0, 1: 0}

@@ -191,6 +191,28 @@ def test_spectral_pages_in_report():
     assert {p["r"] for p in rep["spectral"]["first"]} == {1, 2}
 
 
+@pytest.mark.parametrize("r", ["0", "-3", str(cio.MAX_TOTAL_DIM + 1), "1000000000"])
+def test_spectral_bound_is_a_usage_error_before_building(r):
+    bound = "between 1 and the bound %d, got %s" % (cio.MAX_TOTAL_DIM, r)
+    code, out, err = run_cli("analyze", "--builtin", "iwasawa-complex", "--spectral", r)
+    assert (code, out) == (1, "")
+    assert bound in err
+    # abelian:64 alone exits 2 when it is built; the bound is checked first
+    code, out, err = run_cli("analyze", "--builtin", "abelian:64", "--spectral", r)
+    assert (code, out) == (1, "")
+    assert bound in err
+
+
+def test_spectral_at_the_bound_is_accepted(tmp_path):
+    dot = tmp_path / "dot.json"
+    dot.write_text(json.dumps(DOT))
+    code, out, _ = run_cli("analyze", str(dot), "--spectral", str(cio.MAX_TOTAL_DIM))
+    assert code == 0
+    first = json.loads(out)["spectral"]["first"]
+    assert len(first) == cio.MAX_TOTAL_DIM
+    assert first[-1]["dims"] == first[0]["dims"]
+
+
 # sha256 of `analyze --builtin` output, recorded from the engine before
 # induced maps were computed from one sum; rewrites of the engine must
 # leave these report bytes unchanged

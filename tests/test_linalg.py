@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from cohomlab.linalg import (
     Matrix,
     NotASubspace,
     Subspace,
+    _cleared,
     _rref_rows,
     annihilator,
     hstack,
@@ -462,3 +464,33 @@ def test_matrix_shape_guards():
         M([[1]]).mul(M([[1, 2], [3, 4]]))
     with pytest.raises(ValueError):
         hstack(M([[1]]), M([[1], [2]]))
+
+
+# -- scaling rational rows ---------------------------------------------------
+
+
+def cleared_by_loop(values):
+    """_cleared as it was: the lcm folded over every entry."""
+    den = 1
+    for x in values:
+        den = lcm(den, x.denominator)
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
+@pytest.mark.parametrize("values", [
+    [],
+    [0, 3, -7],
+    [Fraction(4, 1), Fraction(-2), 5],
+    [Fraction(-1, 2), Fraction(1, 3), -4, Fraction(-5, 6)],
+])
+def test_cleared_matches_the_per_entry_loop(values):
+    got = _cleared(values)
+    assert got == cleared_by_loop(values)
+    assert all(type(x) is int for x in got[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-9, 9),
+                          st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))))
+def test_cleared_matches_the_per_entry_loop_on_random_rows(values):
+    assert _cleared(values) == cleared_by_loop(values)

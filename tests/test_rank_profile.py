@@ -1,0 +1,169 @@
+"""linalg.rank_profile against sliced ranks, and the spectral engine built
+on it against the engine it replaced."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cohomlab import linalg, spectral
+from cohomlab.complexes import tot
+from cohomlab.geometry import builtin
+from cohomlab.linalg import Matrix, rank, rank_profile
+from cohomlab.randomgen import random_bicomplex, shape_complex
+from cohomlab.scalars import GaussianRational
+from cohomlab.spectral import pages
+from test_geometry import gaussian_structures
+
+
+# -- the profile against a rank per slice ---------------------------------
+
+
+def profile_ranks(m):
+    leads = rank_profile(m)
+    assert len(leads) == m.nrows
+    return [[sum(x >= lo for x in leads[:hi]) for lo in range(m.ncols + 1)]
+            for hi in range(m.nrows + 1)]
+
+
+def sliced_ranks(m):
+    return [[rank(Matrix([row[lo:] for row in m.rows[:hi]], m.ncols - lo))
+             for lo in range(m.ncols + 1)]
+            for hi in range(m.nrows + 1)]
+
+
+_ints = st.integers(-3, 3)
+_fractions = st.builds(Fraction, _ints, st.integers(1, 4))
+ENTRIES = {
+    "int": _ints,
+    "fraction": st.one_of(_ints, _fractions),
+    "gaussian": st.one_of(_ints, _fractions, st.builds(GaussianRational, _fractions, _fractions)),
+}
+
+
+@st.composite
+def matrices(draw, kind):
+    """A matrix of the kind, some of whose rows are combinations of
+    earlier ones, so that dependent rows and rank drops show up."""
+    ncols = draw(st.integers(0, 6))
+    entries = ENTRIES[kind]
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        if rows and draw(st.booleans()):
+            row = [0] * ncols
+            for prev in rows:
+                c = draw(entries)
+                row = [x + c * y for x, y in zip(row, prev)]
+        else:
+            row = draw(st.lists(entries, min_size=ncols, max_size=ncols))
+        rows.append(row)
+    return Matrix(rows, ncols)
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRIES))
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_profile_gives_the_rank_of_every_prefix_by_suffix(kind, data):
+    m = data.draw(matrices(kind))
+    assert profile_ranks(m) == sliced_ranks(m)
+
+
+@pytest.mark.parametrize("m", [
+    Matrix([], 0), Matrix([], 3), Matrix([[], [], []], 0),
+    Matrix([[0, 0], [0, 0]]),
+    Matrix([[GaussianRational(0, 1), 1], [1, GaussianRational(0, -1)]]),
+    Matrix([[Fraction(1, 2), 0, Fraction(-1, 3)], [1, 0, Fraction(-2, 3)]]),
+], ids=["0x0", "0x3", "3x0", "zero", "gaussian-rank-1", "fraction-rank-1"])
+def test_profile_on_empty_zero_and_dependent_matrices(m):
+    assert profile_ranks(m) == sliced_ranks(m)
+
+
+# -- the engine against one rank per block slice ----------------------------
+
+
+def filtration_start(t, n, p):
+    """Offset where F^p Tot^n starts: its first summand with first index >= p."""
+    for (pp, _q, off, _d) in t.summands(n):
+        if pp >= p:
+            return off
+    return t.dim(n)
+
+
+def test_filtration_of_square_total_degree_one():
+    t = tot(shape_complex(("square", 0, 0)))
+    # Tot^1 = (0,1) + (1,0): F^p starts at 0 for p <= 0, at 1 for p = 1
+    # and is empty (starts at dim 2) beyond
+    assert [filtration_start(t, 1, p) for p in (-1, 0, 1, 2, 5)] == [0, 0, 1, 2, 2]
+
+
+class SlicedEngine(spectral._Engine):
+    """The page engine before the rank profile: R_n(a, b) is a fresh rank
+    of the sliced Tot block, memoised by (n, a, b)."""
+
+    def rank_block(self, n, a, b):
+        key = (n, a, b)
+        if key not in self._by_index:
+            t = self.t
+            lo, hi = filtration_start(t, n, a), filtration_start(t, n + 1, b)
+            rows = [row[lo:] for row in t.block(n).rows[:hi]]
+            self._by_index[key] = rank(Matrix(rows, t.dim(n) - lo))
+        return self._by_index[key]
+
+
+def sliced_pages(dc, which, r_max):
+    eng = SlicedEngine(dc.transpose() if which == "second" else dc, which)
+    return [eng.page(r) for r in range(1, r_max + 1)]
+
+
+def assert_pages_match_sliced(dc):
+    r_max = spectral._Engine(dc, "first").r_stab() + 2
+    for which in ("first", "second"):
+        got = [(pg.dims, pg.dr_ranks) for pg in pages(dc, which, r_max, validated=True)]
+        want = [(pg.dims, pg.dr_ranks) for pg in sliced_pages(dc, which, r_max)]
+        assert got == want, which
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32),
+       counts=st.fixed_dictionaries({k: st.integers(0, 3) for k in
+                                     ("dot", "hseg", "vseg", "square", "zigzag")}),
+       max_span=st.integers(0, 3), max_zigzag=st.integers(2, 7))
+def test_pages_match_sliced_engine_on_random_bicomplexes(seed, counts, max_span, max_zigzag):
+    params = {"counts": counts, "max_span": max_span, "max_zigzag": max_zigzag}
+    assert_pages_match_sliced(random_bicomplex(seed, params).dc)
+
+
+@pytest.mark.parametrize("which", ["iwasawa", 0, 1, 2, "n=4"])
+def test_pages_match_sliced_engine_on_gaussian_structures(which):
+    if which == "iwasawa":
+        dc = builtin("iwasawa-complex")
+    elif which == "n=4":
+        dc = gaussian_structures(7, 1, n=4)[0]
+        assert sum(dc.dim(p, q) for p, q in dc.support()) == 256
+    else:
+        dc = gaussian_structures(2014, 3)[which]
+    assert_pages_match_sliced(dc)
+
+
+# -- the elimination count -------------------------------------------------
+
+
+def test_pages_run_one_profile_per_tot_degree_and_no_reduction(monkeypatch):
+    complexes = [shape_complex(("zigzag", 0, 0, 7, "upper")),
+                 random_bicomplex(5, {"counts": {"zigzag": 3, "square": 2, "dot": 2}}).dc,
+                 gaussian_structures(2014, 1)[0]]
+    reductions, profiles = [], []
+    rref_rows = linalg._rref_rows
+    monkeypatch.setattr(linalg, "_rref_rows",
+                        lambda rows, ncols: reductions.append(ncols) or rref_rows(rows, ncols))
+    monkeypatch.setattr(spectral, "rank_profile",
+                        lambda m: profiles.append(m) or rank_profile(m))
+    for dc in complexes:
+        lo, hi = tot(dc, 1).degree_range()
+        for which in ("first", "second"):
+            profiles.clear()
+            pages(dc, which)
+            # the pages read degrees lo-1 .. hi, each block once
+            assert 0 < len(profiles) <= hi - lo + 2, which
+    assert reductions == []
