@@ -150,6 +150,8 @@ def _fuzz_one(seed, counts):
 
 
 def _cmd_fuzz(args, out, err):
+    if args.iters < 0:
+        raise ParseError("--iters must not be negative, got %d" % args.iters)
     counts = _parse_shape_counts(args.shapes)
     for seed in range(args.seed, args.seed + args.iters):
         failure = _fuzz_one(seed, counts)

@@ -2,47 +2,42 @@
 
 The column filtration F^p Tot^n collects the summands with first index
 at least p; in the p-ascending summand layout it is a coordinate
-suffix.  With n = p+q and Z_r^p = F^p Tot^n  n  d^{-1}(F^{p+r} Tot^{n+1}),
+suffix.  No subspace is ever built: every page is read off the pivots
+of one rank profile per total degree.
 
-    E_r^{p,q} = Z_r^p / ( d Z_{r-1}^{p-r+1} + Z_{r-1}^{p+1} ),
-
-but no subspace is ever built.  R_n(a, b) is the rank of the block of
-the Tot differential at n with columns in F^a Tot^n and rows outside
-F^b Tot^{n+1}: columns from the offset of the first summand with
-p >= a, rows before the offset of the first summand with p >= b
-(R(a, oo) keeps every row).  Four facts reduce the pages to such ranks:
-
-    dim Z_r^p         = dim F^p - R_n(p, p+r)      (rank-nullity)
-    Z_r^p  n  F^{p+1} = Z_{r-1}^{p+1}
-    d Z_s^a  n  F^b   = d Z^a_{max(s, b-a)}
-    dim d Z_s^a       = R(a, oo) - R(a, a+s)       (Z_s^a contains F^a n ker d)
-
-So the denominator's summands meet in d Z_r^{p-r+1}, and d Z_r^p (onto
-the image of d_r) meets the target's in d Z_{r-1}^{p+1} + d Z_{r+1}^p:
-
-    dim E_r^{p,q} = dim(p,q) - [R_n(p, p+r) - R_n(p+1, p+r)]
-                  - [R_{n-1}(p-r+1, p+1) - R_{n-1}(p-r+1, p)]
-    rank d_r out of (p,q) = [R_n(p, p+r+1) - R_n(p, p+r)]
-                          - [R_n(p+1, p+r+1) - R_n(p+1, p+r)]
-
-R comes from one rank profile per degree (Dumas, Pernet, Sultan,
-Computing the rank profile matrix, ISSAC 2015).  linalg.rank_profile
-inserts the rows of D_n in order into an echelon basis of the columns
-read right to left; row i gets a lead column when it is independent of
-the rows above it, and then
+The profile lemma (Dumas, Pernet, Sultan, Computing the rank profile
+matrix, ISSAC 2015).  linalg.rank_profile inserts the rows of the Tot
+differential D_n in order into an echelon basis of the columns read
+right to left; row i gets a lead column when it is independent of the
+rows above it, and then
 
     rank(rows[:hi] restricted to columns lo:) = #{i < hi : lead_i >= lo}
 
-for every row bound hi and column offset lo.  Both bounds are summand
-boundaries, so R_n(a, b) counts the pivots (i, lead_i) whose row lies
-in a summand with p < b and whose lead in one with p >= a: a pass per
-n gives every (a, b).  The pivots are counted per pair of first
-indices, and R is memoised by (n, a, b).
+for every row bound hi and column offset lo.  Each pivot (i, lead_i) is
+counted by the first index of the summand holding its row (in
+Tot^{n+1}) and of the summand holding its lead (in Tot^n).
 
-Pages run only on validated complexes, so a negative dimension or rank
-is an engine bug and raises.  The page recurrence follows from these
-formulas by algebra, so the tests check pages against an independent
-subspace computation instead.
+The pivot statement.  A pivot of length s = (row p) - (lead p) is
+exactly one rank of d_s: the rank of d_r out of (p,q) is the number of
+pivots of D_{p+q} with lead in column p and row in column p+r.  With
+E_0^{p,q} = dim(p,q), each page follows from the one before,
+
+    dim E_{r+1}^{p,q} = dim E_r^{p,q} - rank d_r out of (p,q)
+                                      - rank d_r into (p,q),
+
+where d_r into (p,q) is d_r out of (p-r, q+r-1).  So E_1 subtracts the
+length-0 pivots (d_0 = the vertical differential), and one pass over r
+gives every page.  The same pages are signed sums of the ranks
+R_n(a, b) of the blocks of D_n with columns in F^a and rows outside
+F^b; those sums telescope to this recurrence, e.g. R_n(p, p+r) -
+R_n(p+1, p+r) counts the pivots with lead in column p and row below
+column p+r.  tests/test_rank_profile.py computes the pages from R on
+sliced ranks as an independent reference.
+
+Pages run only on validated complexes, so a negative dimension, or a
+rank of d_r above the page-r dimension of its source or target, is an
+engine bug and raises naming the cell.  On the last page no later
+subtraction sees the d_r ranks, so that bound is their only check there.
 
 The second filtration (by rows) is the first filtration of the
 transposed complex, with the bidegree keys swapped back.
@@ -91,31 +86,19 @@ class SpectralPage:
 
 
 class _Engine:
-    """Pages from the rank table R; dc is the transpose for "second"."""
+    """Pages from the profile pivots; dc is the transpose for "second"."""
 
     def __init__(self, dc, which):
         self.dc = dc
         self.which = which
         self.t = tot(dc, 1)
         self.support = dc.support()
-        self._pivots = {}  # by n: {(row p, lead p): count} of the profile of D_n
-        self._by_index = {}  # by (n, a, b)
 
     def r_stab(self):
         if not self.support:
             return 1
         ps = [p for p, _q in self.support]
         return max(ps) - min(ps) + 1
-
-    def rank_block(self, n, a, b):
-        r = self._by_index.get((n, a, b))
-        if r is None:
-            pivots = self._pivots.get(n)
-            if pivots is None:
-                pivots = self._pivots[n] = self._profile(n)
-            r = self._by_index[(n, a, b)] = sum(
-                k for (pr, pl), k in pivots.items() if pr < b and pl >= a)
-        return r
 
     def _profile(self, n):
         """The rank profile of D_n, each pivot keyed by the first index of
@@ -126,37 +109,42 @@ class _Engine:
         return Counter((row_p[i], col_p[x])
                        for i, x in enumerate(rank_profile(t.block(n))) if x >= 0)
 
-    def _checked(self, value, what, r, p, q):
-        if value < 0:
+    def _checked(self, value, what, r, p, q, bound=None):
+        if value < 0 or (bound is not None and value > bound):
             cell = (q, p) if self.which == "second" else (p, q)
             raise AssertionError(
-                "spectral engine bug: %s of E_%d at %r in the %s filtration is %d"
-                % (what, r, cell, self.which, value))
+                "spectral engine bug: %s of E_%d at %r in the %s filtration is %d%s"
+                % (what, r, cell, self.which, value,
+                   "" if value < 0 else ", above %d" % bound))
         return value
 
-    def page(self, r):
-        R = self.rank_block
-        dims = {}
-        for (p, q) in self.support:
-            n = p + q
-            d = self._checked(self.dc.dim(p, q)
-                              - R(n, p, p + r) + R(n, p + 1, p + r)
-                              - R(n - 1, p - r + 1, p + 1) + R(n - 1, p - r + 1, p),
-                              "dimension", r, p, q)
-            if d:
-                dims[(p, q)] = d
-        ranks = {}
-        for (p, q) in dims:
-            if dims.get((p + r, q - r + 1)):
-                n = p + q
-                rk = self._checked(R(n, p, p + r + 1) - R(n, p, p + r)
-                                   - R(n, p + 1, p + r + 1) + R(n, p + 1, p + r),
-                                   "rank of d_r out", r, p, q)
-                if rk:
-                    ranks[(p, q)] = rk
-        if self.which == "second":
-            dims, ranks = ({(q, p): v for (p, q), v in t.items()} for t in (dims, ranks))
-        return SpectralPage(self.which, r, dims, ranks)
+    def pages(self, upto):
+        """Pages 1 .. upto in one pass over r."""
+        # {s: {(p,q): rank of d_s out of (p,q)}}, from the length-s pivots
+        out_ranks = {}
+        for n in sorted({p + q for p, q in self.support}):
+            for (row, lead), k in self._profile(n).items():
+                out_ranks.setdefault(row - lead, {})[(lead, n - lead)] = k
+        dims = {c: self.dc.dim(*c) for c in self.support}  # E_0
+        result = []
+        for r in range(upto + 1):
+            ranks = out_ranks.get(r, {})
+            if r:
+                for (p, q), k in ranks.items():
+                    self._checked(k, "rank of d_r out", r, p, q,
+                                  min(dims.get((p, q), 0), dims.get((p + r, q - r + 1), 0)))
+                page = (dims, ranks)
+                if self.which == "second":
+                    page = ({(q, p): v for (p, q), v in t.items()} for t in page)
+                result.append(SpectralPage(self.which, r, *page))
+            if r < upto:
+                nxt = {}
+                for (p, q), d in dims.items():
+                    e = d - ranks.get((p, q), 0) - ranks.get((p - r, q + r - 1), 0)
+                    if e:
+                        nxt[(p, q)] = self._checked(e, "dimension", r + 1, p, q)
+                dims = nxt
+        return result
 
 
 def pages(dc, which="first", r_max=None, validated=False):
@@ -173,7 +161,7 @@ def pages(dc, which="first", r_max=None, validated=False):
     upto = eng.r_stab() if r_max is None else r_max
     if upto < 1:
         raise ValueError("r_max must be at least 1")
-    return [eng.page(r) for r in range(1, upto + 1)]
+    return eng.pages(upto)
 
 
 def degenerates_at(dc, which="first", r=1, validated=False):

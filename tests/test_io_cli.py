@@ -336,6 +336,17 @@ def test_fuzz_clean_run():
     assert err == ""
 
 
+def test_fuzz_rejects_negative_iters_before_any_seed(monkeypatch):
+    seeds = []
+    monkeypatch.setattr(cli, "_fuzz_one", lambda seed, counts: seeds.append(seed))
+    code, out, err = run_cli("fuzz", "--iters", "-5")
+    assert (code, out, seeds) == (1, "", [])
+    assert "--iters must not be negative, got -5" in err
+    code, out, err = run_cli("fuzz", "--iters", "0")
+    assert (code, seeds) == (0, [])
+    assert "fuzz: 0 iterations, all properties hold" in out
+
+
 def test_shape_counts_parsing():
     assert cli._parse_shape_counts("dot:2, hseg:1") == {"dot": 2, "hseg": 1}
     assert cli._parse_shape_counts("dot:1,dot:2") == {"dot": 3}

@@ -1,5 +1,5 @@
-"""linalg.rank_profile against sliced ranks, and the spectral engine built
-on it against the engine it replaced."""
+"""linalg.rank_profile against sliced ranks, and the spectral pages read
+from its pivots against pages from a table of sliced ranks."""
 
 from fractions import Fraction
 
@@ -13,7 +13,7 @@ from cohomlab.geometry import builtin
 from cohomlab.linalg import Matrix, rank, rank_profile
 from cohomlab.randomgen import random_bicomplex, shape_complex
 from cohomlab.scalars import GaussianRational
-from cohomlab.spectral import pages
+from cohomlab.spectral import SpectralPage, pages
 from test_geometry import gaussian_structures
 
 
@@ -97,9 +97,38 @@ def test_filtration_of_square_total_degree_one():
     assert [filtration_start(t, 1, p) for p in (-1, 0, 1, 2, 5)] == [0, 0, 1, 2, 2]
 
 
-class SlicedEngine(spectral._Engine):
-    """The page engine before the rank profile: R_n(a, b) is a fresh rank
-    of the sliced Tot block, memoised by (n, a, b)."""
+class SlicedEngine:
+    """Pages from the rank table R, each R_n(a, b) a fresh rank of the
+    sliced Tot block: no rank profile and no pivot bookkeeping.
+
+    R_n(a, b) is the rank of the block of D_n with columns in F^a Tot^n
+    and rows outside F^b Tot^{n+1} (R(a, oo) keeps every row).  With
+    n = p+q and Z_r^p = F^p Tot^n  n  d^{-1}(F^{p+r} Tot^{n+1}),
+
+        E_r^{p,q} = Z_r^p / ( d Z_{r-1}^{p-r+1} + Z_{r-1}^{p+1} ),
+
+    and four facts reduce the pages to R:
+
+        dim Z_r^p         = dim F^p - R_n(p, p+r)      (rank-nullity)
+        Z_r^p  n  F^{p+1} = Z_{r-1}^{p+1}
+        d Z_s^a  n  F^b   = d Z^a_{max(s, b-a)}
+        dim d Z_s^a       = R(a, oo) - R(a, a+s)       (Z_s^a contains F^a n ker d)
+
+    So the denominator's summands meet in d Z_r^{p-r+1}, and d Z_r^p
+    (onto the image of d_r) meets the target's in d Z_{r-1}^{p+1} +
+    d Z_{r+1}^p:
+
+        dim E_r^{p,q} = dim(p,q) - [R_n(p, p+r) - R_n(p+1, p+r)]
+                      - [R_{n-1}(p-r+1, p+1) - R_{n-1}(p-r+1, p)]
+        rank d_r out of (p,q) = [R_n(p, p+r+1) - R_n(p, p+r)]
+                              - [R_n(p+1, p+r+1) - R_n(p+1, p+r)]
+    """
+
+    def __init__(self, dc, which):
+        self.dc = dc
+        self.which = which
+        self.t = tot(dc, 1)
+        self._by_index = {}
 
     def rank_block(self, n, a, b):
         key = (n, a, b)
@@ -109,6 +138,30 @@ class SlicedEngine(spectral._Engine):
             rows = [row[lo:] for row in t.block(n).rows[:hi]]
             self._by_index[key] = rank(Matrix(rows, t.dim(n) - lo))
         return self._by_index[key]
+
+    def page(self, r):
+        R = self.rank_block
+        dims = {}
+        for (p, q) in self.dc.support():
+            n = p + q
+            d = (self.dc.dim(p, q)
+                 - R(n, p, p + r) + R(n, p + 1, p + r)
+                 - R(n - 1, p - r + 1, p + 1) + R(n - 1, p - r + 1, p))
+            assert d >= 0, (r, p, q)
+            if d:
+                dims[(p, q)] = d
+        ranks = {}
+        for (p, q) in dims:
+            if dims.get((p + r, q - r + 1)):
+                n = p + q
+                rk = (R(n, p, p + r + 1) - R(n, p, p + r)
+                      - R(n, p + 1, p + r + 1) + R(n, p + 1, p + r))
+                assert rk >= 0, (r, p, q)
+                if rk:
+                    ranks[(p, q)] = rk
+        if self.which == "second":
+            dims, ranks = ({(q, p): v for (p, q), v in t.items()} for t in (dims, ranks))
+        return SpectralPage(self.which, r, dims, ranks)
 
 
 def sliced_pages(dc, which, r_max):

@@ -1,5 +1,7 @@
 """Spectral pages against hand-worked examples and structural invariants."""
 
+from collections import Counter
+
 import pytest
 
 from cohomlab.complexes import BidiffPair, tot
@@ -240,12 +242,45 @@ def test_pages_match_subspace_reference_on_gaussian_structures():
 
 
 def test_negative_page_dimension_raises_naming_the_cell(monkeypatch):
-    # a rank table that breaks the rank bounds gives dim(p,q) - 4 < 0
-    monkeypatch.setattr(spectral._Engine, "rank_block", lambda self, n, a, b: 2 * (b - a))
+    # two pivots of d_0 out of a one-dimensional cell give dim E_1 = 1 - 2 < 0
+    monkeypatch.setattr(spectral._Engine, "_profile",
+                        lambda self, n: Counter({(p, p): 2 for p, _q in self.support}))
     dc = shape_complex(("dot", 2, 3))
     for which in ("first", "second"):
         with pytest.raises(AssertionError, match=r"dimension of E_1 at \(2, 3\) in the %s" % which):
             pages(dc, which)
+
+
+@pytest.mark.parametrize("which, shape, pivot", [("first", "hseg", (3, 2)),
+                                                  ("second", "vseg", (4, 3))])
+def test_d_r_rank_above_the_page_raises_on_the_last_page(monkeypatch, which, shape, pivot):
+    # the segment from (2,3) survives to E_1 with rank d_1 = 1; a second
+    # length-1 pivot (keyed on the transpose for "second") is caught on
+    # page 1 even when no page 2 follows
+    dc = shape_complex((shape, 2, 3))
+    assert pages(dc, which, r_max=1)[0].dr_ranks == {(2, 3): 1}
+    profile = spectral._Engine._profile
+    monkeypatch.setattr(spectral._Engine, "_profile",
+                        lambda self, n: profile(self, n) + Counter({pivot: 1} if n == 5 else {}))
+    with pytest.raises(AssertionError,
+                       match=r"rank of d_r out of E_1 at \(2, 3\) in the %s filtration is 2, above 1"
+                       % which):
+        pages(dc, which, r_max=1)
+
+
+@pytest.mark.parametrize("dc", [builtin("iwasawa-complex"),
+                                shape_complex(("zigzag", 0, 0, 6, "upper"))],
+                         ids=["iwasawa", "zigzag6"])
+def test_pages_past_stabilization_repeat_the_last_page(dc):
+    for which, axis in (("first", 0), ("second", 1)):
+        span = [cell[axis] for cell in dc.support()]
+        r_stab = max(span) - min(span) + 1
+        pgs = pages(dc, which, r_max=r_stab + 3)
+        assert [pg.r for pg in pgs] == list(range(1, r_stab + 4))
+        assert [(pg.dims, pg.dr_ranks) for pg in pgs[:r_stab]] == [
+            (pg.dims, pg.dr_ranks) for pg in pages(dc, which)]
+        for pg in pgs[r_stab:]:
+            assert (pg.dims, pg.dr_ranks) == (pgs[r_stab - 1].dims, {}), (which, pg.r)
 
 
 # -- degeneration of the canonical double complex of a pair -------------------
