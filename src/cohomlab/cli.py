@@ -14,6 +14,7 @@ import argparse
 import sys
 import traceback
 
+from .complexes import DoubleComplex
 from .geometry import BUILTIN_NAMES, builtin, ce_complex
 from .io import (
     MAX_TOTAL_DIM,
@@ -43,8 +44,7 @@ def _builtin_result(name):
     if isinstance(obj, tuple):
         pair, ops = obj
         return BuildResult("lie_symplectic", pair, ops=ops)
-    mod = type(obj).__name__
-    if mod == "DoubleComplex":
+    if isinstance(obj, DoubleComplex):
         return BuildResult("lie_complex", obj)
     # a plain algebra presentation
     check_lie_dim(obj.n, "builtin %s" % name)
@@ -79,8 +79,11 @@ def _cmd_analyze(args, out, err):
                          spectral_rmax=rmax)
     text = render(report, args.format)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ParseError("cannot write %s: %s" % (args.out, e))
     else:
         out.write(text)
     return EXIT_OK
@@ -164,14 +167,18 @@ def _cmd_fuzz(args, out, err):
     small = _minimize(rb.shapes, exc.prop)
     dc = assemble(small)
     path = args.reproducer or ("fuzz-reproducer-%d.json" % seed)
-    with open(path, "w") as fh:
-        fh.write(canonical_json(document_for_double_complex(dc)) + "\n")
     print("fuzz: property %r failed at seed %d (%s)"
           % (exc.prop, seed, exc.detail), file=err)
     if exc.__cause__ is not None:
         traceback.print_exception(exc.__cause__, file=err)
-    print("fuzz: minimized reproducer (%d shapes) written to %s"
-          % (len(small), path), file=err)
+    try:
+        with open(path, "w") as fh:
+            fh.write(canonical_json(document_for_double_complex(dc)) + "\n")
+    except OSError as e:
+        print("fuzz: cannot write the reproducer to %s: %s" % (path, e), file=err)
+    else:
+        print("fuzz: minimized reproducer (%d shapes) written to %s"
+              % (len(small), path), file=err)
     return EXIT_PROPERTY
 
 

@@ -72,12 +72,7 @@ from .linalg import (
     rank,
     vstack,
 )
-from .complexes import (
-    doub_tot_summands,
-    doub_total_block,
-    require_valid,
-    tot,
-)
+from .complexes import require_valid, tot
 
 __all__ = [
     "Analysis",
@@ -204,21 +199,40 @@ def _checked(value, where, key, name, formula):
 
 
 class _AnalysisBase:
-    """Flavor/Varouchas/lemma logic from block ranks over abstract cells.
+    """Flavor/Varouchas/lemma logic from block ranks over the cells of a
+    validated DoubleComplex or BidiffPair, and its memoised tot(sign).
 
-    Subclasses provide _cell_keys(), _dim(key), _out(key) (the d1 and d2
-    blocks out of key and the d1 block out of where d2 lands, None where
-    absent), _preds(key) (the keys @1, @2, @12), the total-degree data
-    _tot_degrees(), _tot_prev(n), _tot_keys(n), _tot_dim(n),
-    _tot_block(sign, n), and _tot_applicable().
+    Subclasses provide the total degrees: _tot_degrees(), _tot_prev(n)
+    and _tot_applicable().
     """
 
-    def __init__(self):
+    def __init__(self, obj, validated):
+        if not validated:
+            require_valid(obj)
+        self._obj = obj
+        self._tots = {}
         self._cells = {}
         self._ranks = {}  # (block, key) -> rank
         self._tot_ranks = {}  # (sign, n) -> rk D_n
         self._totals = {}
         self._induced = None
+
+    def _cell_keys(self):
+        return self._obj.support()
+
+    def _dim(self, key):
+        return self._obj.dims.get(key, 0)
+
+    def _out(self, key):
+        """The d1 and d2 blocks out of key and the d1 block out of where
+        d2 lands, None where absent."""
+        obj = self._obj
+        return obj.d1.get(key), obj.d2.get(key), obj.d1.get(obj.shift(key, 0, 1))
+
+    def _preds(self, key):
+        """The cells @1, @2 and @12."""
+        shift = self._obj.shift
+        return shift(key, -1, 0), shift(key, 0, -1), shift(key, -1, -1)
 
     def cell(self, key):
         """{value name: int} for one cell: the flavors, V1-V6, ker BC->A."""
@@ -301,6 +315,22 @@ class _AnalysisBase:
 
     # -- total-degree machinery ----------------------------------------
 
+    def tot(self, sign):
+        """Tot with differential d1 + sign*d2, built once per sign."""
+        t = self._tots.get(sign)
+        if t is None:
+            t = self._tots[sign] = tot(self._obj, sign)
+        return t
+
+    def _tot_keys(self, n):
+        return self.tot(1).cells(n)
+
+    def _tot_dim(self, n):
+        return self.tot(1).dim(n)
+
+    def _tot_block(self, sign, n):
+        return self.tot(sign).block(n)
+
     def _tot_rank(self, sign, n):
         r = self._tot_ranks.get((sign, n))
         if r is None:
@@ -325,19 +355,21 @@ class _AnalysisBase:
         """Z/B of total degree n as subspaces.  No table reads it;
         perfbench's tracer hooks the name."""
         return Subquotient(("TOT", sign, n), kernel(self._tot_block(sign, n)),
-                           image(self._tot_block(sign, n - 1)))
+                           image(self._tot_block(sign, self._tot_prev(n))))
 
     def _total_row(self, n):
         """The four maps between BC, A and both total cohomologies at n."""
         keys = self._tot_keys
+        prev = self._tot_prev(n)
         bc = sum(self.cell(k)["BC"] for k in keys(n))
         a = sum(self.cell(k)["A"] for k in keys(n))
         r_in = sum(self._rank("rI", k) for k in keys(n))
-        r12_1, r12_2 = (sum(self._rank("r12", k) for k in keys(m)) for m in (n - 1, n - 2))
+        r12_1, r12_2 = (sum(self._rank("r12", k) for k in keys(m))
+                        for m in (prev, self._tot_prev(prev)))
         row = {}
         for sign, tag in ((1, "TOT_PLUS"), (-1, "TOT_MINUS")):
             h = self._total(sign)[n]
-            ker = _checked(self._tot_rank(sign, self._tot_prev(n)) - r12_1 - r12_2,
+            ker = _checked(self._tot_rank(sign, prev) - r12_1 - r12_2,
                            "total degree", n, "ker BC->" + tag, _KER_BC_TOT)
             into = _checked(self._tot_dim(n) - self._tot_rank(sign, n) - r_in + r12_1,
                             "total degree", n, "rank %s->A" % tag, _RANK_TOT_A)
@@ -405,33 +437,8 @@ class Analysis(_AnalysisBase):
     """All flavor data of one validated bounded double complex, cached."""
 
     def __init__(self, dc, validated=False):
-        super().__init__()
-        if not validated:
-            require_valid(dc)
+        super().__init__(dc, validated)
         self.dc = dc
-        self._tots = {}
-
-    def _cell_keys(self):
-        return self.dc.support()
-
-    def _dim(self, key):
-        return self.dc.spaces.get(key, 0)
-
-    def _out(self, key):
-        p, q = key
-        d1, d2 = self.dc.d1, self.dc.d2
-        return d1.get(key), d2.get(key), d1.get((p, q + 1))
-
-    def _preds(self, key):
-        p, q = key
-        return (p - 1, q), (p, q - 1), (p - 1, q - 1)
-
-    def tot(self, sign):
-        t = self._tots.get(sign)
-        if t is None:
-            t = tot(self.dc, sign)
-            self._tots[sign] = t
-        return t
 
     def _tot_applicable(self):
         return True
@@ -442,15 +449,6 @@ class Analysis(_AnalysisBase):
 
     def _tot_prev(self, n):
         return n - 1
-
-    def _tot_keys(self, n):
-        return [(p, q) for (p, q, _off, _d) in self.tot(1).summands(n)]
-
-    def _tot_dim(self, n):
-        return self.tot(1).dim(n)
-
-    def _tot_block(self, sign, n):
-        return self.tot(sign).block(n)
 
     def total_degree_sums(self, name):
         """Flavor table summed along antidiagonals: {n: sum over p+q=n}."""
@@ -474,25 +472,9 @@ class PairAnalysis(_AnalysisBase):
     """
 
     def __init__(self, bp, validated=False):
-        super().__init__()
-        if not validated:
-            require_valid(bp)
+        super().__init__(bp, validated)
         self.bp = bp
         self.delta = bp.deg1 - bp.deg2
-
-    def _cell_keys(self):
-        return self.bp.support()
-
-    def _dim(self, k):
-        return self.bp.dim(k)
-
-    def _out(self, k):
-        bp = self.bp
-        return bp.d1.get(k), bp.d2.get(k), bp.d1.get(k + bp.deg2)
-
-    def _preds(self, k):
-        e1, e2 = self.bp.deg1, self.bp.deg2
-        return k - e1, k - e2, k - e1 - e2
 
     def _tot_applicable(self):
         return self.delta != 0
@@ -502,22 +484,17 @@ class PairAnalysis(_AnalysisBase):
         return range(abs(self.delta)) if self.delta else self.bp.support()
 
     def _tot_prev(self, n):
-        # rk D is periodic in n; with delta == 0, d1 +- d2 has degree deg1
+        # Tot Doub is periodic in n; with delta == 0, d1 +- d2 has degree deg1
         return (n - 1) % abs(self.delta) if self.delta else n - self.bp.deg1
 
-    def _tot_keys(self, n):
-        return [k for _p, k in doub_tot_summands(self.bp, n)]
-
     def _tot_dim(self, n):
-        if not self.delta:
-            return self.bp.dim(n)
-        return sum(self.bp.dim(k) for k in self._tot_keys(n))
+        return super()._tot_dim(n) if self.delta else self.bp.dim(n)
 
     def _tot_block(self, sign, n):
-        if not self.delta:
-            bp = self.bp
-            return bp.d1_block(n).add(bp.d2_block(n).scale(sign))
-        return doub_total_block(self.bp, n, sign)
+        if self.delta:
+            return super()._tot_block(sign, n)
+        bp = self.bp
+        return bp.d1_block(n).add(bp.d2_block(n).scale(sign))
 
     def total_degree_sums(self, name):
         """Flavor dims summed the way the total grading groups them.
@@ -531,11 +508,8 @@ class PairAnalysis(_AnalysisBase):
         table = self.flavor_table(name, keep_zeros=True)
         if self.delta == 0:
             return table
-        out = {}
-        for n in self._tot_degrees():
-            out[n] = sum(v for k, v in table.items()
-                         if (k - self.bp.deg2 * n) % self.delta == 0)
-        return out
+        return {n: sum(table[k] for k in self._tot_keys(n))
+                for n in self._tot_degrees()}
 
 
 # ---------------------------------------------------------------------------

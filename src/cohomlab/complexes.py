@@ -10,13 +10,19 @@ Conventions fixed here and used by every other module:
     ascending, so assembled block matrices are reproducible.
 
 A BidiffPair is the Z-graded analogue: one grading, two differentials
-with arbitrary fixed degrees deg1, deg2, same relations.  Its canonical
-double complex Doub has Doub^{p,q} = A^{deg1*p + deg2*q}, realized here
-lazily (PeriodicDoub); for deg1 != deg2 each total degree of Doub is a
-finite direct sum and everything stays computable.
+with arbitrary fixed degrees deg1, deg2, same relations.  Both kinds
+keep their spaces and blocks by cell (a bidegree, or a degree of the
+pair) and differ only in how a cell steps by d1 and d2, so they share
+one validate.  The canonical double complex of a pair has
+Doub^{p,q} = A^{deg1*p + deg2*q}.  It is realized only through tot:
+for deg1 != deg2 each total degree of Doub is a finite direct sum, and
+Tot Doub is periodic in the total degree with period |deg1 - deg2|, so
+tot builds it over one period.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 from .linalg import Matrix, rank
 
@@ -24,26 +30,78 @@ __all__ = [
     "BidiffPair",
     "DoubleComplex",
     "GradedComplex",
-    "PeriodicDoub",
     "TotalComplex",
-    "doub",
-    "doub_total_block",
-    "doub_tot_summands",
+    "cell_name",
     "require_valid",
     "tot",
 ]
 
 
-def _check_spaces(spaces, where):
-    bad = []
-    for key, dim in spaces.items():
-        if not isinstance(dim, int) or dim <= 0:
-            bad.append("%s at %s: dimension must be a positive int, got %r"
-                       % (where, key, dim))
-    return bad
+def cell_name(key):
+    """'(p,q)' for a bidegree, 'degree k' for a degree of a pair."""
+    return "(%s,%s)" % key if isinstance(key, tuple) else "degree %s" % (key,)
 
 
-class DoubleComplex:
+def _check_spaces(dims):
+    return ["space at %s: dimension must be a positive int, got %r" % (cell_name(key), dim)
+            for key, dim in dims.items() if not isinstance(dim, int) or dim <= 0]
+
+
+class _Bicomplex:
+    """Spaces and two anticommuting differentials, keyed by cell.
+
+    dims: {cell: dim}, only nonzero spaces listed; d1/d2: {cell: Matrix}
+    blocks keyed by source cell.  A subclass says where a cell goes under
+    i steps of d1 and j of d2 (shift) and which cells make up each total
+    degree of Tot, and with what period (_tot_cells).
+    """
+
+    def __init__(self, dims, d1, d2):
+        self.dims = dict(dims)
+        self.d1 = dict(d1)
+        self.d2 = dict(d2)
+
+    def support(self):
+        return sorted(self.dims)
+
+    def _block(self, blocks, key, step):
+        """The block out of key, or a zero block when none is given."""
+        b = blocks.get(key)
+        if b is None:
+            return Matrix.zero(self.dims.get(self.shift(key, *step), 0), self.dims.get(key, 0))
+        return b
+
+    def validate(self):
+        """List of relation/shape violations; empty list means valid."""
+        dims, d1, d2 = self.dims, self.d1, self.d2
+        out = _check_spaces(dims)
+        for name, blocks, step in (("d1", d1, (1, 0)), ("d2", d2, (0, 1))):
+            for key, m in blocks.items():
+                src, tgt = dims.get(key, 0), dims.get(self.shift(key, *step), 0)
+                here = "%s block at %s" % (name, cell_name(key))
+                if not src or not tgt:
+                    out.append("%s: %s space not declared"
+                               % (here, "target" if src else "source"))
+                elif (m.nrows, m.ncols) != (tgt, src):
+                    out.append("%s: shape %dx%d, expected %dx%d"
+                               % (here, m.nrows, m.ncols, tgt, src))
+        if out:
+            return out  # relation checks need sane shapes
+        for key in self.support():
+            at = "starting at " + cell_name(key)
+            up1, up2 = self.shift(key, 1, 0), self.shift(key, 0, 1)
+            for name, blocks, up in (("d1", d1, up1), ("d2", d2, up2)):
+                if key in blocks and up in blocks and not blocks[up].mul(blocks[key]).is_zero():
+                    out.append("%s o %s != 0 %s" % (name, name, at))
+            paths = [second[up].mul(first[key])
+                     for first, second, up in ((d1, d2, up1), (d2, d1, up2))
+                     if key in first and up in second]
+            if paths and not reduce(Matrix.add, paths).is_zero():
+                out.append("d1 d2 + d2 d1 != 0 " + at)
+        return out
+
+
+class DoubleComplex(_Bicomplex):
     """A bounded double complex given by dimensions and differential blocks.
 
     spaces: {(p, q): dim}, only nonzero spaces listed.
@@ -51,84 +109,47 @@ class DoubleComplex:
     d2: {(p, q): Matrix} block of the (0,1) differential out of (p, q).
     """
 
-    def __init__(self, spaces, d1, d2):
-        self.spaces = dict(spaces)
-        self.d1 = dict(d1)
-        self.d2 = dict(d2)
+    @property
+    def spaces(self):
+        return self.dims
 
     def dim(self, p, q):
-        return self.spaces.get((p, q), 0)
-
-    def support(self):
-        return sorted(self.spaces)
+        return self.dims.get((p, q), 0)
 
     def d1_block(self, p, q):
-        b = self.d1.get((p, q))
-        if b is None:
-            return Matrix.zero(self.dim(p + 1, q), self.dim(p, q))
-        return b
+        return self._block(self.d1, (p, q), (1, 0))
 
     def d2_block(self, p, q):
-        b = self.d2.get((p, q))
-        if b is None:
-            return Matrix.zero(self.dim(p, q + 1), self.dim(p, q))
-        return b
+        return self._block(self.d2, (p, q), (0, 1))
 
     def transpose(self):
         """Swap the two directions: (p,q) -> (q,p), d1 <-> d2."""
-        sp = {(q, p): d for (p, q), d in self.spaces.items()}
+        sp = {(q, p): d for (p, q), d in self.dims.items()}
         d1 = {(q, p): m for (p, q), m in self.d2.items()}
         d2 = {(q, p): m for (p, q), m in self.d1.items()}
         return DoubleComplex(sp, d1, d2)
 
     def total_range(self):
-        if not self.spaces:
+        if not self.dims:
             return (0, -1)
-        degs = [p + q for p, q in self.spaces]
+        degs = [p + q for p, q in self.dims]
         return (min(degs), max(degs))
 
     def total_dim(self):
-        return sum(self.spaces.values())
+        return sum(self.dims.values())
 
-    def validate(self):
-        """List of relation/shape violations; empty list means valid."""
-        out = _check_spaces(self.spaces, "space")
-        for name, blocks, tshift in (("d1", self.d1, (1, 0)), ("d2", self.d2, (0, 1))):
-            for (p, q), m in blocks.items():
-                src = self.dim(p, q)
-                tgt = self.dim(p + tshift[0], q + tshift[1])
-                if src == 0:
-                    out.append("%s block at (%d,%d): source space not declared" % (name, p, q))
-                    continue
-                if tgt == 0:
-                    out.append("%s block at (%d,%d): target space not declared" % (name, p, q))
-                    continue
-                if (m.nrows, m.ncols) != (tgt, src):
-                    out.append(
-                        "%s block at (%d,%d): shape %dx%d, expected %dx%d"
-                        % (name, p, q, m.nrows, m.ncols, tgt, src)
-                    )
-        if out:
-            return out  # relation checks need sane shapes
-        for (p, q) in self.support():
-            if self.d1.get((p, q)) is not None and self.d1.get((p + 1, q)) is not None:
-                if not self.d1[(p + 1, q)].mul(self.d1[(p, q)]).is_zero():
-                    out.append("d1 o d1 != 0 starting at (%d,%d)" % (p, q))
-            if self.d2.get((p, q)) is not None and self.d2.get((p, q + 1)) is not None:
-                if not self.d2[(p, q + 1)].mul(self.d2[(p, q)]).is_zero():
-                    out.append("d2 o d2 != 0 starting at (%d,%d)" % (p, q))
-            path1 = self.d1.get((p, q)) is not None and self.d2.get((p + 1, q)) is not None
-            path2 = self.d2.get((p, q)) is not None and self.d1.get((p, q + 1)) is not None
-            if path1 or path2:
-                acc = self.d2_block(p + 1, q).mul(self.d1_block(p, q)).add(
-                    self.d1_block(p, q + 1).mul(self.d2_block(p, q))
-                )
-                if not acc.is_zero():
-                    out.append("d1 d2 + d2 d1 != 0 starting at (%d,%d)" % (p, q))
-        return out
+    def shift(self, key, i, j):
+        """The bidegree i steps of d1 and j of d2 away from key."""
+        return (key[0] + i, key[1] + j)
+
+    def _tot_cells(self):
+        cells = {}
+        for p, q in self.support():
+            cells.setdefault(p + q, []).append((p, q, (p, q)))
+        return cells, None
 
 
-class BidiffPair:
+class BidiffPair(_Bicomplex):
     """Z-graded space with two anticommuting differentials.
 
     dims: {degree: dim}; deg1/deg2: the degrees of delta1/delta2;
@@ -137,66 +158,38 @@ class BidiffPair:
     """
 
     def __init__(self, dims, deg1, deg2, d1, d2):
-        self.dims = dict(dims)
+        super().__init__(dims, d1, d2)
         self.deg1 = deg1
         self.deg2 = deg2
-        self.d1 = dict(d1)
-        self.d2 = dict(d2)
 
     def dim(self, k):
         return self.dims.get(k, 0)
 
-    def support(self):
-        return sorted(self.dims)
-
     def d1_block(self, k):
-        b = self.d1.get(k)
-        if b is None:
-            return Matrix.zero(self.dim(k + self.deg1), self.dim(k))
-        return b
+        return self._block(self.d1, k, (1, 0))
 
     def d2_block(self, k):
-        b = self.d2.get(k)
-        if b is None:
-            return Matrix.zero(self.dim(k + self.deg2), self.dim(k))
-        return b
+        return self._block(self.d2, k, (0, 1))
 
-    def validate(self):
-        out = _check_spaces(self.dims, "degree")
-        for name, blocks, shift in (("d1", self.d1, self.deg1), ("d2", self.d2, self.deg2)):
-            for k, m in blocks.items():
-                src = self.dim(k)
-                tgt = self.dim(k + shift)
-                if src == 0:
-                    out.append("%s block at degree %d: source not declared" % (name, k))
-                    continue
-                if tgt == 0:
-                    out.append("%s block at degree %d: target not declared" % (name, k))
-                    continue
-                if (m.nrows, m.ncols) != (tgt, src):
-                    out.append(
-                        "%s block at degree %d: shape %dx%d, expected %dx%d"
-                        % (name, k, m.nrows, m.ncols, tgt, src)
-                    )
-        if out:
-            return out
-        e1, e2 = self.deg1, self.deg2
-        for k in self.support():
-            if self.d1.get(k) is not None and self.d1.get(k + e1) is not None:
-                if not self.d1[k + e1].mul(self.d1[k]).is_zero():
-                    out.append("d1 o d1 != 0 starting at degree %d" % k)
-            if self.d2.get(k) is not None and self.d2.get(k + e2) is not None:
-                if not self.d2[k + e2].mul(self.d2[k]).is_zero():
-                    out.append("d2 o d2 != 0 starting at degree %d" % k)
-            p1 = self.d1.get(k) is not None and self.d2.get(k + e1) is not None
-            p2 = self.d2.get(k) is not None and self.d1.get(k + e2) is not None
-            if p1 or p2:
-                acc = self.d2_block(k + e1).mul(self.d1_block(k)).add(
-                    self.d1_block(k + e2).mul(self.d2_block(k))
-                )
-                if not acc.is_zero():
-                    out.append("d1 d2 + d2 d1 != 0 starting at degree %d" % k)
-        return out
+    def shift(self, k, i, j):
+        """The degree i steps of d1 and j of d2 away from k."""
+        return k + i * self.deg1 + j * self.deg2
+
+    def _tot_cells(self):
+        """Doub^{p,q} = A^{deg1*p + deg2*q} over total degrees n = 0..|delta|,
+        delta = deg1 - deg2: degree k sits in Tot^n at p = (k - deg2*n)/delta.
+        Tot^{|delta|} repeats Tot^0 with every p shifted by the same amount,
+        so the block out of degree |delta| - 1 lands in Tot^0's coordinates."""
+        delta = self.deg1 - self.deg2
+        if not delta:
+            raise ValueError("Tot of Doub is infinite-dimensional when deg1 == deg2")
+        cells = {}
+        for n in range(abs(delta) + 1):
+            for k in self.support():
+                p, rest = divmod(k - self.deg2 * n, delta)
+                if not rest:
+                    cells.setdefault(n, []).append((p, n - p, k))
+        return {n: sorted(row) for n, row in cells.items()}, abs(delta)
 
 
 def require_valid(obj):
@@ -228,7 +221,7 @@ class GradedComplex:
         return (min(self.dims), max(self.dims))
 
     def validate(self):
-        out = _check_spaces(self.dims, "degree")
+        out = _check_spaces(self.dims)
         for k, m in self.d.items():
             if (m.nrows, m.ncols) != (self.dim(k + 1), self.dim(k)):
                 out.append(
@@ -256,61 +249,69 @@ class GradedComplex:
 
 
 class TotalComplex(GradedComplex):
-    """Tot of a double complex, with the summand layout retained.
+    """Tot of a double complex, or of Doub of a pair, with the summand
+    layout retained.
 
     layout: {n: [(p, q, offset, dim), ...]} with p ascending; the offset
     is the coordinate where the (p,q) block starts inside Tot^n; the
-    filtrations of the spectral sequences are read off it.
+    filtrations of the spectral sequences are read off it.  cells(n)
+    names the cell of the complex behind each summand of Tot^n, in the
+    same order.  period is None for a double complex; for Doub of a pair
+    it is |deg1 - deg2|, and Tot^{n + period} repeats Tot^n.
     """
 
-    def __init__(self, dims, d, layout, sign):
+    def __init__(self, dims, d, layout, sign, cells, period):
         super().__init__(dims, d)
         self.layout = layout
         self.sign = sign
+        self._cells = cells
+        self.period = period
 
     def summands(self, n):
         return self.layout.get(n, [])
 
+    def cells(self, n):
+        return self._cells.get(n, [])
 
-def tot(dc, sign=1):
-    """Total complex of a double complex with differential d1 + sign*d2."""
+    def cohomology(self):
+        """{degree: dim H}; one degree per residue class when periodic."""
+        if self.period is None:
+            return super().cohomology()
+        rk = [rank(self.block(n)) for n in range(self.period)]
+        return {n: self.dim(n) - rk[n] - rk[n - 1] for n in range(self.period)}
+
+
+def tot(obj, sign=1):
+    """Tot with differential d1 + sign*d2 of a double complex, or of Doub
+    of a pair with deg1 != deg2 over one period n = 0..|deg1 - deg2|.
+
+    Out of the summand (p, q) of Tot^n, d1 lands in the summand (p+1, q)
+    of Tot^{n+1} and sign*d2 in the summand (p, q+1).
+    """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    lo, hi = dc.total_range()
-    layout = {}
-    dims = {}
-    for (p, q) in dc.support():
-        layout.setdefault(p + q, []).append((p, q))
-    for n in layout:
-        layout[n].sort()
-    full_layout = {}
-    for n, cells in layout.items():
-        off = 0
-        entries = []
-        for (p, q) in cells:
-            d = dc.dim(p, q)
-            entries.append((p, q, off, d))
-            off += d
-        full_layout[n] = entries
+    cells, period = obj._tot_cells()
+    layout, dims = {}, {}
+    for n, row in cells.items():
+        off, layout[n] = 0, []
+        for p, q, key in row:
+            layout[n].append((p, q, off, obj.dims[key]))
+            off += obj.dims[key]
         dims[n] = off
     blocks = {}
-    for n in range(lo, hi):
-        src = full_layout.get(n, [])
-        tgt = full_layout.get(n + 1, [])
-        if not src or not tgt:
+    for n, row in cells.items():
+        if n + 1 not in cells:
             continue
-        tpos = {(p, q): (off, d) for (p, q, off, d) in tgt}
-        m = dims[n + 1]
-        k = dims[n]
-        rows = [[0] * k for _ in range(m)]
-        for (p, q, soff, sd) in src:
+        tpos = {(p, q): off for (p, q, off, _d) in layout[n + 1]}
+        rows = [[0] * dims[n] for _ in range(dims[n + 1])]
+        for (p, q, key), (_p, _q, soff, sd) in zip(row, layout[n]):
             for mat, cell, scale in (
-                (dc.d1.get((p, q)), (p + 1, q), 1),
-                (dc.d2.get((p, q)), (p, q + 1), sign),
+                (obj.d1.get(key), (p + 1, q), 1),
+                (obj.d2.get(key), (p, q + 1), sign),
             ):
                 if mat is None or cell not in tpos:
                     continue
-                toff = tpos[cell][0]
+                toff = tpos[cell]
                 for i in range(mat.nrows):
                     mrow = mat.rows[i]
                     trow = rows[toff + i]
@@ -318,117 +319,6 @@ def tot(dc, sign=1):
                         x = mrow[j]
                         if x:
                             trow[soff + j] = scale * x if scale != 1 else x
-        blocks[n] = Matrix(rows, k)
-    return TotalComplex(dims, blocks, full_layout, sign)
-
-
-# ---------------------------------------------------------------------------
-# the canonical double complex of a bidifferential pair
-
-
-class PeriodicDoub:
-    """Lazy view of Doub(bp): Doub^{p,q} = A^{deg1*p + deg2*q} (x) K b^q.
-
-    The d1-direction operator is delta1 (x) id with bidegree (1,0); the
-    d2-direction operator is delta2 (x) b with bidegree (0,1).  On the
-    underlying spaces both act by the original blocks, so the accessors
-    simply translate bidegrees to degrees of the pair.
-    """
-
-    def __init__(self, bp):
-        self.bp = bp
-
-    def degree(self, p, q):
-        return self.bp.deg1 * p + self.bp.deg2 * q
-
-    def dim(self, p, q):
-        return self.bp.dim(self.degree(p, q))
-
-    def d1_block(self, p, q):
-        return self.bp.d1_block(self.degree(p, q))
-
-    def d2_block(self, p, q):
-        return self.bp.d2_block(self.degree(p, q))
-
-    def window(self, pmin, pmax, qmin, qmax):
-        """Materialize a finite rectangle as an honest DoubleComplex."""
-        spaces = {}
-        d1 = {}
-        d2 = {}
-        for p in range(pmin, pmax + 1):
-            for q in range(qmin, qmax + 1):
-                d = self.dim(p, q)
-                if d:
-                    spaces[(p, q)] = d
-        for (p, q) in spaces:
-            if (p + 1, q) in spaces:
-                b = self.d1_block(p, q)
-                if not b.is_zero():
-                    d1[(p, q)] = b
-            if (p, q + 1) in spaces:
-                b = self.d2_block(p, q)
-                if not b.is_zero():
-                    d2[(p, q)] = b
-        return DoubleComplex(spaces, d1, d2)
-
-
-def doub(bp):
-    """Canonical double complex of a validated bidifferential pair."""
-    require_valid(bp)
-    return PeriodicDoub(bp)
-
-
-def doub_tot_summands(bp, n):
-    """Summands of Tot^n Doub(bp) as (p, degree) pairs, p ascending.
-
-    With k = deg1*p + deg2*q and p + q = n one gets k = deg2*n + delta*p
-    for delta = deg1 - deg2, so the contributing degrees are those in the
-    support congruent to deg2*n mod delta, each from exactly one p.
-    Requires deg1 != deg2 (otherwise Tot^n is an infinite sum).
-    """
-    delta = bp.deg1 - bp.deg2
-    if delta == 0:
-        raise ValueError("Tot of Doub is infinite-dimensional when deg1 == deg2")
-    out = []
-    for k in bp.support():
-        if (k - bp.deg2 * n) % delta == 0:
-            p = (k - bp.deg2 * n) // delta
-            out.append((p, k))
-    out.sort()
-    return out
-
-
-def doub_total_block(bp, n, sign=1):
-    """The differential Tot^n Doub -> Tot^{n+1} Doub as one matrix."""
-    src = doub_tot_summands(bp, n)
-    tgt = doub_tot_summands(bp, n + 1)
-    soff = {}
-    off = 0
-    for (p, k) in src:
-        soff[p] = (off, k)
-        off += bp.dim(k)
-    sdim = off
-    toff = {}
-    off = 0
-    for (p, k) in tgt:
-        toff[p] = (off, k)
-        off += bp.dim(k)
-    tdim = off
-    rows = [[0] * sdim for _ in range(tdim)]
-    for (p, k) in src:
-        so = soff[p][0]
-        # delta1 goes to summand p+1, delta2 (with the sign) to summand p
-        for shift, mat, scale in ((1, bp.d1_block(k), 1), (0, bp.d2_block(k), sign)):
-            tp = p + shift
-            if tp not in toff or mat.nrows == 0:
-                continue
-            to = toff[tp][0]
-            for i in range(mat.nrows):
-                mrow = mat.rows[i]
-                trow = rows[to + i]
-                for j in range(mat.ncols):
-                    x = mrow[j]
-                    if x:
-                        trow[so + j] = scale * x if scale != 1 else x
-    return Matrix(rows, sdim)
-
+        blocks[n] = Matrix(rows, dims[n])
+    return TotalComplex(dims, blocks, layout, sign,
+                        {n: [key for _p, _q, key in row] for n, row in cells.items()}, period)

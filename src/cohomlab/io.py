@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import warnings
 
-from .complexes import BidiffPair, DoubleComplex
+from .complexes import BidiffPair, DoubleComplex, cell_name
 from .geometry import (
     ComplexStructureData,
     LieAlgebraPresentation,
@@ -153,6 +153,8 @@ def _matrix(data, nrows, ncols, where):
     if not isinstance(data, list):
         raise ParseError("%s: matrix must be a list" % where)
     if data and isinstance(data[0], list):
+        _expect(all(isinstance(r, list) for r in data),
+                "%s: every row of a nested matrix must be a list" % where)
         if len(data) != nrows or any(len(r) != ncols for r in data):
             raise ValidationError(
                 "%s: matrix shape %dx%s, expected %dx%d"
@@ -172,92 +174,74 @@ def _matrix(data, nrows, ncols, where):
     return Matrix(rows, ncols=ncols)
 
 
-def _parse_double_complex(spec):
-    entries = _get(spec, "entries", (list,), "double_complex")
+def _cell(obj, coords, where):
+    """The cell named by the ints obj[c] for c in coords: (p, q), or a degree."""
+    key = tuple(_int(obj, c, where) for c in coords)
+    return key if len(key) > 1 else key[0]
+
+
+def _parse_spaces(spec, kind, list_key, coords):
+    """{cell: dim} from [{coords..., "dim"}], zero dims dropped."""
+    where = "%s.%s" % (kind, list_key)
     spaces = {}
-    for e in entries:
-        _expect(isinstance(e, dict), "double_complex.entries: items must be objects")
-        p = _int(e, "p", "double_complex.entries")
-        q = _int(e, "q", "double_complex.entries")
-        dim = _int(e, "dim", "double_complex.entries")
+    for e in _get(spec, list_key, (list,), kind):
+        _expect(isinstance(e, dict), where + ": items must be objects")
+        key = _cell(e, coords, where)
+        dim = _int(e, "dim", where)
         if dim < 0:
-            raise ValidationError("space (%d,%d): negative dimension" % (p, q))
-        if (p, q) in spaces:
-            raise ValidationError("space (%d,%d) declared twice" % (p, q))
+            raise ValidationError("space at %s: negative dimension" % cell_name(key))
+        if key in spaces:
+            raise ValidationError("space at %s declared twice" % cell_name(key))
         if dim:
-            spaces[(p, q)] = dim
-    _check_total_dim(sum(spaces.values()), "double_complex")
+            spaces[key] = dim
+    _check_total_dim(sum(spaces.values()), kind)
+    return spaces
 
-    def blocks(key, shift):
-        out = {}
-        for b in _get(spec, key, (list,), "double_complex", optional=True, default=[]):
-            _expect(isinstance(b, dict), "%s: items must be objects" % key)
-            src = _get(b, "from", (list,), key)
-            _expect(len(src) == 2 and all(isinstance(x, int) and not isinstance(x, bool)
-                                          for x in src),
-                    "%s: 'from' must be [p, q]" % key)
-            p, q = src
-            if (p, q) in out:
-                raise ValidationError("%s block at (%d,%d) given twice" % (key, p, q))
-            here = "%s block at (%d,%d)" % (key, p, q)
-            if (p, q) not in spaces:
+
+def _parse_blocks(spec, kind, coords, obj):
+    """Fill obj.d1 and obj.d2 from [{"from", "matrix"}] and validate obj.
+    "from" is [p, q] for a double complex and k for a pair."""
+    for name, blocks, step in (("d1", obj.d1, (1, 0)), ("d2", obj.d2, (0, 1))):
+        for b in _get(spec, name, (list,), kind, optional=True, default=[]):
+            _expect(isinstance(b, dict), "%s: items must be objects" % name)
+            src = _get(b, "from", (list,) if len(coords) > 1 else (int,), name)
+            if not isinstance(src, list):
+                src = [src]
+            _expect(len(src) == len(coords), "%s: 'from' must be [p, q]" % name)
+            key = _cell(dict(zip(coords, src)), coords, name + ".from")
+            here = "%s block at %s" % (name, cell_name(key))
+            if key in blocks:
+                raise ValidationError(here + " given twice")
+            tgt = obj.shift(key, *step)
+            if key not in obj.dims:
                 raise ValidationError(here + ": source space not declared")
-            tgt = (p + shift[0], q + shift[1])
-            if tgt not in spaces:
+            if tgt not in obj.dims:
                 raise ValidationError(here + ": target space not declared")
-            out[(p, q)] = _matrix(_get(b, "matrix", (list,), here),
-                                  spaces[tgt], spaces[(p, q)], here)
-        return out
-
-    dc = DoubleComplex(spaces, blocks("d1", (1, 0)), blocks("d2", (0, 1)))
-    bad = dc.validate()
+            blocks[key] = _matrix(_get(b, "matrix", (list,), here),
+                                  obj.dims[tgt], obj.dims[key], here)
+    bad = obj.validate()
     if bad:
         raise ValidationError(bad)
-    return dc
+    return obj
+
+
+def _parse_double_complex(spec):
+    coords = ("p", "q")
+    spaces = _parse_spaces(spec, "double_complex", "entries", coords)
+    return _parse_blocks(spec, "double_complex", coords, DoubleComplex(spaces, {}, {}))
 
 
 def _parse_bidiff_pair(spec):
-    dims = {}
-    for e in _get(spec, "degrees", (list,), "bidiff_pair"):
-        _expect(isinstance(e, dict), "bidiff_pair.degrees: items must be objects")
-        k = _int(e, "k", "bidiff_pair.degrees")
-        dim = _int(e, "dim", "bidiff_pair.degrees")
-        if dim < 0:
-            raise ValidationError("degree %d: negative dimension" % k)
-        if k in dims:
-            raise ValidationError("degree %d declared twice" % k)
-        if dim:
-            dims[k] = dim
-    _check_total_dim(sum(dims.values()), "bidiff_pair")
+    coords = ("k",)
+    dims = _parse_spaces(spec, "bidiff_pair", "degrees", coords)
     deg1 = _int(spec, "deg1", "bidiff_pair")
     deg2 = _int(spec, "deg2", "bidiff_pair")
     if deg1 == 0 or deg2 == 0:
         raise ValidationError("differential degrees must be nonzero")
-
-    def blocks(key, shift):
-        out = {}
-        for b in _get(spec, key, (list,), "bidiff_pair", optional=True, default=[]):
-            _expect(isinstance(b, dict), "%s: items must be objects" % key)
-            k = _int(b, "from", key)
-            if k in out:
-                raise ValidationError("%s block at degree %d given twice" % (key, k))
-            here = "%s block at degree %d" % (key, k)
-            if k not in dims:
-                raise ValidationError(here + ": source degree not declared")
-            if k + shift not in dims:
-                raise ValidationError(here + ": target degree not declared")
-            out[k] = _matrix(_get(b, "matrix", (list,), here),
-                             dims[k + shift], dims[k], here)
-        return out
-
-    bp = BidiffPair(dims, deg1, deg2, blocks("d1", deg1), blocks("d2", deg2))
-    bad = bp.validate()
-    if bad:
-        raise ValidationError(bad)
-    return bp
+    return _parse_blocks(spec, "bidiff_pair", coords, BidiffPair(dims, deg1, deg2, {}, {}))
 
 
-def _parse_two_form_terms(items, where, n_gens, parse_coeff=True):
+def _parse_two_form_terms(items, where, n_gens):
     """[{j, k, coeff}] with 1-based generator indices j < k."""
     form = {}
     for t in items:
@@ -312,10 +296,7 @@ def _parse_lie_algebra(spec):
             if i in dphi:
                 raise ValidationError("dphi for generator %d given twice" % i)
             terms = _get(row, "terms", (list,), "dphi")
-            try:
-                dphi[i] = _parse_two_form_terms(terms, "dphi[%d]" % i, n)
-            except ValidationError:
-                raise
+            dphi[i] = _parse_two_form_terms(terms, "dphi[%d]" % i, n)
         try:
             csd = ComplexStructureData(half, dphi)
         except ValueError as e:

@@ -122,7 +122,10 @@ class _Engine:
         """Pages 1 .. upto in one pass over r."""
         # {s: {(p,q): rank of d_s out of (p,q)}}, from the length-s pivots
         out_ranks = {}
+        t = self.t
         for n in sorted({p + q for p, q in self.support}):
+            if not t.dim(n + 1):
+                continue  # D_n has no rows, so no pivots
             for (row, lead), k in self._profile(n).items():
                 out_ranks.setdefault(row - lead, {})[(lead, n - lead)] = k
         dims = {c: self.dc.dim(*c) for c in self.support}  # E_0

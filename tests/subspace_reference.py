@@ -20,12 +20,7 @@ now reads it as an exterior compound.
 
 from cohomlab import linalg
 from cohomlab.cohomology import IllFormedMap, Subquotient, induced_rank
-from cohomlab.complexes import (
-    DoubleComplex,
-    doub_tot_summands,
-    doub_total_block,
-    tot,
-)
+from cohomlab.complexes import DoubleComplex, tot
 from cohomlab.exterior import multi_indices
 from cohomlab.geometry import _dim, _get
 from cohomlab.linalg import Matrix, Subspace, image, kernel, quotient_dim, rank
@@ -45,15 +40,10 @@ def doub_total_cohomology(bp, sign=1):
     degree r is the rank out of degree (r - 1) mod the period.  Returns
     {residue: dim} for residues 0 .. |deg1-deg2| - 1.
     """
+    t = tot(bp, sign)
     delta = abs(bp.deg1 - bp.deg2)
-    if delta == 0:
-        raise ValueError("Tot of Doub is infinite-dimensional when deg1 == deg2")
-    rk_out = [rank(doub_total_block(bp, r, sign)) for r in range(delta)]
-    out = {}
-    for r in range(delta):
-        dim_n = sum(bp.dim(k) for _, k in doub_tot_summands(bp, r))
-        out[r] = dim_n - rk_out[(r - 1) % delta] - rk_out[r]
-    return out
+    rk_out = [rank(t.block(r)) for r in range(delta)]
+    return {r: t.dim(r) - rk_out[(r - 1) % delta] - rk_out[r] for r in range(delta)}
 
 
 CELL_MAPS = (
@@ -152,16 +142,14 @@ def _pair_reference(bp):
                 return rank(bp.d1_block(k).add(bp.d2_block(k).scale(sign)))
             totals[sign] = {k: bp.dim(k) - rk(k) - rk(k - e1) for k in bp.support()}
         return cells, totals, {}
-    layout = {}
-    for n in range(delta):
-        off, parts = 0, []
-        for _p, k in doub_tot_summands(bp, n):
-            parts.append((k, off))
-            off += bp.dim(k)
-        layout[n] = parts
+    # Doub^{p,q} = A^{e1*p + e2*q}; Tot Doub repeats with period delta,
+    # so the block into residue 0 is the one out of residue delta - 1
+    tots = {sign: tot(bp, sign) for sign in (1, -1)}
+    layout = {n: [(e1 * p + e2 * q, off) for p, q, off, _d in tots[1].summands(n)]
+              for n in range(delta)}
     totals = {sign: doub_total_cohomology(bp, sign) for sign in (1, -1)}
     return cells, totals, _total_rows(
-        cells, layout, lambda s, n: doub_total_block(bp, n, s))
+        cells, layout, lambda s, n: tots[s].block(n % delta))
 
 
 def reference(obj):

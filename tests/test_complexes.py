@@ -9,9 +9,6 @@ from cohomlab.complexes import (
     BidiffPair,
     DoubleComplex,
     GradedComplex,
-    doub,
-    doub_tot_summands,
-    doub_total_block,
     require_valid,
     tot,
 )
@@ -163,47 +160,38 @@ def test_pair_d1d1_violation():
     assert any("d1 o d1" in s for s in bp.validate())
 
 
-def test_doub_view_translates_bidegrees():
-    bp = toy_pair()
-    pd = doub(bp)
-    # Doub^{p,q} = A^{p - q}
-    assert pd.dim(0, 0) == 1
-    assert pd.dim(1, 0) == 2
-    assert pd.dim(1, 1) == 1  # degree 0 again
-    assert pd.dim(2, 1) == 2
-    assert pd.d1_block(0, 0) == Matrix([[1], [0]])
-
-
-def test_doub_window_is_valid_double_complex():
-    pd = doub(toy_pair())
-    win = pd.window(-2, 2, -2, 2)
-    assert win.validate() == []
-    assert win.dim(0, 0) == 1 and win.dim(1, 1) == 1
-
-
 def test_doub_tot_summands_orders_by_p():
-    bp = toy_pair()
+    t = tot(toy_pair())
+
+    def summands(n):
+        # (p, degree) of each summand; Doub^{p,q} = A^{p - q}
+        pairs = [(p, p - q) for p, q, _off, _d in t.summands(n)]
+        assert [k for _p, k in pairs] == t.cells(n)
+        return pairs
+
     # delta = 2; n = 0 picks even degrees, n = 1 odd ones
-    assert doub_tot_summands(bp, 0) == [(0, 0), (1, 2)]
-    assert doub_tot_summands(bp, 1) == [(1, 1)]
+    assert summands(0) == [(0, 0), (1, 2)]
+    assert summands(1) == [(1, 1)]
     # periodicity: shifting n by delta shifts p by one
-    assert doub_tot_summands(bp, 2) == [(1, 0), (2, 2)]
+    assert summands(2) == [(1, 0), (2, 2)]
 
 
 def test_doub_tot_summands_requires_distinct_degrees():
     bp = BidiffPair({0: 1}, 1, 1, {}, {})
     with pytest.raises(ValueError):
-        doub_tot_summands(bp, 0)
+        tot(bp)
 
 
 def test_doub_total_block_and_cohomology():
     bp = toy_pair()
-    b0 = doub_total_block(bp, 0)
+    b0 = tot(bp).block(0)
     # Tot^0 = A^0 + A^2, Tot^1 = A^1; only d1 out of A^0 contributes
     assert (b0.nrows, b0.ncols) == (2, 2)
     assert b0 == Matrix([[1, 0], [0, 0]])
     assert doub_total_cohomology(bp) == {0: 1, 1: 1}
     assert doub_total_cohomology(bp, -1) == {0: 1, 1: 1}
+    # one value per residue class, not a bounded complex on 0..delta
+    assert tot(bp).cohomology() == tot(bp, -1).cohomology() == {0: 1, 1: 1}
 
 
 def test_doub_total_cohomology_zero_differentials():
@@ -216,8 +204,10 @@ def test_doub_total_cohomology_reads_the_rank_into_r_from_r_minus_one():
     # deg1 = 2, deg2 = -1, period 3: Tot^0 = A^0, Tot^1 = A^2, Tot^2 = 0,
     # and d1: A^0 -> A^2 is the only map, from residue 0 into residue 1
     bp = BidiffPair({0: 1, 2: 1}, 2, -1, {0: Matrix([[1]])}, {})
-    assert [rank(doub_total_block(bp, r)) for r in range(-1, 3)] == [0, 1, 0, 0]
-    assert doub_total_cohomology(bp) == {0: 0, 1: 0, 2: 0}
+    t = tot(bp)
+    # the block out of r = -1 is the one out of r = 2, into Tot^3 ~ Tot^0
+    assert [rank(t.block(r % 3)) for r in range(-1, 3)] == [0, 1, 0, 0]
+    assert doub_total_cohomology(bp) == t.cohomology() == {0: 0, 1: 0, 2: 0}
 
 
 def test_pair_with_fraction_entries():

@@ -1,4 +1,5 @@
-"""Every name an import binds in src/ and tests/ is used in its module.
+"""Every name an import binds in src/ and tests/ is used in its module,
+and every name a cohomlab module exports in __all__ exists.
 
 A name counts as used when it is read anywhere in the module or listed in
 its __all__.  `from __future__` imports bind nothing and are skipped.
@@ -6,6 +7,7 @@ KEPT lists the few imports a module keeps without reading them.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -54,3 +56,13 @@ KEPT = {"src/cohomlab/geometry.py": ["det"]}
 def test_no_unused_imports(path):
     unused = [name for _line, name in unused_imports(path.read_text())]
     assert unused == KEPT.get(path.relative_to(ROOT).as_posix(), [])
+
+
+PACKAGE = sorted((ROOT / "src" / "cohomlab").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.stem for p in PACKAGE])
+def test_every_exported_name_resolves(path):
+    name = "cohomlab" if path.stem == "__init__" else "cohomlab." + path.stem
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", []) if not hasattr(module, n)] == []

@@ -69,6 +69,29 @@ def test_bad_scalar_is_parse_error():
         cio.build(cio.parse_document(bad))
 
 
+PAIR = {"bidiff_pair": {
+    "degrees": [{"k": 0, "dim": 1}, {"k": 1, "dim": 1}], "deg1": 1, "deg2": -1,
+    "d1": [{"from": 0, "matrix": ["1"]}],
+    "d2": [],
+}}
+
+
+@pytest.mark.parametrize("doc", [HSEG, PAIR], ids=["double_complex", "bidiff_pair"])
+@pytest.mark.parametrize("matrix", [[["1"], 5], [["1"], "2"], [["1"], None]],
+                         ids=["int-row", "string-row", "null-row"])
+def test_nested_matrix_row_that_is_not_a_list_is_parse_error(tmp_path, doc, matrix):
+    bad = json.loads(json.dumps(doc))
+    kind = next(iter(bad))
+    bad[kind]["d1"][0]["matrix"] = matrix
+    with pytest.raises(cio.ParseError, match="every row of a nested matrix must be a list"):
+        cio.parse_document(bad)
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(bad))
+    code, out, err = run_cli("analyze", str(src))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_undeclared_target_is_validation():
     bad = {"double_complex": {
         "entries": [{"p": 0, "q": 0, "dim": 1}],
@@ -267,6 +290,14 @@ def test_analyze_error_exit_codes(tmp_path):
     assert code == 1
 
 
+def test_analyze_unwritable_out_exits_one_with_one_line(tmp_path):
+    target = tmp_path / "no-such-dir" / "x.json"
+    code, out, err = run_cli("analyze", "--builtin", "heisenberg3", "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot write %s" % target)
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_oversized_declarations_are_rejected_before_building():
     bound = cio.MAX_TOTAL_DIM
 
@@ -404,3 +435,17 @@ def test_fuzz_engine_crash_minimizes_and_writes_reproducer(tmp_path, monkeypatch
     doc = json.loads(repro.read_text())
     rebuilt = cio.build(cio.parse_document(doc)).obj
     assert rebuilt.total_dim() == 1
+
+
+def test_fuzz_unwritable_reproducer_still_reports_the_failure(tmp_path, monkeypatch):
+    def planted(dc, shapes=None, spectral=True):
+        raise cli.PropertyFailure("identities", "planted for the test")
+
+    monkeypatch.setattr(cli, "check_bicomplex", planted)
+    repro = tmp_path / "no-such-dir" / "repro.json"
+    code, out, err = run_cli("fuzz", "--iters", "1", "--seed", "17",
+                             "--shapes", "dot:1", "--reproducer", str(repro))
+    assert code == 3
+    assert "'identities' failed at seed 17" in err
+    assert "cannot write the reproducer to %s" % repro in err
+    assert "Traceback" not in err and not repro.exists()

@@ -242,10 +242,11 @@ def test_pages_match_subspace_reference_on_gaussian_structures():
 
 
 def test_negative_page_dimension_raises_naming_the_cell(monkeypatch):
-    # two pivots of d_0 out of a one-dimensional cell give dim E_1 = 1 - 2 < 0
+    # two pivots of d_0 out of a one-dimensional cell give dim E_1 = 1 - 2 < 0;
+    # the segment's degree 5 has a nonempty target, so its profile is read
     monkeypatch.setattr(spectral._Engine, "_profile",
                         lambda self, n: Counter({(p, p): 2 for p, _q in self.support}))
-    dc = shape_complex(("dot", 2, 3))
+    dc = shape_complex(("hseg", 2, 3))
     for which in ("first", "second"):
         with pytest.raises(AssertionError, match=r"dimension of E_1 at \(2, 3\) in the %s" % which):
             pages(dc, which)
