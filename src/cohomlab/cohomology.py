@@ -211,6 +211,7 @@ class _AnalysisBase:
             require_valid(obj)
         self._obj = obj
         self._tots = {}
+        self._near = {}  # key -> _neighbours(key)
         self._cells = {}
         self._ranks = {}  # (block, key) -> rank
         self._tot_ranks = {}  # (sign, n) -> rk D_n
@@ -223,16 +224,16 @@ class _AnalysisBase:
     def _dim(self, key):
         return self._obj.dims.get(key, 0)
 
-    def _out(self, key):
+    def _neighbours(self, key):
         """The d1 and d2 blocks out of key and the d1 block out of where
-        d2 lands, None where absent."""
-        obj = self._obj
-        return obj.d1.get(key), obj.d2.get(key), obj.d1.get(obj.shift(key, 0, 1))
-
-    def _preds(self, key):
-        """The cells @1, @2 and @12."""
-        shift = self._obj.shift
-        return shift(key, -1, 0), shift(key, 0, -1), shift(key, -1, -1)
+        d2 lands (None where absent), then the cells @1, @2 and @12."""
+        near = self._near.get(key)
+        if near is None:
+            obj, shift = self._obj, self._obj.shift
+            near = self._near[key] = (
+                obj.d1.get(key), obj.d2.get(key), obj.d1.get(shift(key, 0, 1)),
+                shift(key, -1, 0), shift(key, 0, -1), shift(key, -1, -1))
+        return near
 
     def cell(self, key):
         """{value name: int} for one cell: the flavors, V1-V6, ker BC->A."""
@@ -242,7 +243,7 @@ class _AnalysisBase:
         return c
 
     def _make_cell(self, key):
-        at = dict(zip(("", "1", "2", "12"), (key,) + self._preds(key)))
+        at = dict(zip(("", "1", "2", "12"), (key,) + self._neighbours(key)[3:]))
         n = self._dim(key)
         out = {}
         for name, text, terms in _CELL_FORMULAS:
@@ -259,7 +260,7 @@ class _AnalysisBase:
         return r
 
     def _block_rank(self, block, key):
-        d1, d2, d1_next = self._out(key)
+        d1, d2, d1_next, at1, at2, _at12 = self._neighbours(key)
         if block == "r1":
             m = d1
         elif block == "r2":
@@ -269,8 +270,7 @@ class _AnalysisBase:
         elif block == "rO":
             m = vstack(d1, d2) if d1 and d2 else d1 or d2
         else:  # rI: d1 from @1 and d2 from @2, side by side
-            at1, at2, _ = self._preds(key)
-            a, b = self._out(at1)[0], self._out(at2)[1]
+            a, b = self._neighbours(at1)[0], self._neighbours(at2)[1]
             m = hstack(a, b) if a and b else a or b
         return rank(m) if m else 0
 

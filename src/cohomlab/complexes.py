@@ -78,26 +78,24 @@ class _Bicomplex:
         for name, blocks, step in (("d1", d1, (1, 0)), ("d2", d2, (0, 1))):
             for key, m in blocks.items():
                 src, tgt = dims.get(key, 0), dims.get(self.shift(key, *step), 0)
-                here = "%s block at %s" % (name, cell_name(key))
                 if not src or not tgt:
-                    out.append("%s: %s space not declared"
-                               % (here, "target" if src else "source"))
+                    out.append("%s block at %s: %s space not declared"
+                               % (name, cell_name(key), "target" if src else "source"))
                 elif (m.nrows, m.ncols) != (tgt, src):
-                    out.append("%s: shape %dx%d, expected %dx%d"
-                               % (here, m.nrows, m.ncols, tgt, src))
+                    out.append("%s block at %s: shape %dx%d, expected %dx%d"
+                               % (name, cell_name(key), m.nrows, m.ncols, tgt, src))
         if out:
             return out  # relation checks need sane shapes
         for key in self.support():
-            at = "starting at " + cell_name(key)
             up1, up2 = self.shift(key, 1, 0), self.shift(key, 0, 1)
             for name, blocks, up in (("d1", d1, up1), ("d2", d2, up2)):
                 if key in blocks and up in blocks and not blocks[up].mul(blocks[key]).is_zero():
-                    out.append("%s o %s != 0 %s" % (name, name, at))
+                    out.append("%s o %s != 0 starting at %s" % (name, name, cell_name(key)))
             paths = [second[up].mul(first[key])
                      for first, second, up in ((d1, d2, up1), (d2, d1, up2))
                      if key in first and up in second]
             if paths and not reduce(Matrix.add, paths).is_zero():
-                out.append("d1 d2 + d2 d1 != 0 " + at)
+                out.append("d1 d2 + d2 d1 != 0 starting at " + cell_name(key))
         return out
 
 
