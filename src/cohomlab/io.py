@@ -18,7 +18,11 @@ and unparseable scalars raise ParseError (exit code 1).
 
 A declared object whose total dimension (the sum of the dims, or 2^dim
 for a lie_algebra) exceeds MAX_TOTAL_DIM raises ValidationError before
-anything is built, instead of hanging or exhausting memory.  A
+anything is built, instead of hanging or exhausting memory.  So does a
+double_complex whose p, q or p+q values span more than MAX_TOTAL_DIM,
+and a bidiff_pair with |deg1 - deg2| above it: Tot and the spectral
+pages walk every total degree and every column in between, and Tot of
+a pair's Doub walks |deg1 - deg2| + 1 total degrees.  A
 symplectic lie_algebra above MAX_SYMPLECTIC_DIM generators raises
 ValidationError too: on a 2-core host its analysis takes about one
 minute at dimension 10 (the operator calculus about 11 s of it), and
@@ -105,6 +109,13 @@ def _check_total_dim(total, where):
     if total > MAX_TOTAL_DIM:
         raise ValidationError("%s: total dimension %d exceeds the bound %d"
                               % (where, total, MAX_TOTAL_DIM))
+
+
+def _check_span(values, what, where):
+    if values and max(values) - min(values) > MAX_TOTAL_DIM:
+        lo, hi = min(values), max(values)
+        raise ValidationError("%s: %s range %d..%d spans %d, above the bound %d"
+                              % (where, what, lo, hi, hi - lo, MAX_TOTAL_DIM))
 
 
 def check_lie_dim(n, where):
@@ -228,6 +239,9 @@ def _parse_blocks(spec, kind, coords, obj):
 def _parse_double_complex(spec):
     coords = ("p", "q")
     spaces = _parse_spaces(spec, "double_complex", "entries", coords)
+    for what, values in (("p", [p for p, _q in spaces]), ("q", [q for _p, q in spaces]),
+                         ("p+q", [p + q for p, q in spaces])):
+        _check_span(values, what, "double_complex")
     return _parse_blocks(spec, "double_complex", coords, DoubleComplex(spaces, {}, {}))
 
 
@@ -238,6 +252,7 @@ def _parse_bidiff_pair(spec):
     deg2 = _int(spec, "deg2", "bidiff_pair")
     if deg1 == 0 or deg2 == 0:
         raise ValidationError("differential degrees must be nonzero")
+    _check_span((deg1, deg2), "deg1/deg2", "bidiff_pair")
     return _parse_blocks(spec, "bidiff_pair", coords, BidiffPair(dims, deg1, deg2, {}, {}))
 
 

@@ -16,7 +16,7 @@ into the interleaved real rows of v and i*v.  rank, kernel, image and
 the subspace lattice sit on one Gauss-Jordan kernel (see _rref_rows).
 rank_profile takes the rows one at a time into an echelon basis instead,
 with the same arithmetic, to give the ranks of all row prefixes x column
-suffixes from one pass; the spectral pages read theirs from it.
+prefixes from one pass; the spectral pages read theirs from it.
 Products of rational matrices are taken on integers too (see
 Matrix.mul).
 
@@ -350,20 +350,20 @@ def rank(m):
 
 
 def rank_profile(m):
-    """The ranks of all row prefixes x column suffixes of m, from one pass.
+    """The ranks of all row prefixes x column prefixes of m, from one pass.
 
     Returns leads, one per row of m, with
 
-        rank(rows[:hi] restricted to columns lo:) = #{i < hi : leads[i] >= lo}
+        rank(rows[:hi] restricted to columns[:k]) = #{i < hi : 0 <= leads[i] < k}
 
-    for every hi and lo; leads[i] is -1 when row i lies in the span of
-    the rows above it.  With the columns reversed, a suffix is a prefix,
-    and the rows are inserted in order into an echelon basis keyed by
-    lead column, reduced left to right by cross-multiplication with gcd
-    reduction as in _rref_int.  A row's lead is its first nonzero column
-    that no basis row leads; basis rows vanish before their leads, so
-    the basis rows of rows[:hi] with leads below k are independent on
-    the first k columns and the others vanish there.
+    for every hi and k; leads[i] is -1 when row i lies in the span of
+    the rows above it.  The rows are inserted in order into an echelon
+    basis keyed by lead column, reduced left to right by
+    cross-multiplication with gcd reduction as in _rref_int.  A row's
+    lead is its first nonzero column that no basis row leads; basis rows
+    vanish before their leads, so the basis rows of rows[:hi] with leads
+    below k are independent on the first k columns and the others vanish
+    there.  For suffixes, reverse the rows of m or their order.
 
     Rows enter on integers as in _rref_rows.  A Gaussian row v enters as
     the split rows of v and i*v; the split span of any row prefix
@@ -372,13 +372,13 @@ def rank_profile(m):
     """
     kinds = {type(x) for row in m.rows for x in row}
     if kinds <= {int}:
-        rows = [row[::-1] for row in m.rows]
+        rows = m.rows
     elif GaussianRational not in kinds:
-        rows = [_cleared(row[::-1])[1] for row in m.rows]
+        rows = [_cleared(row)[1] for row in m.rows]
     else:
         rows = []
         for row in m.rows:
-            v = _split_row(row[::-1])
+            v = _split_row(row)
             rows += (v, _times_i(v))
     basis = {}
     leads = []
@@ -402,9 +402,8 @@ def rank_profile(m):
         pairs = list(zip(leads[::2], leads[1::2]))
         if any(x // 2 != y // 2 for x, y in pairs):
             raise AssertionError("rank_profile: split leads of a Gaussian row disagree")
-        leads = [x // 2 for x, _y in pairs]
-    top = m.ncols - 1
-    return [top - x if x >= 0 else -1 for x in leads]
+        return [x // 2 for x, _y in pairs]
+    return leads
 
 
 # ---------------------------------------------------------------------------

@@ -114,11 +114,11 @@ def _check_vanishing_implications(a):
                       "V6 = 0 everywhere but total -> A not injective in degree %d" % n)
 
 
-def _check_spectral(a, dc, hp):
-    first = pages(dc, "first", validated=True)
+def _check_spectral(a, hp):
+    first = pages(a, "first")
     if first[0].dims != a.flavor_table("D2"):
         _fail("spectral-e1", "first-sequence E1 differs from second-flavor table")
-    second_e1 = pages(dc, "second", r_max=1, validated=True)[0]
+    second_e1 = pages(a, "second", r_max=1)[0]
     if second_e1.dims != a.flavor_table("D1"):
         _fail("spectral-e1", "second-sequence E1 differs from first-flavor table")
     limit = {}
@@ -161,7 +161,7 @@ PROPERTY_NAMES = (
 )
 
 
-def check_bicomplex(dc, shapes=None, spectral=True):
+def check_bicomplex(dc, shapes=None):
     """Run every property; raise PropertyFailure on the first violation.
 
     shapes, when given, is the construction recipe of dc and switches on
@@ -175,8 +175,7 @@ def check_bicomplex(dc, shapes=None, spectral=True):
     sums = _check_inequalities(a)
     holds = _check_lemma_biconditional(a, sums)
     _check_vanishing_implications(a)
-    if spectral:
-        _check_spectral(a, dc, sums[4])
+    _check_spectral(a, sums[4])
     if shapes is not None:
         _check_ground_truth(a, shapes, holds)
     return a

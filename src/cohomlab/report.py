@@ -62,10 +62,10 @@ def _cohom_section(rep):
     }
 
 
-def _spectral_section(dc, r_max):
+def _spectral_section(a, r_max):
     out = {}
     for which in ("first", "second"):
-        pgs = pages(dc, which, r_max=r_max, validated=True)
+        pgs = pages(a, which, r_max=r_max)
         out[which] = [
             {"r": pg.r, "dims": _table_json(pg.dims),
              "dr_ranks": _table_json(pg.dr_ranks)}
@@ -110,14 +110,13 @@ def make_report(result, echo, view="bigraded", spectral_rmax=None):
         return doc
 
     if result.kind in ("double_complex", "lie_complex"):
-        dc = result.obj
-        a = Analysis(dc, validated=True)
+        a = Analysis(result.obj, validated=True)
         doc["cohomology"] = _cohom_section(frolicher_report(a))
         doc["totals"] = _totals_section(a)
         if view == "type-n":
             doc["type_n"] = {f: _table_json(t) for f, t in type_n_view(a).items()}
         if spectral_rmax is not None:
-            doc["spectral"] = _spectral_section(dc, spectral_rmax)
+            doc["spectral"] = _spectral_section(a, spectral_rmax)
         return doc
 
     # bidiff_pair / lie_symplectic

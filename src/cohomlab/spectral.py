@@ -1,21 +1,23 @@
 """Spectral sequences of the two standard filtrations of Tot.
 
-The column filtration F^p Tot^n collects the summands with first index
-at least p; in the p-ascending summand layout it is a coordinate
-suffix.  No subspace is ever built: every page is read off the pivots
-of one rank profile per total degree.
+Both read the differential D_n of the analysis's memoised tot(1), the
+Tot its total tables come from.  The column filtration F^p Tot^n
+collects the summands with first index at least p.  No subspace is ever
+built: every page is read off the pivots of one rank profile per total
+degree.
 
 The profile lemma (Dumas, Pernet, Sultan, Computing the rank profile
-matrix, ISSAC 2015).  linalg.rank_profile inserts the rows of the Tot
-differential D_n in order into an echelon basis of the columns read
-right to left; row i gets a lead column when it is independent of the
-rows above it, and then
+matrix, ISSAC 2015).  linalg.rank_profile inserts the rows of a matrix
+in order into an echelon basis; row i gets a lead column when it is
+independent of the rows above it, and then
 
-    rank(rows[:hi] restricted to columns lo:) = #{i < hi : lead_i >= lo}
+    rank(rows[:hi] restricted to columns[:k]) = #{i < hi : 0 <= lead_i < k}
 
-for every row bound hi and column offset lo.  Each pivot (i, lead_i) is
-counted by the first index of the summand holding its row (in
-Tot^{n+1}) and of the summand holding its lead (in Tot^n).
+for every row bound hi and column bound k.  In the p-ascending summand
+layout F^a Tot^n is a column suffix and the rows outside F^b Tot^{n+1}
+a row prefix, so D_n enters with each row reversed.  Each pivot is
+counted by the first index of the summands holding its row (in
+Tot^{n+1}) and its lead (in Tot^n).
 
 The pivot statement.  A pivot of length s = (row p) - (lead p) is
 exactly one rank of d_s: the rank of d_r out of (p,q) is the number of
@@ -39,8 +41,9 @@ rank of d_r above the page-r dimension of its source or target, is an
 engine bug and raises naming the cell.  On the last page no later
 subtraction sees the d_r ranks, so that bound is their only check there.
 
-The second filtration (by rows) is the first filtration of the
-transposed complex, with the bidegree keys swapped back.
+The second filtration (by rows) keys the summands by q, which runs
+down the layout: D_n enters with its row order reversed, and the pages
+are worked out on (q, p) keys and swapped back.
 
 Pages stabilize once r exceeds the column span: d_r moves the first
 index by r, so no differential can connect two occupied columns any
@@ -53,8 +56,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .linalg import rank_profile
-from .complexes import require_valid, tot
+from .cohomology import Analysis
+from .linalg import Matrix, rank_profile
 
 __all__ = [
     "SpectralPage",
@@ -86,28 +89,31 @@ class SpectralPage:
 
 
 class _Engine:
-    """Pages from the profile pivots; dc is the transpose for "second"."""
+    """Pages from the profile pivots of an analysis's tot(1), on cells
+    keyed (filtration index, other index): (q, p) for "second"."""
 
-    def __init__(self, dc, which):
-        self.dc = dc
+    def __init__(self, a, which):
         self.which = which
-        self.t = tot(dc, 1)
-        self.support = dc.support()
+        self.t = a.tot(1)
+        i = self.i = int(which == "second")  # where the filtration index sits in (p, q)
+        self.dims = dict(sorted(((c[i], c[1 - i]), d) for c, d in a.dc.dims.items()))
 
     def r_stab(self):
-        if not self.support:
-            return 1
-        ps = [p for p, _q in self.support]
+        ps = [p for p, _q in self.dims] or [0]
         return max(ps) - min(ps) + 1
 
     def _profile(self, n):
-        """The rank profile of D_n, each pivot keyed by the first index of
-        the summand holding its row and of the summand holding its lead."""
-        t = self.t
-        col_p = [p for (p, _q, _off, d) in t.summands(n) for _ in range(d)]
-        row_p = [p for (p, _q, _off, d) in t.summands(n + 1) for _ in range(d)]
-        return Counter((row_p[i], col_p[x])
-                       for i, x in enumerate(rank_profile(t.block(n))) if x >= 0)
+        """The rank profile of D_n, each pivot keyed by the filtration
+        index of the summands holding its row and its lead."""
+        t, i = self.t, self.i
+        col, row = ([s[i] for s in t.summands(k) for _ in range(s[3])] for k in (n, n + 1))
+        rows = t.block(n).rows
+        if i:  # q runs down the layout: the rows outside F'^b are a suffix
+            rows, row = rows[::-1], row[::-1]
+        else:  # p runs up the layout: F^a is a column suffix
+            rows, col = [r[::-1] for r in rows], col[::-1]
+        leads = rank_profile(Matrix(rows, len(col)))
+        return Counter((row[k], col[x]) for k, x in enumerate(leads) if x >= 0)
 
     def _checked(self, value, what, r, p, q, bound=None):
         if value < 0 or (bound is not None and value > bound):
@@ -123,12 +129,12 @@ class _Engine:
         # {s: {(p,q): rank of d_s out of (p,q)}}, from the length-s pivots
         out_ranks = {}
         t = self.t
-        for n in sorted({p + q for p, q in self.support}):
+        for n in sorted({p + q for p, q in self.dims}):
             if not t.dim(n + 1):
                 continue  # D_n has no rows, so no pivots
             for (row, lead), k in self._profile(n).items():
                 out_ranks.setdefault(row - lead, {})[(lead, n - lead)] = k
-        dims = {c: self.dc.dim(*c) for c in self.support}  # E_0
+        dims = self.dims  # E_0
         result = []
         for r in range(upto + 1):
             ranks = out_ranks.get(r, {})
@@ -150,28 +156,25 @@ class _Engine:
         return result
 
 
-def pages(dc, which="first", r_max=None, validated=False):
+def pages(obj, which="first", r_max=None):
     """Pages r = 1 .. r_max (default: up to stabilization) of one filtration.
 
-    which = "first" filters by the first index (columns), "second" by
-    the second (rows, computed on the transpose and swapped back).
+    obj is a DoubleComplex, validated first, or its Analysis.  which =
+    "first" filters by the first index (columns), "second" by the second.
     """
     if which not in ("first", "second"):
         raise ValueError("which must be 'first' or 'second'")
-    if not validated:
-        require_valid(dc)
-    eng = _Engine(dc.transpose() if which == "second" else dc, which)
-    upto = eng.r_stab() if r_max is None else r_max
-    if upto < 1:
+    if r_max is not None and r_max < 1:
         raise ValueError("r_max must be at least 1")
-    return eng.pages(upto)
+    eng = _Engine(obj if isinstance(obj, Analysis) else Analysis(obj), which)
+    return eng.pages(eng.r_stab() if r_max is None else r_max)
 
 
-def degenerates_at(dc, which="first", r=1, validated=False):
-    """True when page r already equals the limit page."""
+def degenerates_at(obj, which="first", r=1):
+    """True when page r already equals the limit page; obj as for pages."""
     if r < 1:
         raise ValueError("pages are numbered from 1")
-    pgs = pages(dc, which, None, validated=validated)
+    pgs = pages(obj, which)
     if r >= len(pgs):
         return True
     return pgs[r - 1].dims == pgs[-1].dims

@@ -3,6 +3,8 @@
 import hashlib
 import io as pyio
 import json
+import re
+import time
 
 import pytest
 
@@ -329,6 +331,46 @@ def test_oversized_inputs_exit_two(tmp_path):
     assert "builtin abelian:64" in err and "bound 4096" in err
 
 
+def test_wide_cell_spans_and_degree_gaps_are_rejected_before_building():
+    bound = cio.MAX_TOTAL_DIM
+
+    def dc(*cells):
+        return {"double_complex": {"entries": [
+            {"p": p, "q": q, "dim": 1} for p, q in cells]}}
+
+    def pair(deg1, deg2):
+        return {"bidiff_pair": {"deg1": deg1, "deg2": deg2,
+                                "degrees": [{"k": 0, "dim": 1}]}}
+
+    # at the bound the documents parse
+    for doc in (dc((0, 0), (bound, -bound)), dc((0, 0), (0, bound)),
+                dc((0, 0), (bound, 0)), pair(bound - 1, -1)):
+        cio.parse_document(doc)
+    for doc, what in ((dc((0, 0), (bound + 1, -bound - 1)), "p range"),
+                      (dc((0, 0), (0, bound + 1)), "q range"),
+                      (dc((0, 0), (bound, 1)), "p+q range"),
+                      (pair(bound, -1), "deg1/deg2 range"),
+                      (pair(1, -bound), "deg1/deg2 range")):
+        with pytest.raises(cio.ValidationError, match=re.escape(what) + ".* above the bound %d" % bound):
+            cio.parse_document(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"bidiff_pair": {"degrees": [{"k": 0, "dim": 1}], "deg1": 10 ** 9, "deg2": -1}},
+    {"double_complex": {"entries": [{"p": 0, "q": 0, "dim": 1},
+                                    {"p": 10 ** 9, "q": 0, "dim": 1}]}},
+], ids=["pair-degree-gap", "far-apart-cells"])
+def test_far_apart_degrees_exit_two_at_once(tmp_path, doc):
+    # both documents used to walk every total degree in between and hang
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run_cli("analyze", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "above the bound %d" % cio.MAX_TOTAL_DIM in err
+
+
 def symplectic_torus(n):
     """The abelian algebra of dim n with omega = e12 + e34 + ... ."""
     return {"lie_algebra": {"dim": n, "symplectic": {"omega": [
@@ -390,10 +432,10 @@ def test_shape_counts_parsing():
 def test_fuzz_failure_minimizes_and_writes_reproducer(tmp_path, monkeypatch):
     real_check = cli.check_bicomplex
 
-    def planted(dc, shapes=None, spectral=True):
+    def planted(dc, shapes=None):
         if shapes is not None and any(s[0] == "dot" for s in shapes):
             raise cli.PropertyFailure("identities", "planted for the test")
-        return real_check(dc, shapes=shapes, spectral=spectral)
+        return real_check(dc, shapes=shapes)
 
     monkeypatch.setattr(cli, "check_bicomplex", planted)
     repro = tmp_path / "repro.json"
@@ -418,10 +460,10 @@ def test_fuzz_failure_minimizes_and_writes_reproducer(tmp_path, monkeypatch):
 def test_fuzz_engine_crash_minimizes_and_writes_reproducer(tmp_path, monkeypatch, exc):
     real_check = cli.check_bicomplex
 
-    def planted(dc, shapes=None, spectral=True):
+    def planted(dc, shapes=None):
         if shapes is not None and any(s[0] == "dot" for s in shapes):
             raise exc
-        return real_check(dc, shapes=shapes, spectral=spectral)
+        return real_check(dc, shapes=shapes)
 
     monkeypatch.setattr(cli, "check_bicomplex", planted)
     repro = tmp_path / "repro.json"
@@ -438,7 +480,7 @@ def test_fuzz_engine_crash_minimizes_and_writes_reproducer(tmp_path, monkeypatch
 
 
 def test_fuzz_unwritable_reproducer_still_reports_the_failure(tmp_path, monkeypatch):
-    def planted(dc, shapes=None, spectral=True):
+    def planted(dc, shapes=None):
         raise cli.PropertyFailure("identities", "planted for the test")
 
     monkeypatch.setattr(cli, "check_bicomplex", planted)

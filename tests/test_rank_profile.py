@@ -1,17 +1,21 @@
 """linalg.rank_profile against sliced ranks, and the spectral pages read
 from its pivots against pages from a table of sliced ranks."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohomlab import linalg, spectral
+from cohomlab import complexes, linalg, spectral
 from cohomlab.complexes import tot
 from cohomlab.geometry import builtin
+from cohomlab.io import BuildResult
 from cohomlab.linalg import Matrix, rank, rank_profile
+from cohomlab.properties import check_bicomplex
 from cohomlab.randomgen import random_bicomplex, shape_complex
+from cohomlab.report import make_report
 from cohomlab.scalars import GaussianRational
 from cohomlab.spectral import SpectralPage, pages
 from test_geometry import gaussian_structures
@@ -23,13 +27,14 @@ from test_geometry import gaussian_structures
 def profile_ranks(m):
     leads = rank_profile(m)
     assert len(leads) == m.nrows
-    return [[sum(x >= lo for x in leads[:hi]) for lo in range(m.ncols + 1)]
+    assert all(-1 <= x < m.ncols for x in leads)
+    return [[sum(0 <= x < k for x in leads[:hi]) for k in range(m.ncols + 1)]
             for hi in range(m.nrows + 1)]
 
 
 def sliced_ranks(m):
-    return [[rank(Matrix([row[lo:] for row in m.rows[:hi]], m.ncols - lo))
-             for lo in range(m.ncols + 1)]
+    return [[rank(Matrix([row[:k] for row in m.rows[:hi]], k))
+             for k in range(m.ncols + 1)]
             for hi in range(m.nrows + 1)]
 
 
@@ -64,7 +69,7 @@ def matrices(draw, kind):
 @pytest.mark.parametrize("kind", sorted(ENTRIES))
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
-def test_profile_gives_the_rank_of_every_prefix_by_suffix(kind, data):
+def test_profile_gives_the_rank_of_every_prefix_by_prefix(kind, data):
     m = data.draw(matrices(kind))
     assert profile_ranks(m) == sliced_ranks(m)
 
@@ -170,9 +175,11 @@ def sliced_pages(dc, which, r_max):
 
 
 def assert_pages_match_sliced(dc):
-    r_max = spectral._Engine(dc, "first").r_stab() + 2
+    # two pages past the first filtration's stabilization bound
+    ps = [p for p, _q in dc.support()] or [0]
+    r_max = max(ps) - min(ps) + 3
     for which in ("first", "second"):
-        got = [(pg.dims, pg.dr_ranks) for pg in pages(dc, which, r_max, validated=True)]
+        got = [(pg.dims, pg.dr_ranks) for pg in pages(dc, which, r_max)]
         want = [(pg.dims, pg.dr_ranks) for pg in sliced_pages(dc, which, r_max)]
         assert got == want, which
 
@@ -199,26 +206,60 @@ def test_pages_match_sliced_engine_on_gaussian_structures(which):
     assert_pages_match_sliced(dc)
 
 
-# -- the elimination count -------------------------------------------------
+# -- the elimination and Tot counts ----------------------------------------
+
+
+def count_tot_signs(monkeypatch):
+    """The sign of every complexes.tot call, through each cohomlab binding."""
+    signs = []
+    real = complexes.tot
+
+    def counted(obj, sign=1):
+        signs.append(sign)
+        return real(obj, sign)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "cohomlab" or name.startswith("cohomlab."):
+            for key, val in list(vars(mod).items()):
+                if val is real:
+                    monkeypatch.setattr(mod, key, counted)
+    return signs
 
 
 def test_pages_run_one_profile_per_tot_degree_and_no_reduction(monkeypatch):
-    complexes = [shape_complex(("zigzag", 0, 0, 7, "upper")),
-                 random_bicomplex(5, {"counts": {"zigzag": 3, "square": 2, "dot": 2}}).dc,
-                 gaussian_structures(2014, 1)[0]]
+    dcs = [shape_complex(("zigzag", 0, 0, 7, "upper")),
+           random_bicomplex(5, {"counts": {"zigzag": 3, "square": 2, "dot": 2}}).dc,
+           gaussian_structures(2014, 1)[0]]
     reductions, profiles = [], []
     rref_rows = linalg._rref_rows
     monkeypatch.setattr(linalg, "_rref_rows",
                         lambda rows, ncols: reductions.append(ncols) or rref_rows(rows, ncols))
     monkeypatch.setattr(spectral, "rank_profile",
                         lambda m: profiles.append(m) or rank_profile(m))
-    for dc in complexes:
+    signs = count_tot_signs(monkeypatch)
+
+    def profile_shapes():
+        shapes = sorted((m.nrows, m.ncols) for m in profiles)
+        profiles.clear()
+        return shapes
+
+    for dc in dcs:
         t = tot(dc, 1)
         # one profile per support degree whose target Tot^{n+1} is nonempty
         shapes = sorted((t.dim(n + 1), t.dim(n)) for n in {p + q for p, q in dc.support()}
                         if t.dim(n + 1))
         for which in ("first", "second"):
-            profiles.clear()
+            signs.clear()
             pages(dc, which)
-            assert sorted((m.nrows, m.ncols) for m in profiles) == shapes, which
-    assert reductions == []
+            assert profile_shapes() == shapes, which
+            assert signs == [1], which
+        assert reductions == []
+        # a check and a spectral report read both filtrations from the
+        # analysis's own Tot: one Tot per sign, one profile per degree each
+        for run in (lambda: check_bicomplex(dc),
+                    lambda: make_report(BuildResult("double_complex", dc), {}, spectral_rmax=3)):
+            signs.clear()
+            run()
+            assert sorted(signs) == [-1, 1]
+            assert profile_shapes() == sorted(shapes * 2)
+        reductions.clear()  # the analysis's own ranks

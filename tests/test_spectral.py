@@ -96,12 +96,32 @@ def test_r_max_truncates():
         pages(dc, "third")
 
 
+def test_pages_check_which_and_r_max_before_validating_or_building(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built or validated before the argument checks")
+
+    monkeypatch.setattr(spectral, "Analysis", refuse)
+    dc = shape_complex(("hseg", 0, 0))
+    for which, r_max, msg in (("third", None, "which must be"), ("first", 0, "r_max must be"),
+                              ("second", -2, "r_max must be")):
+        with pytest.raises(ValueError, match=msg):
+            pages(dc, which, r_max)
+    with pytest.raises(ValueError, match="numbered from 1"):
+        degenerates_at(dc, "first", 0)
+    # an invalid complex is still rejected once the arguments pass
+    monkeypatch.undo()
+    bad = shape_complex(("hseg", 0, 0))
+    bad.d2[(0, 0)] = bad.d1[(0, 0)]
+    with pytest.raises(ValueError, match="invalid complex"):
+        pages(bad, "first", 1)
+
+
 def _check_structure(dc):
     """E_1 identification, page recurrence, abutment, for both sequences."""
     a = Analysis(dc, validated=True)
     h = tot(dc, 1).cohomology()
     for which, one_sided in (("first", "D2"), ("second", "D1")):
-        pgs = pages(dc, which, validated=True)
+        pgs = pages(a, which)
         assert pgs[0].dims == a.flavor_table(one_sided), which
         for cur, nxt in zip(pgs, pgs[1:]):
             r = cur.r
@@ -119,7 +139,7 @@ def _check_structure(dc):
         last = pgs[-1].dims
         for n, dim_h in h.items():
             assert dim_h == sum(v for (p, q), v in last.items() if p + q == n)
-        assert degenerates_at(dc, which, len(pgs), validated=True)
+        assert degenerates_at(a, which, len(pgs))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -245,7 +265,7 @@ def test_negative_page_dimension_raises_naming_the_cell(monkeypatch):
     # two pivots of d_0 out of a one-dimensional cell give dim E_1 = 1 - 2 < 0;
     # the segment's degree 5 has a nonempty target, so its profile is read
     monkeypatch.setattr(spectral._Engine, "_profile",
-                        lambda self, n: Counter({(p, p): 2 for p, _q in self.support}))
+                        lambda self, n: Counter({(p, p): 2 for p, _q in self.dims}))
     dc = shape_complex(("hseg", 2, 3))
     for which in ("first", "second"):
         with pytest.raises(AssertionError, match=r"dimension of E_1 at \(2, 3\) in the %s" % which):
