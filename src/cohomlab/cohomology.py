@@ -72,7 +72,7 @@ from .linalg import (
     rank,
     vstack,
 )
-from .complexes import require_valid, tot
+from .complexes import BidiffPair, DoubleComplex, require_valid, tot
 
 __all__ = [
     "Analysis",
@@ -440,6 +440,18 @@ class Analysis(_AnalysisBase):
         super().__init__(dc, validated)
         self.dc = dc
 
+    @classmethod
+    def of(cls, obj):
+        """obj itself when it is an Analysis, else the Analysis of obj,
+        a DoubleComplex, validated first.  Anything else (a BidiffPair or
+        its PairAnalysis too) raises ValueError before anything is built."""
+        if isinstance(obj, cls):
+            return obj
+        if isinstance(obj, DoubleComplex):
+            return cls(obj)
+        raise ValueError("expected a DoubleComplex or its Analysis, got %s"
+                         % type(obj).__name__)
+
     def _tot_applicable(self):
         return True
 
@@ -537,8 +549,6 @@ def lemma_verdict(obj):
 
 
 def _analysis_for(obj):
-    from .complexes import BidiffPair, DoubleComplex
-
     if isinstance(obj, DoubleComplex):
         return Analysis(obj)
     if isinstance(obj, BidiffPair):

@@ -23,15 +23,27 @@ Three constructions feed the complex machinery:
     The Gram matrix of the pairing on Lambda^k is the k-th exterior
     compound C_k(P) of P = omega^-1 (Cauchy-Binet: its entries are the
     k-by-k minors of P), built column by column from wedges of the
-    columns of P.  Its inverse is C_k(omega), so no determinant and no
-    Gram inversion is computed, and nondegeneracy of omega is a rank.
-    Lambda is computed twice, as C_{k-2}(omega)^T L^T C_k(P)^T through
-    the Gram matrices and as star L star, and the two must agree; the
-    star must square to the identity (this pins the volume normalization
-    omega^m / m!), [Lambda, L] = H pins all the sign conventions, and
-    d L = L d (omega is closed) makes L a map on d-cohomology.  Any
-    mismatch raises, so a constructed pair is a certificate that the
-    calculus holds.
+    columns of P; it is the one compound computed, and the star reads
+    it.  No determinant and no Gram inversion is computed, and
+    nondegeneracy of omega is a rank.  Lambda is star L star, and the
+    construction checks each relation once: the star squares to the
+    identity (this pins the volume normalization omega^m / m!),
+    [Lambda, L] = H, d L = L d (omega is closed, so L is a map on
+    d-cohomology), d_lam = (-1)^(k+1) star d star, and the pair's own
+    validate for d d = 0, d_lam d_lam = 0 and d d_lam + d_lam d = 0.
+    A failure is an engine bug and raises AssertionError, so a
+    constructed pair is a certificate that the calculus holds.
+
+    [Lambda, L] = H certifies Lambda with no second route (Brylinski,
+    J. Differential Geom. 1988; Tseng-Yau, J. Differential Geom. 2012).
+    With H = (m-k) id on Lambda^k and Lambda of degree -2, (Lambda, L,
+    H) is an sl(2) triple acting on the finite-dimensional space of
+    forms, with L lowering the H-weight by 2.  A second degree -2
+    solution Lambda' would give g = Lambda - Lambda' with [g, L] = 0 and
+    [H, g] = 2g: g lies in the kernel of ad L and has ad-H weight +2.
+    In a finite-dimensional sl(2) module (here ad acting on the
+    endomorphisms of the forms) the kernel of the lowering operator
+    holds only lowest-weight vectors, whose weights are <= 0, so g = 0.
 
 hard_lefschetz and primitive_and_lefschetz_decomposition read the Betti
 numbers from the pair's PairAnalysis (its D1 table) and everything else
@@ -342,12 +354,11 @@ class Sl2Operators:
     whether the underlying algebra has Poincare duality.
     """
 
-    __slots__ = ("n", "m", "v0", "star", "L", "Lam", "d", "d_lam", "unimodular")
+    __slots__ = ("n", "m", "star", "L", "Lam", "d", "d_lam", "unimodular")
 
-    def __init__(self, n, m, v0, star, L, Lam, d, d_lam, unimodular):
+    def __init__(self, n, m, star, L, Lam, d, d_lam, unimodular):
         self.n = n
         self.m = m
-        self.v0 = v0
         self.star = star
         self.L = L
         self.Lam = Lam
@@ -414,7 +425,7 @@ def symplectic_pair(sd):
     om = sd.omega_matrix()
     if rank(om) != n:
         raise ValueError("omega is degenerate")
-    # Pairing on covectors used by the Gram matrices and the star.  Its
+    # Pairing on covectors behind the Gram matrices of the star.  Its
     # overall sign is a convention: this orientation makes the star
     # relation below read d_lam = (-1)^(k+1) star d star while keeping
     # [Lambda, L] = H; the opposite orientation flips star by (-1)^k
@@ -457,22 +468,9 @@ def symplectic_pair(sd):
                     lrows[lpos[mtup]][j] = c
         L[k] = Matrix(lrows, co)
 
-    # gram[k]^-1 = C_k(P)^-1 = C_k(omega)
-    gram_inv = _compounds(om, n - 2)
-    lam = {}
-    for k in range(n + 1):
-        if k < 2:
-            lam[k] = Matrix.zero(0, _dim(n, k))
-            continue
-        lam[k] = gram_inv[k - 2].transpose().mul(
-            L[k - 2].transpose()
-        ).mul(gram[k].transpose())
-        via_star = star[n - k + 2].mul(L[n - k]).mul(star[k])
-        if lam[k] != via_star:
-            raise AssertionError(
-                "two computations of Lambda disagree in degree %d" % k
-            )
-
+    lam = {k: star[n - k + 2].mul(L[n - k]).mul(star[k]) if k >= 2
+           else Matrix.zero(0, _dim(n, k)) for k in range(n + 1)}
+    d_lam = {}
     for k in range(n + 1):
         co = _dim(n, k)
         if star[n - k].mul(star[k]) != Matrix.identity(co):
@@ -484,39 +482,23 @@ def symplectic_pair(sd):
             raise AssertionError("[Lambda, L] != (m - k) id in degree %d" % k)
         if _get(d, n, k + 2, 1).mul(L[k]) != _get(L, n, k + 1, 2).mul(d[k]):
             raise AssertionError("d L != L d in degree %d" % k)
-
-    d_lam = {}
-    for k in range(n + 1):
         d_lam[k] = _get(d, n, k - 2, 1).mul(lam[k]).add(
             _get(lam, n, k + 1, -2).mul(d[k]).scale(-1)
         )
-        if k == 0:
-            # the comparison route passes through Lambda^{n+1} = 0
-            if not d_lam[k].is_zero():
-                raise AssertionError("d_lam nonzero on degree 0")
-            continue
+        # d_lam maps degree 0 into Lambda^{-1} = 0: nothing to compare
         sgn = -1 if k % 2 == 0 else 1  # (-1)^(k+1)
-        via_star = star[n - k + 1].mul(d[n - k]).mul(star[k]).scale(sgn)
-        if d_lam[k] != via_star:
+        if k and d_lam[k] != star[n - k + 1].mul(d[n - k]).mul(star[k]).scale(sgn):
             raise AssertionError(
                 "d_lam != (-1)^(k+1) star d star in degree %d" % k
             )
-    for k in range(n + 1):
-        anti = _get(d, n, k - 1, 1).mul(d_lam[k]).add(
-            _get(d_lam, n, k + 1, -1).mul(d[k])
-        )
-        if not anti.is_zero():
-            raise AssertionError("d d_lam + d_lam d != 0 in degree %d" % k)
-        sq = _get(d_lam, n, k - 1, -1).mul(d_lam[k])
-        if not sq.is_zero():
-            raise AssertionError("d_lam d_lam != 0 in degree %d" % k)
-
     dims = {k: _dim(n, k) for k in range(n + 1)}
     d1 = {k: mat for k, mat in d.items() if not mat.is_zero() and mat.nrows}
     d2 = {k: mat for k, mat in d_lam.items() if not mat.is_zero() and mat.nrows}
     pair = BidiffPair(dims, 1, -1, d1, d2)
-    require_valid(pair)
-    ops = Sl2Operators(n, m, v0, star, L, lam, d, d_lam, lie.is_unimodular())
+    bad = pair.validate()
+    if bad:
+        raise AssertionError("constructed pair invalid: " + "; ".join(bad))
+    ops = Sl2Operators(n, m, star, L, lam, d, d_lam, lie.is_unimodular())
     return pair, ops
 
 
@@ -634,14 +616,13 @@ def primitive_and_lefschetz_decomposition(pa, ops):
 
 
 def type_n_view(dc_or_analysis):
-    """Antidiagonal-transverse sums: {flavor: {p - q: total dim}}.
+    """Antidiagonal-transverse sums: {flavor: {p - q: total dim}} of a
+    DoubleComplex or its Analysis (anything else raises ValueError).
 
     The per-slice inequality sum BC + sum A >= sum D1 + sum D2 follows
     from the cellwise one; it is asserted here as an engine guard.
     """
-    a = dc_or_analysis
-    if isinstance(a, DoubleComplex):
-        a = Analysis(a)
+    a = Analysis.of(dc_or_analysis)
     out = {}
     for name in ("D1", "D2", "BC", "A"):
         t = {}

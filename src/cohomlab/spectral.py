@@ -159,14 +159,15 @@ class _Engine:
 def pages(obj, which="first", r_max=None):
     """Pages r = 1 .. r_max (default: up to stabilization) of one filtration.
 
-    obj is a DoubleComplex, validated first, or its Analysis.  which =
-    "first" filters by the first index (columns), "second" by the second.
+    obj is a DoubleComplex, validated first, or its Analysis (anything
+    else raises ValueError).  which = "first" filters by the first index
+    (columns), "second" by the second.
     """
     if which not in ("first", "second"):
         raise ValueError("which must be 'first' or 'second'")
     if r_max is not None and r_max < 1:
         raise ValueError("r_max must be at least 1")
-    eng = _Engine(obj if isinstance(obj, Analysis) else Analysis(obj), which)
+    eng = _Engine(Analysis.of(obj), which)
     return eng.pages(eng.r_stab() if r_max is None else r_max)
 
 

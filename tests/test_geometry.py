@@ -40,7 +40,7 @@ from cohomlab.io import BuildResult
 from cohomlab.linalg import Matrix, image, kernel, vstack
 from cohomlab.report import make_report
 from cohomlab.scalars import GaussianRational, I, demote
-from cohomlab.spectral import doub_degeneration_check
+from cohomlab.spectral import degenerates_at, doub_degeneration_check, pages
 
 import random
 
@@ -451,8 +451,10 @@ COMPOUND_INPUTS = [iwasawa_symplectic()] + criterion_6_algebras(50)
     "criterion6-%d" % i for i in range(50)])
 def test_compounds_are_the_gram_minors_and_invert(sd):
     """C_k(P) is the matrix of k-by-k minors of P = omega^-1, computed by
-    determinants in the reference; C_k(P) C_k(omega) = I in every degree
-    (Cauchy-Binet), so C_k(omega) is the Gram inverse Lambda reads."""
+    determinants in the reference; the star reads it.  C_k(P) C_k(omega)
+    = I in every degree (Cauchy-Binet), so C_k(omega) is the Gram
+    inverse, the factor the Gram route to Lambda in
+    test_lambda_matches_the_gram_route reads from the reference."""
     om = sd.omega_matrix()
     n = om.ncols
     p_mat = linalg.mat_inverse(om)
@@ -461,6 +463,95 @@ def test_compounds_are_the_gram_minors_and_invert(sd):
     for k in range(n + 1):
         assert gram[k] == subspace_reference.gram_by_minors(p_mat, k), k
         assert gram[k].mul(gram_inv[k]) == Matrix.identity(_dim(n, k)), k
+
+
+LAMBDA_INPUTS = [("iwasawa", iwasawa_symplectic()),
+                 ("torus4", SymplecticData(builtin("abelian:4"), {(1, 2): 1, (3, 4): 1}))]
+LAMBDA_INPUTS += [("criterion6-%d" % i, sd) for i, sd in enumerate(criterion_6_algebras(3))]
+
+
+@pytest.mark.parametrize("name,sd", LAMBDA_INPUTS, ids=[n for n, _ in LAMBDA_INPUTS])
+def test_lambda_matches_the_gram_route(name, sd):
+    """Lambda, built as star L star, equals the adjoint of L under the
+    pairing: C_{k-2}(omega)^T L_{k-2}^T C_k(P)^T, with both compounds
+    computed as determinants of minors by the reference."""
+    _pair, ops = symplectic_pair(sd)
+    om = sd.omega_matrix()
+    p_mat = linalg.mat_inverse(om)
+    for k in range(2, ops.n + 1):
+        gram_route = subspace_reference.gram_by_minors(om, k - 2).transpose().mul(
+            ops.L[k - 2].transpose()).mul(subspace_reference.gram_by_minors(p_mat, k).transpose())
+        assert ops.Lam[k] == gram_route, (name, k)
+
+
+def test_symplectic_pair_builds_one_compound(monkeypatch):
+    """The Gram matrices C_k(P) of the star are the only compounds built."""
+    calls = []
+    real = geometry._compounds
+
+    def counting(mat, top):
+        calls.append(top)
+        return real(mat, top)
+
+    monkeypatch.setattr(geometry, "_compounds", counting)
+    symplectic_pair(iwasawa_symplectic())
+    assert calls == [6]
+
+
+def test_broken_pair_relation_is_an_engine_bug(monkeypatch):
+    """A constructed pair that fails its relations raises AssertionError
+    naming the violation, not the ValueError of an invalid input.  The
+    plant doubles d_lam out of degree 3, which breaks d d_lam + d_lam d
+    there."""
+
+    class Planted(geometry.BidiffPair):
+        def __init__(self, dims, deg1, deg2, d1, d2):
+            d2 = dict(d2)
+            d2[3] = d2[3].scale(2)
+            super().__init__(dims, deg1, deg2, d1, d2)
+
+    monkeypatch.setattr(geometry, "BidiffPair", Planted)
+    with pytest.raises(AssertionError, match=re.escape(
+            "constructed pair invalid: d1 d2 + d2 d1 != 0 starting at degree 3")):
+        symplectic_pair(iwasawa_symplectic())
+
+
+def test_scaled_star_trips_the_lambda_guard(monkeypatch):
+    """A star scaled by 2 in the middle degree 3 of the Iwasawa algebra
+    scales Lambda = star L star out of degree 3 by 2, so [Lambda, L]
+    reads 2 (m - 1) in degree 1; that check runs before the star's own
+    square is compared in degree 3."""
+    real = geometry._compounds
+
+    def scaled_middle(mat, top):
+        out = real(mat, top)
+        out[3] = out[3].scale(2)
+        return out
+
+    monkeypatch.setattr(geometry, "_compounds", scaled_middle)
+    with pytest.raises(AssertionError, match=re.escape(
+            "[Lambda, L] != (m - k) id in degree 1")):
+        symplectic_pair(iwasawa_symplectic())
+
+
+def test_double_complex_views_refuse_a_pair(monkeypatch):
+    """Spectral pages, degenerates_at and type_n_view take a DoubleComplex
+    or its Analysis.  A pair or its PairAnalysis raises one ValueError
+    naming those inputs, before any Analysis is built."""
+    pair, _ops = builtin("iwasawa-symplectic")
+    pa = PairAnalysis(pair, validated=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an Analysis was built for a pair")
+
+    monkeypatch.setattr(Analysis, "__init__", refuse)
+    for obj in (pair, pa):
+        for call in (lambda: pages(obj), lambda: pages(obj, "second", 2),
+                     lambda: degenerates_at(obj), lambda: type_n_view(obj)):
+            with pytest.raises(ValueError, match=re.escape(
+                    "expected a DoubleComplex or its Analysis, got "
+                    + type(obj).__name__)):
+                call()
 
 
 @pytest.mark.filterwarnings("ignore:Lie algebra is not nilpotent")
