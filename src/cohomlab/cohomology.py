@@ -436,6 +436,8 @@ class _AnalysisBase:
 class Analysis(_AnalysisBase):
     """All flavor data of one validated bounded double complex, cached."""
 
+    input_kind = DoubleComplex
+
     def __init__(self, dc, validated=False):
         super().__init__(dc, validated)
         self.dc = dc
@@ -445,12 +447,7 @@ class Analysis(_AnalysisBase):
         """obj itself when it is an Analysis, else the Analysis of obj,
         a DoubleComplex, validated first.  Anything else (a BidiffPair or
         its PairAnalysis too) raises ValueError before anything is built."""
-        if isinstance(obj, cls):
-            return obj
-        if isinstance(obj, DoubleComplex):
-            return cls(obj)
-        raise ValueError("expected a DoubleComplex or its Analysis, got %s"
-                         % type(obj).__name__)
+        return _analysis_of(obj, (cls,))
 
     def _tot_applicable(self):
         return True
@@ -482,6 +479,8 @@ class PairAnalysis(_AnalysisBase):
     applicable (the extra-graduation hypothesis behind the equivalence
     is unavailable).
     """
+
+    input_kind = BidiffPair
 
     def __init__(self, bp, validated=False):
         super().__init__(bp, validated)
@@ -548,14 +547,24 @@ def lemma_verdict(obj):
     return _analysis_for(obj).lemma_verdict()
 
 
+def _analysis_of(obj, kinds):
+    """obj itself when it is an instance of one of the analysis classes
+    kinds, else the analysis of obj when obj is the input of one of them
+    (validated first).  Anything else raises ValueError naming the
+    accepted inputs, before anything is built."""
+    for kind in kinds:
+        if isinstance(obj, kind):
+            return obj
+        if isinstance(obj, kind.input_kind):
+            return kind(obj)
+    raise ValueError("expected %s, got %s" % (
+        ", or ".join("a %s or its %s" % (k.input_kind.__name__, k.__name__)
+                     for k in kinds),
+        type(obj).__name__))
+
+
 def _analysis_for(obj):
-    if isinstance(obj, DoubleComplex):
-        return Analysis(obj)
-    if isinstance(obj, BidiffPair):
-        return PairAnalysis(obj)
-    if isinstance(obj, (Analysis, PairAnalysis)):
-        return obj
-    raise TypeError("expected a DoubleComplex or BidiffPair")
+    return _analysis_of(obj, (Analysis, PairAnalysis))
 
 
 class CohomReport:

@@ -10,14 +10,18 @@ form.  RREF is a canonical representative, so subspace equality is plain
 tuple comparison and every lattice operation lands back in canonical
 form for free.
 
-Row reductions run on integers, division-free.  Rational rows are
-scaled to integer rows with the same span, and a Gaussian row is split
-into the interleaved real rows of v and i*v.  rank, kernel, image and
-the subspace lattice sit on one Gauss-Jordan kernel (see _rref_rows).
-rank_profile takes the rows one at a time into an echelon basis instead,
-with the same arithmetic, to give the ranks of all row prefixes x column
-prefixes from one pass; the spectral pages read theirs from it.
-Products of rational matrices are taken on integers too (see
+Every row reduction but det's is one echelon insertion on integers
+(_echelon): rows are reduced in order, division-free, against a basis
+keyed by lead column.  Exact rows reach it through one dispatch
+(_integer_rows): a rational row is scaled to an integer row with the
+same span, and a Gaussian row is split into the interleaved real rows
+of v and i*v.  rank is the number of leads.  rank_profile is the leads
+themselves, which give the ranks of all row prefixes x column prefixes
+from one pass; the spectral pages read theirs from it.  RREF, and with
+it kernel, image, mat_inverse and the subspace lattice, is that
+echelon basis plus back-substitution (_rref_rows).  Containment is no
+new lead: s.contains(t) when, after the rows of s, no row of t gets
+one.  Products of rational matrices are taken on integers too (see
 Matrix.mul).
 
 det keeps its own elimination and has no caller in the package: the
@@ -236,57 +240,6 @@ def _row_gcd_reduce(row):
     return row
 
 
-def _rref_int(rows, ncols):
-    """Division-free Gauss-Jordan on integer rows.
-
-    Eliminates with p*row_i - a*row_pivot and re-reduces each row by its
-    gcd, so entries stay small; pivots are divided out only once at the
-    end.  Takes ownership of the list `rows` (not of its rows).  Returns
-    (rows, pivot_columns) with rows in canonical RREF.
-    """
-    m = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        # smallest nonzero magnitude makes the cross-multiplies cheap
-        best = -1
-        best_abs = None
-        for i in range(r, m):
-            v = rows[i][c]
-            if v:
-                a = -v if v < 0 else v
-                if best_abs is None or a < best_abs:
-                    best, best_abs = i, a
-                    if a == 1:
-                        break
-        if best < 0:
-            continue
-        rows[r], rows[best] = rows[best], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i in range(m):
-            if i == r:
-                continue
-            a = rows[i][c]
-            if a:
-                ri = rows[i]
-                rows[i] = _row_gcd_reduce(
-                    [p * x - a * y for x, y in zip(ri, prow)]
-                )
-        pivots.append(c)
-        r += 1
-    out = []
-    for i, c in enumerate(pivots):
-        row = rows[i]
-        p = row[c]
-        if p != 1:
-            row = [x // p if not x % p else Fraction(x, p) for x in row]
-        out.append(row)
-    return out, pivots
-
-
 def _parts(x):
     if type(x) is GaussianRational:
         return x.re, x.im
@@ -303,83 +256,41 @@ def _times_i(v):
     return [t for a, b in zip(v[::2], v[1::2]) for t in (-b, a)]
 
 
-def _rref_rows(rows, ncols):
-    """Canonical RREF (rows, pivot columns) of any exact rows.
+def _integer_rows(rows):
+    """(int rows, per_row): exact rows as integer rows for _echelon.
 
-    Every reduction runs on integers.  A rational row is scaled by the
-    lcm of its denominators, which keeps its span.  A Gaussian row v
-    enters as the rational rows of v and i*v with (re, im) interleaved
-    per column; their span is closed under i, so its rational RREF is
-    the interleaved Gaussian RREF: pivots come in pairs (2c, 2c+1) and
-    the rows at even pivots decode to the Gaussian rows.
+    Integer rows enter as they are and a rational row through _cleared,
+    which keeps its span: one integer row each.  A Gaussian row v enters
+    as the split rows of v and i*v, (re, im) interleaved per column: two
+    each.  Their span is closed under i, so the pivots of its rational
+    RREF come in pairs (2c, 2c+1), the rows at even pivots decode to the
+    Gaussian RREF, and the split leads of a row fall on one Gaussian
+    column.
     """
-    # inline, like _has_fractions_only's: a helper call per reduction
-    # costs about 1% on many tiny integer matrices
     kinds = {type(x) for row in rows for x in row}
     if kinds <= {int}:
-        return _rref_int(list(rows), ncols)
+        return rows, 1
     if GaussianRational not in kinds:
-        return _rref_int([_cleared(r)[1] for r in rows], ncols)
+        return [_cleared(row)[1] for row in rows], 1
     split = []
     for row in rows:
         v = _split_row(row)
-        split.append(v)
-        split.append(_times_i(v))
-    out, pivots = [], []
-    for row, p in zip(*_rref_int(split, 2 * ncols)):
-        if p % 2 == 0:
-            out.append([a if not b else GaussianRational(a, b)
-                        for a, b in zip(row[::2], row[1::2])])
-            pivots.append(p // 2)
-    return out, pivots
+        split += (v, _times_i(v))
+    return split, 2
 
 
-def rref(m):
-    """Reduced row echelon form.  Returns (Matrix, rank).
+def _echelon(rows):
+    """(basis, leads): integer rows inserted in order into an echelon basis.
 
-    The result is the canonical RREF: pivots are 1, pivot columns are
-    strictly increasing and cleared above and below, zero rows dropped.
+    The one row reduction.  Each row is reduced left to right against
+    the basis row leading each of its nonzero columns, by the
+    cross-multiplication p*v - a*w and a gcd reduction, so it stays on
+    integers and its entries stay small.  Its lead is its first nonzero
+    column that no basis row leads; it joins the basis there, as the
+    row reduced so far.  leads holds one lead per row, -1 for a row in
+    the span of the rows before it.  basis maps lead column -> row, and
+    each basis row vanishes before its lead.
     """
-    rows, pivots = _rref_rows(m.rows, m.ncols)
-    return Matrix(rows, m.ncols), len(pivots)
-
-
-def rank(m):
-    """Rank of m; 0 for a matrix with no rows or no columns."""
-    return len(_rref_rows(m.rows, m.ncols)[1])
-
-
-def rank_profile(m):
-    """The ranks of all row prefixes x column prefixes of m, from one pass.
-
-    Returns leads, one per row of m, with
-
-        rank(rows[:hi] restricted to columns[:k]) = #{i < hi : 0 <= leads[i] < k}
-
-    for every hi and k; leads[i] is -1 when row i lies in the span of
-    the rows above it.  The rows are inserted in order into an echelon
-    basis keyed by lead column, reduced left to right by
-    cross-multiplication with gcd reduction as in _rref_int.  A row's
-    lead is its first nonzero column that no basis row leads; basis rows
-    vanish before their leads, so the basis rows of rows[:hi] with leads
-    below k are independent on the first k columns and the others vanish
-    there.  For suffixes, reverse the rows of m or their order.
-
-    Rows enter on integers as in _rref_rows.  A Gaussian row v enters as
-    the split rows of v and i*v; the split span of any row prefix
-    restricted to a column prefix is closed under i, so the two leads
-    fall on the same Gaussian column, which is the row's lead.
-    """
-    kinds = {type(x) for row in m.rows for x in row}
-    if kinds <= {int}:
-        rows = m.rows
-    elif GaussianRational not in kinds:
-        rows = [_cleared(row)[1] for row in m.rows]
-    else:
-        rows = []
-        for row in m.rows:
-            v = _split_row(row)
-            rows += (v, _times_i(v))
     basis = {}
     leads = []
     for v in rows:
@@ -398,12 +309,91 @@ def rank_profile(m):
             p = w[c]
             v = _row_gcd_reduce([p * x - a * y for x, y in zip(v, w)])
         leads.append(lead)
-    if len(rows) > m.nrows:
-        pairs = list(zip(leads[::2], leads[1::2]))
-        if any(x // 2 != y // 2 for x, y in pairs):
-            raise AssertionError("rank_profile: split leads of a Gaussian row disagree")
-        return [x // 2 for x, _y in pairs]
-    return leads
+    return basis, leads
+
+
+def _rref_rows(rows, ncols):
+    """Canonical RREF (rows, pivot columns) of any exact rows.
+
+    The _echelon basis of the _integer_rows, cleared from the right:
+    each basis row, taken from the last lead back, is reduced against
+    the already cleared rows below it, then divided by its pivot.
+    Over Q(i) the rows at even split pivots decode to the Gaussian
+    rows (see _integer_rows).  The rows carry their length, so ncols is
+    read by nothing here; perfbench/tracer.py wraps this signature.
+    """
+    int_rows, per_row = _integer_rows(rows)
+    basis = _echelon(int_rows)[0]
+    pivots = sorted(basis)
+    for i in range(len(pivots) - 1, -1, -1):
+        v = basis[pivots[i]]
+        # the rows at later pivots are cleared already, so they vanish
+        # at every pivot but their own
+        for q in pivots[i + 1:]:
+            a = v[q]
+            if a:
+                w = basis[q]
+                v = _row_gcd_reduce([w[q] * x - a * y for x, y in zip(v, w)])
+        basis[pivots[i]] = v
+    out = []
+    for c in pivots:
+        v = basis[c]
+        p = v[c]
+        out.append([x // p if not x % p else Fraction(x, p) for x in v]
+                   if p != 1 else list(v))
+    if per_row == 1:
+        return out, pivots
+    gauss, gauss_pivots = [], []
+    for row, p in zip(out, pivots):
+        if p % 2 == 0:
+            gauss.append([a if not b else GaussianRational(a, b)
+                          for a, b in zip(row[::2], row[1::2])])
+            gauss_pivots.append(p // 2)
+    return gauss, gauss_pivots
+
+
+def rref(m):
+    """Reduced row echelon form.  Returns (Matrix, rank).
+
+    The result is the canonical RREF: pivots are 1, pivot columns are
+    strictly increasing and cleared above and below, zero rows dropped.
+    """
+    rows, pivots = _rref_rows(m.rows, m.ncols)
+    return Matrix(rows, m.ncols), len(pivots)
+
+
+def rank(m):
+    """Rank of m, the number of _echelon leads; 0 for a matrix with no
+    rows or no columns."""
+    rows, per_row = _integer_rows(m.rows)
+    return len(_echelon(rows)[0]) // per_row
+
+
+def rank_profile(m):
+    """The ranks of all row prefixes x column prefixes of m, from one pass.
+
+    Returns leads, one per row of m, with
+
+        rank(rows[:hi] restricted to columns[:k]) = #{i < hi : 0 <= leads[i] < k}
+
+    for every hi and k; leads[i] is -1 when row i lies in the span of
+    the rows above it.  These are the _echelon leads: basis rows vanish
+    before their leads, so the basis rows of rows[:hi] with leads below
+    k are independent on the first k columns and the others vanish
+    there.  For suffixes, reverse the rows of m or their order.
+
+    A Gaussian row enters as its two split rows; the split span of any
+    row prefix restricted to a column prefix is closed under i, so the
+    two leads fall on the same Gaussian column, which is the row's lead.
+    """
+    rows, per_row = _integer_rows(m.rows)
+    leads = _echelon(rows)[1]
+    if per_row == 1:
+        return leads
+    pairs = list(zip(leads[::2], leads[1::2]))
+    if any(x // 2 != y // 2 for x, y in pairs):
+        raise AssertionError("rank_profile: split leads of a Gaussian row disagree")
+    return [x // 2 for x, _y in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -468,38 +458,18 @@ class Subspace:
         return "Subspace(dim %d of K^%d)" % (self.dim, self.n)
 
     def contains(self, other):
-        """other <= self as subspaces.
-
-        Reduces the rows of other against those of self by cross-
-        multiplication on integer rows.  Over Q(i) both sides are split
-        as in _rref_rows; a row w of self with its pivot at p gives the
-        split rows of w and i*w, echelon at 2p and 2p+1.
-        """
+        """other <= self as subspaces: inserting the rows of self and
+        then those of other into one _echelon basis, no row of other
+        gets a lead."""
         if self.n != other.n:
             raise ValueError("ambient dimension mismatch")
         if self.is_full():
             return True
         if other.dim > self.dim:
             return False
-        if any(type(x) is GaussianRational
-               for rows in (self.rows, other.rows) for row in rows for x in row):
-            basis = []
-            for row, p in zip(self.rows, self.pivots):
-                w = _split_row(row)
-                basis += [(w, 2 * p), (_times_i(w), 2 * p + 1)]
-            vecs = [_split_row(row) for row in other.rows]
-        else:
-            basis = [(_cleared(row)[1], p) for row, p in zip(self.rows, self.pivots)]
-            vecs = [_cleared(row)[1] for row in other.rows]
-        for v in vecs:
-            for w, p in basis:
-                a = v[p]
-                if a:
-                    c = w[p]
-                    v = [c * x - a * y for x, y in zip(v, w)]
-            if any(v):
-                return False
-        return True
+        rows, per_row = _integer_rows(self.rows + other.rows)
+        leads = _echelon(rows)[1]
+        return all(lead < 0 for lead in leads[per_row * self.dim:])
 
     def sum(self, other):
         if self.n != other.n:

@@ -6,6 +6,7 @@ compare against the shape-multiset ground truth, which conjugation
 cannot change.
 """
 
+import re
 import time
 
 import pytest
@@ -458,8 +459,15 @@ def test_wrappers_accept_both_kinds():
 
 
 def test_wrappers_reject_garbage():
-    with pytest.raises(TypeError):
-        cohom(42, "BC")
+    """Every wrapper refuses a non-complex with the ValueError of
+    Analysis.of, naming the accepted inputs."""
+    calls = (lambda x: cohom(x, "BC"), varouchas, varouchas_identity_check,
+             lemma_verdict, frolicher_report)
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(
+                "expected a DoubleComplex or its Analysis, or a BidiffPair"
+                " or its PairAnalysis, got int")):
+            call(42)
 
 
 def test_cohom_rejects_unknown_flavor():

@@ -607,18 +607,18 @@ def test_degeneration_check_reads_the_report_tables(monkeypatch):
     """Inside make_report, doub_degeneration_check runs no row reduction:
     D1, D2 and TOT_PLUS are already in the report's analysis."""
     reductions = []
-    real_rref, real_check = linalg._rref_rows, report.doub_degeneration_check
+    real_echelon, real_check = linalg._echelon, report.doub_degeneration_check
 
-    def counting_rref(rows, ncols):
-        reductions.append(ncols)
-        return real_rref(rows, ncols)
+    def counting_echelon(rows):
+        reductions.append(len(rows))
+        return real_echelon(rows)
 
     def check(*args, **kwargs):
-        monkeypatch.setattr(linalg, "_rref_rows", counting_rref)
+        monkeypatch.setattr(linalg, "_echelon", counting_echelon)
         try:
             return real_check(*args, **kwargs)
         finally:
-            monkeypatch.setattr(linalg, "_rref_rows", real_rref)
+            monkeypatch.setattr(linalg, "_echelon", real_echelon)
 
     monkeypatch.setattr(report, "doub_degeneration_check", check)
     pair, ops = builtin("iwasawa-symplectic")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohomlab import linalg
 from cohomlab.linalg import (
     Matrix,
     NotASubspace,
@@ -190,7 +191,7 @@ def test_rref_round_trip_and_canonical_shape(m):
                 assert not r.rows[i2][p]
 
 
-@given(deficient_matrices())
+@given(deficient_matrices(max_dim=7))
 @settings(max_examples=300)
 def test_rref_matches_field_gauss_jordan(m):
     rows, pivots = _rref_rows(m.rows, m.ncols)
@@ -212,6 +213,31 @@ def test_rref_gaussian_with_fraction_parts():
     dep = M([list(m.rows[0]), [g(0, 3) * x for x in m.rows[0]]])
     assert rank(dep) == 1
     assert _rref_rows(dep.rows, 3) == field_rref(dep.rows, 3)
+
+
+def test_rank_and_contains_each_run_one_echelon_pass(monkeypatch):
+    """rank counts the leads of one _echelon pass and builds no RREF;
+    contains is one _echelon pass over the rows of both spaces."""
+    echelons, rrefs = [], []
+    echelon, rref_rows = linalg._echelon, linalg._rref_rows
+    monkeypatch.setattr(linalg, "_echelon",
+                        lambda rows: echelons.append(len(rows)) or echelon(rows))
+    monkeypatch.setattr(linalg, "_rref_rows",
+                        lambda rows, ncols: rrefs.append(ncols) or rref_rows(rows, ncols))
+    i = GaussianRational(0, 1)
+    for m, want, nrows in ((M([[1, 2], [2, 4]]), 1, 2),
+                           (M([[Fraction(1, 2), 1], [0, 3]]), 2, 2),
+                           (M([[i, 1], [1, -i]]), 1, 4)):
+        echelons.clear()
+        assert rank(m) == want
+        assert echelons == [nrows]
+    u = Subspace([[1, 0, 1], [0, 1, 1]], 3)
+    v, w = Subspace([[1, 1, 2]], 3), Subspace([[0, 0, 1]], 3)
+    echelons.clear()
+    rrefs.clear()
+    assert u.contains(v) and not u.contains(w)
+    assert echelons == [3, 3]
+    assert rrefs == []
 
 
 def test_rank_of_empty_shapes():

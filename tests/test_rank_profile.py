@@ -19,6 +19,7 @@ from cohomlab.report import make_report
 from cohomlab.scalars import GaussianRational
 from cohomlab.spectral import SpectralPage, pages
 from test_geometry import gaussian_structures
+from test_linalg import field_rref
 
 
 # -- the profile against a rank per slice ---------------------------------
@@ -33,7 +34,9 @@ def profile_ranks(m):
 
 
 def sliced_ranks(m):
-    return [[rank(Matrix([row[:k] for row in m.rows[:hi]], k))
+    # field Gauss-Jordan, so the reference shares no elimination with
+    # rank_profile
+    return [[len(field_rref([row[:k] for row in m.rows[:hi]], k)[1])
              for k in range(m.ncols + 1)]
             for hi in range(m.nrows + 1)]
 
@@ -230,10 +233,10 @@ def test_pages_run_one_profile_per_tot_degree_and_no_reduction(monkeypatch):
     dcs = [shape_complex(("zigzag", 0, 0, 7, "upper")),
            random_bicomplex(5, {"counts": {"zigzag": 3, "square": 2, "dot": 2}}).dc,
            gaussian_structures(2014, 1)[0]]
-    reductions, profiles = [], []
-    rref_rows = linalg._rref_rows
-    monkeypatch.setattr(linalg, "_rref_rows",
-                        lambda rows, ncols: reductions.append(ncols) or rref_rows(rows, ncols))
+    echelons, profiles = [], []
+    echelon = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon",
+                        lambda rows: echelons.append(len(rows)) or echelon(rows))
     monkeypatch.setattr(spectral, "rank_profile",
                         lambda m: profiles.append(m) or rank_profile(m))
     signs = count_tot_signs(monkeypatch)
@@ -250,10 +253,13 @@ def test_pages_run_one_profile_per_tot_degree_and_no_reduction(monkeypatch):
                         if t.dim(n + 1))
         for which in ("first", "second"):
             signs.clear()
+            echelons.clear()
             pages(dc, which)
+            # the profiles are the only row reductions: one each
+            assert sorted(echelons) == sorted(
+                len(linalg._integer_rows(m.rows)[0]) for m in profiles), which
             assert profile_shapes() == shapes, which
             assert signs == [1], which
-        assert reductions == []
         # a check and a spectral report read both filtrations from the
         # analysis's own Tot: one Tot per sign, one profile per degree each
         for run in (lambda: check_bicomplex(dc),
@@ -262,4 +268,3 @@ def test_pages_run_one_profile_per_tot_degree_and_no_reduction(monkeypatch):
             run()
             assert sorted(signs) == [-1, 1]
             assert profile_shapes() == sorted(shapes * 2)
-        reductions.clear()  # the analysis's own ranks
