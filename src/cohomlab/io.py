@@ -25,7 +25,7 @@ pages walk every total degree and every column in between, and Tot of
 a pair's Doub walks |deg1 - deg2| + 1 total degrees.  A
 symplectic lie_algebra above MAX_SYMPLECTIC_DIM generators raises
 ValidationError too: on a 2-core Xeon host its analysis takes about
-one minute at dimension 10 (the operator calculus about 6.5 s of it), and
+20 s at dimension 10 (the operator calculus about 5 s of it), and
 at dimension 12 the operator calculus alone did not finish within ten
 minutes when it still computed its Gram matrices by determinants.
 """
