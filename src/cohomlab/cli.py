@@ -38,6 +38,9 @@ EXIT_PROPERTY = 3
 
 DEFAULT_SHAPES = "dot:2,square:1,hseg:1,vseg:1,zigzag:1"
 
+# the largest dimension of each shape kind random_bicomplex draws
+_MAX_SHAPE_DIM = {"dot": 1, "hseg": 2, "vseg": 2, "square": 4, "zigzag": 5}
+
 
 def _builtin_result(name):
     obj = builtin(name)
@@ -99,7 +102,7 @@ def _parse_shape_counts(spec):
             raise ParseError("--shapes entries look like kind:count, got %r" % part)
         kind, _, num = part.partition(":")
         kind = kind.strip()
-        if kind not in ("dot", "square", "hseg", "vseg", "zigzag"):
+        if kind not in _MAX_SHAPE_DIM:
             raise ParseError("unknown shape kind %r" % kind)
         try:
             n = int(num)
@@ -108,6 +111,11 @@ def _parse_shape_counts(spec):
         if n < 0:
             raise ParseError("negative count in --shapes entry %r" % part)
         counts[kind] = counts.get(kind, 0) + n
+    # a draw may reach the same total dimension bound as an analyze input
+    top = sum(_MAX_SHAPE_DIM[kind] * n for kind, n in counts.items())
+    if top > MAX_TOTAL_DIM:
+        raise ParseError("--shapes may draw total dimension %d, above the bound %d"
+                         % (top, MAX_TOTAL_DIM))
     return counts
 
 

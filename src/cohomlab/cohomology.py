@@ -13,12 +13,12 @@ and the six Varouchas quotients
 
 with TOT_PLUS / TOT_MINUS the cohomology of Tot with d = d1 +- d2.  No
 subspace is built: every value is a signed sum of ranks of blocks, by
-one fact beyond rank-nullity, dim(im M n ker N) = rk M - rk NM.  For a
-cell c of dimension n, r1, r2, r12 and rO are the ranks of d1, d2, d1d2
-and [d1; d2] out of c, and rI the rank of [d1 | d2] into c.  A suffix
-names the cell a block leaves: @1 = (p-1,q), @2 = (p,q-1) and
-@12 = (p-1,q-1), or k-deg1, k-deg2 and k-deg1-deg2 for a pair.  As d1
-and d2 anticommute, d2d1 has rank r12 and [d1; d2][d1 | d2] rank
+one fact beyond rank-nullity, dim(im M n ker N) = rk M - rk NM.  A cell
+c has one record (n, r1, r2, r12, rO, rI): its dimension, the ranks of
+d1, d2, d1d2 and [d1; d2] out of c and of [d1 | d2] into c, or zeros off
+the support.  @1 = (p-1,q), @2 = (p,q-1) and @12 = (p-1,q-1), or k-deg1,
+k-deg2 and k-deg1-deg2 for a pair, pick a neighbour's record.  As d1 and
+d2 anticommute, d2d1 has rank r12 and [d1; d2][d1 | d2] rank
 r12@2 + r12@1.  _CELL_FORMULAS lists the results; e.g. V2 is
 im d2 n ker d1 over im d1d2, so V2 = r2@2 - r12@2 - r12@12.
 
@@ -40,7 +40,7 @@ the Tot differential of one sign and S_n a sum over the cells of Tot^n
     d1d2 on the difference of the two inputs, so
     rank = (dim Tot^n - rk D_n) - S_n rI + S_{n-1} r12.
 
-Each block rank, cell and rk D_n is computed once per analysis; rk D_n
+Each record, cell and rk D_n is computed once per analysis; rk D_n
 also gives the total tables.  TOT_MINUS reads its own matrix, so the
 two-sign agreement stays a check.  A negative value means a broken rank
 and raises AssertionError naming the cell, the value and its formula.
@@ -157,16 +157,23 @@ def _map(rank, src, dst):
     return InducedMap(rank, rank == src, rank == dst).as_dict()
 
 
+_POSITIONS = ("", "1", "2", "12")  # the cell, @1, @2, @12
+_ENTRIES = ("n", "r1", "r2", "r12", "rO", "rI")  # a cell's record
+_R12, _RI = _ENTRIES.index("r12"), _ENTRIES.index("rI")
+_ZERO_RECORD = (0,) * len(_ENTRIES)
+
+
 def _terms(text):
-    """'n - r1 - r1@1' -> ((1, 'n', ''), (-1, 'r1', ''), (-1, 'r1', '1'))."""
+    """'n - r1 - r1@1' -> ((1, 0, 0), (-1, 0, 1), (-1, 1, 1)): (sign, position, entry)."""
     out = []
     for tok in text.replace("- ", "-").replace("+ ", "").split():
-        block, _, at = tok.lstrip("-").partition("@")
-        out.append((-1 if tok[0] == "-" else 1, block, at))
+        entry, _, at = tok.lstrip("-").partition("@")
+        out.append((-1 if tok[0] == "-" else 1, _POSITIONS.index(at),
+                    _ENTRIES.index(entry)))
     return tuple(out)
 
 
-# name = formula, n the cell's dimension; see the module docstring
+# name = formula over the cell records; see the module docstring
 _CELL_FORMULAS = tuple((name.strip(), text.strip(), _terms(text)) for name, text in (
     line.split("=") for line in """
 D1 = n - r1 - r1@1
@@ -211,9 +218,8 @@ class _AnalysisBase:
             require_valid(obj)
         self._obj = obj
         self._tots = {}
-        self._near = {}  # key -> _neighbours(key)
+        self._records = {}  # key -> _record(key)
         self._cells = {}
-        self._ranks = {}  # (block, key) -> rank
         self._tot_ranks = {}  # (sign, n) -> rk D_n
         self._totals = {}
         self._induced = None
@@ -221,19 +227,31 @@ class _AnalysisBase:
     def _cell_keys(self):
         return self._obj.support()
 
-    def _dim(self, key):
-        return self._obj.dims.get(key, 0)
+    def _record(self, key):
+        """(n, r1, r2, r12, rO, rI) of one cell; zeros, and no rank, off the support."""
+        obj = self._obj
+        n = obj.dims.get(key, 0)
+        if not n:
+            return _ZERO_RECORD
+        shift = obj.shift
+        d1, d2 = obj.d1.get(key), obj.d2.get(key)
+        d1_next = obj.d1.get(shift(key, 0, 1))
+        a, b = obj.d1.get(shift(key, -1, 0)), obj.d2.get(shift(key, 0, -1))
+        into = hstack(a, b) if a and b else a or b
+        r1 = rank(d1) if d1 else 0
+        r2 = rank(d2) if d2 else 0
+        return (n, r1, r2,
+                rank(d1_next.mul(d2)) if d1_next and d2 else 0,
+                rank(vstack(d1, d2)) if d1 and d2 else r1 + r2,
+                rank(into) if into else 0)
 
-    def _neighbours(self, key):
-        """The d1 and d2 blocks out of key and the d1 block out of where
-        d2 lands (None where absent), then the cells @1, @2 and @12."""
-        near = self._near.get(key)
-        if near is None:
-            obj, shift = self._obj, self._obj.shift
-            near = self._near[key] = (
-                obj.d1.get(key), obj.d2.get(key), obj.d1.get(shift(key, 0, 1)),
-                shift(key, -1, 0), shift(key, 0, -1), shift(key, -1, -1))
-        return near
+    def _records_of(self, keys):
+        """The records of keys, each built once per analysis."""
+        recs = self._records
+        for key in keys:
+            if key not in recs:
+                recs[key] = self._record(key)
+        return [recs[key] for key in keys]
 
     def cell(self, key):
         """{value name: int} for one cell: the flavors, V1-V6, ker BC->A."""
@@ -243,36 +261,12 @@ class _AnalysisBase:
         return c
 
     def _make_cell(self, key):
-        at = dict(zip(("", "1", "2", "12"), (key,) + self._neighbours(key)[3:]))
-        n = self._dim(key)
-        out = {}
-        for name, text, terms in _CELL_FORMULAS:
-            v = 0
-            for sign, block, suffix in terms:
-                v += sign * (n if block == "n" else self._rank(block, at[suffix]))
-            out[name] = _checked(v, "cell", key, name, text)
-        return out
-
-    def _rank(self, block, key):
-        r = self._ranks.get((block, key))
-        if r is None:
-            r = self._ranks[(block, key)] = self._block_rank(block, key) if self._dim(key) else 0
-        return r
-
-    def _block_rank(self, block, key):
-        d1, d2, d1_next, at1, at2, _at12 = self._neighbours(key)
-        if block == "r1":
-            m = d1
-        elif block == "r2":
-            m = d2
-        elif block == "r12":
-            m = d1_next.mul(d2) if d1_next and d2 else None
-        elif block == "rO":
-            m = vstack(d1, d2) if d1 and d2 else d1 or d2
-        else:  # rI: d1 from @1 and d2 from @2, side by side
-            a, b = self._neighbours(at1)[0], self._neighbours(at2)[1]
-            m = hstack(a, b) if a and b else a or b
-        return rank(m) if m else 0
+        shift = self._obj.shift
+        recs = self._records_of((key, shift(key, -1, 0), shift(key, 0, -1),
+                                 shift(key, -1, -1)))
+        return {name: _checked(sum(sign * recs[at][entry] for sign, at, entry in terms),
+                               "cell", key, name, text)
+                for name, text, terms in _CELL_FORMULAS}
 
     def flavor_table(self, name, keep_zeros=False):
         if name in ("TOT_PLUS", "TOT_MINUS"):
@@ -363,8 +357,8 @@ class _AnalysisBase:
         prev = self._tot_prev(n)
         bc = sum(self.cell(k)["BC"] for k in keys(n))
         a = sum(self.cell(k)["A"] for k in keys(n))
-        r_in = sum(self._rank("rI", k) for k in keys(n))
-        r12_1, r12_2 = (sum(self._rank("r12", k) for k in keys(m))
+        r_in = sum(rec[_RI] for rec in self._records_of(keys(n)))
+        r12_1, r12_2 = (sum(rec[_R12] for rec in self._records_of(keys(m)))
                         for m in (prev, self._tot_prev(prev)))
         row = {}
         for sign, tag in ((1, "TOT_PLUS"), (-1, "TOT_MINUS")):

@@ -234,16 +234,9 @@ def _conj_form(form, n):
     """Swap phi and conjugate-phi blocks and conjugate all coefficients."""
     out = {}
     for mono, c in form.items():
-        mapped = [x + n if x < n else x - n for x in mono]
-        sign = 1
-        # insertion sort, counting transpositions of the 2..3 entries
-        for a in range(1, len(mapped)):
-            b = a
-            while b > 0 and mapped[b - 1] > mapped[b]:
-                mapped[b - 1], mapped[b] = mapped[b], mapped[b - 1]
-                sign = -sign
-                b -= 1
-        out[tuple(mapped)] = sign * conj(c)
+        sign, mapped = merge_sign(tuple(x + n for x in mono if x < n),
+                                  tuple(x - n for x in mono if x >= n))
+        out[mapped] = sign * conj(c)
     return out
 
 

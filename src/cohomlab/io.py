@@ -14,7 +14,8 @@ Scalars travel as strings ("3", "-1/2", "1/2+3 i"); matrices are
 row-major lists of scalar strings, flat or split into rows.  Shape
 errors, undeclared degrees, broken relations and the like raise
 ValidationError (exit code 2 territory); malformed JSON, wrong types
-and unparseable scalars raise ParseError (exit code 1).
+and unparseable scalars raise ParseError (exit code 1).  Exponent
+notation ("1e5") is unparseable: a short exponent makes a huge integer.
 
 A declared object whose total dimension (the sum of the dims, or 2^dim
 for a lie_algebra) exceeds MAX_TOTAL_DIM raises ValidationError before

@@ -9,6 +9,7 @@ String form of a scalar (used by the JSON interfaces): "p/q" for a
 rational, "a/b+c/d i" for a Gaussian rational, e.g. "-1/2", "3",
 "2 i", "1/2-3/4 i".  parse_scalar accepts these with or without the
 spaces; the bare imaginary unit "i" and signed "-i" also parse.
+Exponent notation ("1e5") is refused: a short exponent makes a huge integer.
 """
 
 from __future__ import annotations
@@ -187,6 +188,8 @@ def parse_scalar(s):
     t = s.replace(" ", "")
     if not t:
         raise ValueError("empty scalar string")
+    if "e" in t or "E" in t:
+        raise ValueError("exponent notation is not accepted")
     if not t.endswith("i"):
         return Fraction(t)
     body = t[:-1]

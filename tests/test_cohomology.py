@@ -341,12 +341,12 @@ def test_induced_rank_matches_intersection_formulas(pair):
 
 
 def test_report_computes_each_map_and_cell_once(monkeypatch):
-    """make_report on iwasawa-symplectic: each block rank, each rk D_n,
+    """make_report on iwasawa-symplectic: each cell record, each rk D_n,
     each cell and each total-degree row is computed once (the lemma
     verdict reads the induced table, the symplectic sections the
     report's analysis), and the total rows match the subspace reference."""
-    calls = {"block": [], "tot": [], "cell": [], "row": []}
-    for name, attr in (("block", "_block_rank"), ("tot", "_tot_block"),
+    calls = {"record": [], "tot": [], "cell": [], "row": []}
+    for name, attr in (("record", "_record"), ("tot", "_tot_block"),
                        ("cell", "_make_cell"), ("row", "_total_row")):
         def counted(self, *args, _orig=getattr(PairAnalysis, attr), _log=calls[name]):
             _log.append(args)
@@ -362,7 +362,7 @@ def test_report_computes_each_map_and_cell_once(monkeypatch):
         assert len(log) == len(set(log)), name
     assert sorted(key for key, in calls["cell"]) == pair.support()
     assert sorted(n for n, in calls["row"]) == [0, 1]
-    assert {block for block, _key in calls["block"]} == {"r1", "r2", "r12", "rO", "rI"}
+    assert sorted(key for key, in calls["record"] if pair.dim(key)) == pair.support()
     want = reference(pair)["induced"]["total"]
     assert PairAnalysis(pair).induced_tables()["total"] == want
     assert induced["total"] == {str(n): row for n, row in want.items()}

@@ -22,6 +22,7 @@ from cohomlab.geometry import (
     LieAlgebraPresentation,
     SymplecticData,
     _compounds,
+    _conj_form,
     _dim,
     _get,
     builtin,
@@ -123,6 +124,14 @@ def test_complex_structure_validation():
     bad = ComplexStructureData(3, {1: {(1, 2): 1}, 2: {(0, 1): 1}})
     with pytest.raises(ValueError, match="Jacobi"):
         complex_bicomplex(bad)
+
+
+def test_conj_form_signs_on_mixed_monomials():
+    # phi_0 ^ conj(phi_1) conjugates to conj(phi_0) ^ phi_1 = -phi_1 ^ conj(phi_0)
+    assert _conj_form({(0, 3): 1}, 2) == {(1, 2): -1}
+    assert _conj_form({(1, 2): I, (0, 1): 2}, 2) == {(0, 3): I, (2, 3): 2}
+    assert _conj_form({(2, 3): 1, (0, 1, 5): I}, 3) == {(0, 5): -1, (2, 3, 4): -I}
+    assert _conj_form({(0, 4, 5, 6): 1}, 4) == {(0, 1, 2, 4): -1}
 
 
 IWASAWA_D2 = {

@@ -71,6 +71,19 @@ def test_bad_scalar_is_parse_error():
         cio.build(cio.parse_document(bad))
 
 
+def test_exponent_scalar_exits_one_at_once(tmp_path):
+    # Fraction alone would spend minutes on a billion-digit integer
+    bad = json.loads(json.dumps(HSEG))
+    bad["double_complex"]["d1"][0]["matrix"] = ["1e1000000000"]
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(bad))
+    start = time.perf_counter()
+    code, out, err = run_cli("analyze", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert "exponent notation" in err
+
+
 PAIR = {"bidiff_pair": {
     "degrees": [{"k": 0, "dim": 1}, {"k": 1, "dim": 1}], "deg1": 1, "deg2": -1,
     "d1": [{"from": 0, "matrix": ["1"]}],
@@ -427,6 +440,21 @@ def test_shape_counts_parsing():
     for bad in ("blob:1", "dot", "dot:x", "dot:-1"):
         with pytest.raises(cio.ParseError):
             cli._parse_shape_counts(bad)
+
+
+@pytest.mark.parametrize("spec", ["dot:4097", "zigzag:820", "dot:1000000000"])
+def test_fuzz_shapes_above_the_bound_exit_one_before_any_draw(monkeypatch, spec):
+    drawn = []
+    monkeypatch.setattr(cli, "random_bicomplex", lambda *args: drawn.append(args))
+    code, out, err = run_cli("fuzz", "--shapes", spec)
+    assert (code, out, drawn) == (1, "", [])
+    assert "above the bound %d" % cio.MAX_TOTAL_DIM in err
+
+
+def test_fuzz_shapes_at_the_bound_are_accepted():
+    code, out, _err = run_cli("fuzz", "--shapes", "dot:4096", "--iters", "0")
+    assert code == 0
+    assert "fuzz: 0 iterations, all properties hold" in out
 
 
 def test_fuzz_failure_minimizes_and_writes_reproducer(tmp_path, monkeypatch):

@@ -152,12 +152,13 @@ def test_equal_degree_signs_read_their_own_matrices():
 
 def test_broken_rank_names_cell_flavor_and_formula(monkeypatch):
     dc = assemble([("hseg", 0, 0)])
-    real = Analysis._block_rank
+    real = Analysis._record
 
-    def broken(self, block, key):
-        return 2 if (block, key) == ("r1", (0, 0)) else real(self, block, key)
+    def broken(self, key):
+        rec = real(self, key)
+        return rec[:1] + (2,) + rec[2:] if key == (0, 0) else rec
 
-    monkeypatch.setattr(Analysis, "_block_rank", broken)
+    monkeypatch.setattr(Analysis, "_record", broken)
     with pytest.raises(AssertionError) as err:
         Analysis(dc).flavor_table("D1")
     msg = str(err.value)

@@ -84,6 +84,12 @@ def test_format_examples():
     assert format_scalar(GaussianRational(5, 0)) == "5"
 
 
+@pytest.mark.parametrize("text", ["1e5", "1E5", "2e3 i", "1e5+2 i"])
+def test_parse_rejects_exponent_notation(text):
+    with pytest.raises(ValueError, match="exponent"):
+        parse_scalar(text)
+
+
 def test_parse_examples():
     assert parse_scalar("3/4") == Fraction(3, 4)
     assert parse_scalar("-2") == -2
