@@ -1,6 +1,7 @@
-"""Exact dense linear algebra over QQ and QQ(i).
+"""Exact linear algebra over QQ and QQ(i).
 
 Matrices act on column vectors: an m-by-n matrix is a map K^n -> K^m.
+Matrix is dense: its rows are lists of int / Fraction / GaussianRational.
 Shapes are tracked explicitly so matrices with zero rows or columns keep
 their ambient dimensions (these show up constantly as boundary maps of
 complexes with missing neighbours).
@@ -10,19 +11,21 @@ form.  RREF is a canonical representative, so subspace equality is plain
 tuple comparison and every lattice operation lands back in canonical
 form for free.
 
-Every row reduction but det's is one echelon insertion on integers
-(_echelon): rows are reduced in order, division-free, against a basis
-keyed by lead column.  Exact rows reach it through one dispatch
-(_integer_rows): a rational row is scaled to an integer row with the
-same span, and a Gaussian row is split into the interleaved real rows
-of v and i*v.  rank is the number of leads.  rank_profile is the leads
-themselves, which give the ranks of all row prefixes x column prefixes
-from one pass; the spectral pages read theirs from it.  RREF, and with
-it kernel, image, mat_inverse and the subspace lattice, is that
-echelon basis plus back-substitution (_rref_rows).  Containment is no
-new lead: s.contains(t) when, after the rows of s, no row of t gets
-one.  Products of rational matrices are taken on integers too (see
-Matrix.mul).
+Every row reduction but det's is one echelon insertion on sparse integer
+rows (_echelon): a row is a dict {column: nonzero int}, and rows are
+reduced in order, division-free, against a basis keyed by lead column,
+the smallest column left in a row.  Exact rows reach it through one
+dispatch (_integer_rows), which drops their zeros: a rational row is
+scaled to an integer row with the same span, and a Gaussian row is
+split into the interleaved real rows of v and i*v.  rank is the number
+of leads.  rank_profile is the leads themselves, which give the ranks
+of all row prefixes x column prefixes from one pass; the spectral pages
+read theirs from it.  RREF, and with it kernel, image, mat_inverse and
+the subspace lattice, is that echelon basis plus back-substitution on
+the sparse rows, written out as dense rows (_rref_rows).  Containment
+is no new lead: s.contains(t) when, after the rows of s, no row of t
+gets one.  Products of rational matrices are taken on integers too
+(see Matrix.mul).
 
 det keeps its own elimination and has no caller in the package: the
 benchmark tracer (perfbench/tracer.py) still hooks it by name, and it
@@ -229,127 +232,133 @@ def vstack(a, b):
 # row reduction
 
 
-def _row_gcd_reduce(row):
-    g = 0
-    for x in row:
-        g = gcd(g, x)
-        if g == 1:
-            return row
-    if g > 1:
-        return [x // g for x in row]
-    return row
-
-
-def _parts(x):
-    if type(x) is GaussianRational:
-        return x.re, x.im
-    return x, 0
-
-
-def _split_row(row):
-    """A Q(i) row as one integer row of (re, im) parts, interleaved."""
-    return _cleared([t for x in row for t in _parts(x)])[1]
-
-
-def _times_i(v):
-    """The split row of i*w, given the split row v of w."""
-    return [t for a, b in zip(v[::2], v[1::2]) for t in (-b, a)]
-
-
 def _integer_rows(rows):
-    """(int rows, per_row): exact rows as integer rows for _echelon.
+    """(int rows, per_row): exact rows as sparse integer rows for _echelon.
 
-    Integer rows enter as they are and a rational row through _cleared,
-    which keeps its span: one integer row each.  A Gaussian row v enters
-    as the split rows of v and i*v, (re, im) interleaved per column: two
-    each.  Their span is closed under i, so the pivots of its rational
-    RREF come in pairs (2c, 2c+1), the rows at even pivots decode to the
-    Gaussian RREF, and the split leads of a row fall on one Gaussian
-    column.
+    A sparse row is a dict {column: nonzero int}.  An integer row enters
+    as it is, less its zeros, and a rational row through _cleared, which
+    keeps its span: one sparse row each.  A Gaussian row v enters as the
+    split rows of v and i*v, the (re, im) parts of column c at columns
+    2c and 2c+1, cleared by one lcm over the denominators of the nonzero
+    parts: two each.  Their span is closed under i, so the pivots of its
+    rational RREF come in pairs (2c, 2c+1), the rows at even pivots
+    decode to the Gaussian RREF, and the split leads of a row fall on one
+    Gaussian column.
     """
-    kinds = {type(x) for row in rows for x in row}
+    nz = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    kinds = {type(x) for v in nz for x in v.values()}
     if kinds <= {int}:
-        return rows, 1
+        return nz, 1
     if GaussianRational not in kinds:
-        return [_cleared(row)[1] for row in rows], 1
+        return [dict(zip(v, _cleared(v.values())[1])) for v in nz], 1
     split = []
-    for row in rows:
-        v = _split_row(row)
-        split += (v, _times_i(v))
+    for v in nz:
+        parts = {}
+        for c, x in v.items():
+            if type(x) is GaussianRational:
+                if x.re:
+                    parts[2 * c] = x.re
+                if x.im:
+                    parts[2 * c + 1] = x.im
+            else:
+                parts[2 * c] = x
+        w = dict(zip(parts, _cleared(parts.values())[1]))
+        # i*(a + bi) = -b + ai: the part at 2c+1 moves to 2c negated,
+        # the part at 2c moves to 2c+1
+        split += (w, {k ^ 1: -x if k & 1 else x for k, x in w.items()})
     return split, 2
 
 
-def _echelon(rows):
-    """(basis, leads): integer rows inserted in order into an echelon basis.
+def _reduce(v, w, c):
+    """v cleared at column c by the basis row w, in place where it can be:
+    p*v - a*w with p = w[c], a = v[c], both divided by gcd(p, a) first
+    and p made positive.  Only a p above 1 scales v, and only then is
+    the row's content divided out, which keeps its entries small."""
+    p, a = w[c], v[c]
+    g = gcd(p, a)
+    if p < 0:
+        g = -g
+    if g != 1:
+        p, a = p // g, a // g
+    if p != 1:
+        v = {k: p * x for k, x in v.items()}
+    for k, y in w.items():
+        x = v.get(k, 0) - a * y
+        if x:
+            v[k] = x
+        else:
+            del v[k]
+    if p != 1 and v:
+        g = gcd(*v.values())
+        if g != 1:
+            v = {k: x // g for k, x in v.items()}
+    return v
 
-    The one row reduction.  Each row is reduced left to right against
-    the basis row leading each of its nonzero columns, by the
-    cross-multiplication p*v - a*w and a gcd reduction, so it stays on
-    integers and its entries stay small.  Its lead is its first nonzero
-    column that no basis row leads; it joins the basis there, as the
-    row reduced so far.  leads holds one lead per row, -1 for a row in
-    the span of the rows before it.  basis maps lead column -> row, and
-    each basis row vanishes before its lead.
+
+def _echelon(rows):
+    """(basis, leads): sparse integer rows inserted in order into an
+    echelon basis.
+
+    The one row reduction; it consumes the rows of _integer_rows.  A
+    row's lead is the smallest column left in it.  While a basis row
+    leads there, the row is cleared at its lead by that basis row
+    (_reduce), division-free, so it stays on integers.  Otherwise it
+    joins the basis there, as the row reduced so far.  leads holds one
+    lead per row, -1 for a row in the span of the rows before it (it
+    emptied out).  basis maps lead column -> row, and each basis row is
+    keyed by its smallest column and stores no zero.
     """
     basis = {}
     leads = []
     for v in rows:
         lead = -1
-        # v is rebound at each step, so index it afresh rather than
-        # iterating over the row it started as
-        for c in range(len(v)):
-            a = v[c]
-            if not a:
-                continue
+        while v:
+            c = min(v)
             w = basis.get(c)
             if w is None:
                 basis[c] = v
                 lead = c
                 break
-            p = w[c]
-            v = _row_gcd_reduce([p * x - a * y for x, y in zip(v, w)])
+            v = _reduce(v, w, c)
         leads.append(lead)
     return basis, leads
 
 
 def _rref_rows(rows, ncols):
-    """Canonical RREF (rows, pivot columns) of any exact rows.
+    """Canonical RREF (rows, pivot columns) of any exact rows of width ncols.
 
     The _echelon basis of the _integer_rows, cleared from the right:
     each basis row, taken from the last lead back, is reduced against
-    the already cleared rows below it, then divided by its pivot.
-    Over Q(i) the rows at even split pivots decode to the Gaussian
-    rows (see _integer_rows).  The rows carry their length, so ncols is
-    read by nothing here; perfbench/tracer.py wraps this signature.
+    the already cleared rows at the later pivots it holds, then divided
+    by its pivot into a dense row of width ncols * per_row.  Over Q(i)
+    the rows at even split pivots decode to the Gaussian rows (see
+    _integer_rows).
     """
     int_rows, per_row = _integer_rows(rows)
     basis = _echelon(int_rows)[0]
     pivots = sorted(basis)
-    for i in range(len(pivots) - 1, -1, -1):
-        v = basis[pivots[i]]
+    for c in reversed(pivots):
+        v = basis[c]
         # the rows at later pivots are cleared already, so they vanish
-        # at every pivot but their own
-        for q in pivots[i + 1:]:
-            a = v[q]
-            if a:
-                w = basis[q]
-                v = _row_gcd_reduce([w[q] * x - a * y for x, y in zip(v, w)])
-        basis[pivots[i]] = v
-    out = []
+        # at every pivot but their own and the order of reduction is free
+        for q in [q for q in v if q != c and q in basis]:
+            v = _reduce(v, basis[q], q)
+        basis[c] = v
+    out, out_pivots = [], []
     for c in pivots:
+        if per_row == 2 and c % 2:
+            continue
         v = basis[c]
         p = v[c]
-        out.append([x // p if not x % p else Fraction(x, p) for x in v]
-                   if p != 1 else list(v))
-    if per_row == 1:
-        return out, pivots
-    gauss, gauss_pivots = [], []
-    for row, p in zip(out, pivots):
-        if p % 2 == 0:
-            gauss.append([a if not b else GaussianRational(a, b)
-                          for a, b in zip(row[::2], row[1::2])])
-            gauss_pivots.append(p // 2)
-    return gauss, gauss_pivots
+        row = [0] * (ncols * per_row)
+        for k, x in v.items():
+            row[k] = x // p if not x % p else Fraction(x, p)
+        if per_row == 2:
+            row = [a if not b else GaussianRational(a, b)
+                   for a, b in zip(row[::2], row[1::2])]
+        out.append(row)
+        out_pivots.append(c // per_row)
+    return out, out_pivots
 
 
 def rref(m):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 
-from .linalg import Matrix, mat_inverse
+from .linalg import Matrix
 from .complexes import DoubleComplex
 
 __all__ = [
@@ -166,7 +166,20 @@ def direct_sum(pieces):
 
 def random_unimodular(k, rng):
     """Product of a few elementary integer row operations; det = +-1."""
+    return _unimodular_pair(k, rng)[0]
+
+
+def _unimodular_pair(k, rng):
+    """(m, m^-1) for the m of random_unimodular, from the same draws.
+
+    The inverse is tracked as the operations are drawn: when m becomes
+    E m, its inverse becomes m^-1 E^-1, which is a column operation.
+    Row i += c row j undoes as column j -= c column i; a swap swaps the
+    two columns and a negation negates one.  The columns of the inverse
+    are kept as rows and transposed at the end.
+    """
     rows = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    cols = [list(r) for r in rows]
     for _ in range(rng.randint(k, 3 * k)):
         op = rng.randrange(3)
         i = rng.randrange(k)
@@ -175,12 +188,15 @@ def random_unimodular(k, rng):
             if j != i:
                 c = rng.choice((-1, 1))
                 rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+                cols[j] = [b - c * a for a, b in zip(cols[i], cols[j])]
         elif op == 1 and k > 1:
             j = rng.randrange(k)
             rows[i], rows[j] = rows[j], rows[i]
+            cols[i], cols[j] = cols[j], cols[i]
         else:
             rows[i] = [-a for a in rows[i]]
-    return Matrix(rows, k)
+            cols[i] = [-a for a in cols[i]]
+    return Matrix(rows, k), Matrix(cols, k).transpose()
 
 
 def conjugate_complex(dc, rng):
@@ -188,9 +204,7 @@ def conjugate_complex(dc, rng):
     s = {}
     s_inv = {}
     for cell, d in dc.spaces.items():
-        m = random_unimodular(d, rng)
-        s[cell] = m
-        s_inv[cell] = mat_inverse(m)
+        s[cell], s_inv[cell] = _unimodular_pair(d, rng)
     d1 = {}
     d2 = {}
     for blocks, tgt, tshift in ((dc.d1, d1, (1, 0)), (dc.d2, d2, (0, 1))):

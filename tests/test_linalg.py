@@ -37,8 +37,14 @@ fracs = st.fractions(min_value=-8, max_value=8, max_denominator=5)
 gausses = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3))
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 gauss_fracs = st.builds(GaussianRational, small_fracs, small_fracs)
+# mostly zero, as the blocks of real complexes are; half the Gaussian
+# entries have a zero real or imaginary part, so one split part is empty
+one_part_zero = st.one_of(st.builds(GaussianRational, small_fracs, st.just(0)),
+                          st.builds(GaussianRational, st.just(0), small_fracs))
+sparse = st.sampled_from((0, 0, 0, 1)).flatmap(
+    lambda k: st.one_of(ints, fracs, one_part_zero, gauss_fracs) if k else st.just(0))
 entry_kinds = [ints, fracs, st.one_of(ints, gausses),
-               st.one_of(ints, fracs, gauss_fracs)]
+               st.one_of(ints, fracs, gauss_fracs), sparse]
 
 
 @st.composite
@@ -202,6 +208,10 @@ def test_rref_matches_field_gauss_jordan(m):
     assert [[type(x) for x in r] for r in rows] == [
         [type(x) for x in r] for r in want_rows]
     assert rank(m) == len(want_pivots)
+    # sparse basis rows store no zero and are keyed by their smallest column
+    basis, leads = linalg._echelon(linalg._integer_rows(m.rows)[0])
+    assert all(min(v) == c and all(v.values()) for c, v in basis.items())
+    assert sorted(lead for lead in leads if lead >= 0) == sorted(basis)
 
 
 def test_rref_gaussian_with_fraction_parts():

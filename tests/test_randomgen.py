@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from cohomlab.linalg import mat_inverse, rref
+from cohomlab.linalg import Matrix, mat_inverse, rref
 from cohomlab.randomgen import (
     assemble,
     direct_sum,
@@ -17,7 +17,7 @@ from cohomlab.randomgen import (
     shape_dim,
     zigzag_spots,
 )
-from cohomlab.randomgen import conjugate_complex, random_unimodular
+from cohomlab.randomgen import _unimodular_pair, conjugate_complex, random_unimodular
 
 
 ALL_SHAPES = [
@@ -87,6 +87,15 @@ def test_random_unimodular_is_integer_invertible():
         inv = mat_inverse(m)
         # unimodular: the inverse is again an integer matrix
         assert all(x == int(x) for row in inv.rows for x in row)
+
+
+def test_tracked_inverse_is_the_inverse_from_the_same_draws():
+    for seed in range(60):
+        for k in range(9):
+            m, inv = _unimodular_pair(k, random.Random(seed))
+            assert m == random_unimodular(k, random.Random(seed))
+            assert inv.rows == mat_inverse(m).rows
+            assert m.mul(inv) == Matrix.identity(k)
 
 
 def test_conjugation_preserves_validity_and_dimensions():
