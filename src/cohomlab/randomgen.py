@@ -172,12 +172,9 @@ def random_unimodular(k, rng):
 def _unimodular_pair(k, rng):
     """(m, m^-1) for the m of random_unimodular, from the same draws.
 
-    The inverse is tracked as the operations are drawn: when m becomes
-    E m, its inverse becomes m^-1 E^-1, which is a column operation.
-    Row i += c row j undoes as column j -= c column i; a swap swaps the
-    two columns and a negation negates one.  The columns of the inverse
-    are kept as rows and transposed at the end.
-    """
+    Each row operation m -> E m is undone on the inverse, kept by its
+    columns, as m^-1 -> m^-1 E^-1: row i += c row j as column j -= c
+    column i, and a swap or a negation as the same one on columns."""
     rows = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
     cols = [list(r) for r in rows]
     for _ in range(rng.randint(k, 3 * k)):
