@@ -11,6 +11,7 @@ failure or engine crash (fuzz).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 
@@ -197,6 +198,9 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+# Built once per process: main may run many times in one interpreter,
+# and parse_args keeps no state in the parser between calls.
+@functools.cache
 def _build_parser():
     ap = _Parser(
         prog="cohomlab",

@@ -20,17 +20,24 @@ Three constructions feed the complex machinery:
     differential d_lam = d Lambda - Lambda d of degree -1.  The pair
     (d, d_lam) is a bidifferential pair with degrees (+1, -1).
 
-    The Gram matrix of the pairing on Lambda^k is the k-th exterior
-    compound C_k(P) of P = omega^-1 (Cauchy-Binet: its entries are the
-    k-by-k minors of P), built column by column from wedges of the
-    columns of P; it is the one compound computed, and the star reads
-    it.  No determinant and no Gram inversion is computed, and
-    nondegeneracy of omega is a rank.  Lambda is star L star, and the
-    construction checks each relation once: the star squares to the
-    identity (this pins the volume normalization omega^m / m!),
-    [Lambda, L] = H, d L = L d (omega is closed, so L is a map on
-    d-cohomology), d_lam = (-1)^(k+1) star d star, and the pair's own
-    validate for d d = 0, d_lam d_lam = 0 and d d_lam + d_lam d = 0.
+    The coefficients are rational, and every operator of the calculus
+    is carried as one rational scale times an integer matrix, with the
+    scales known in closed form: omega = Omega / e, P = omega^-1 =
+    P_int / D from the one inverse, L = L_int / e and d = d_int / f
+    per degree.  The Gram matrix of the pairing on Lambda^k is the k-th
+    exterior compound C_k(P) = C_k(P_int) / D^k (Cauchy-Binet: its
+    entries are the k-by-k minors of P), built column by column from
+    wedges of the integer columns of P_int; it is the one compound
+    computed, and the star (v0 / D^k) S_k reads it, S_k being the
+    compound with signed, complemented rows.  No determinant and no
+    Gram inversion is computed, and nondegeneracy of omega is a rank.
+    Lambda is star L star, and the construction checks each relation
+    once, as an integer identity with the scales cross-multiplied: the
+    star squares to the identity (this pins the volume normalization
+    omega^m / m!), [Lambda, L] = H, d L = L d (omega is closed, so L
+    is a map on d-cohomology), and d_lam = (-1)^(k+1) star d star.
+    Only then are the Matrix objects built, and the pair's own validate
+    checks d d = 0, d_lam d_lam = 0 and d d_lam + d_lam d = 0 on them.
     A failure is an engine bug and raises AssertionError, so a
     constructed pair is a certificate that the calculus holds.
 
@@ -65,6 +72,9 @@ from fractions import Fraction
 from .linalg import (
     Matrix,
     Subspace,
+    _cleared,
+    _int_rows,
+    _product,
     det,
     hstack,
     kernel,
@@ -72,7 +82,7 @@ from .linalg import (
     rank,
     vstack,
 )
-from .scalars import conj, demote
+from .scalars import conj
 from .exterior import (
     basis_positions,
     derivation_matrix,
@@ -364,49 +374,130 @@ def _dim(n, k):
     return math.comb(n, k) if 0 <= k <= n else 0
 
 
-def _get(table, n, k, shift):
-    """table[k] or a zero matrix Lambda^k -> Lambda^{k+shift}."""
+def _get(table, n, k, shift, zero=Matrix.zero):
+    """table[k] or zero(rows, cols), the zero map Lambda^k -> Lambda^{k+shift}."""
     m = table.get(k)
     if m is None:
-        return Matrix.zero(_dim(n, k + shift), _dim(n, k))
+        return zero(_dim(n, k + shift), _dim(n, k))
     return m
 
 
-def _compounds(mat, top):
-    """{k: C_k(mat)} for k = 0 .. top, the exterior compounds of a square
-    matrix in the lex bases of Lambda^k.
+def _compounds(rows, top):
+    """{k: C_k} for k = 0 .. top, the exterior compounds of a square
+    matrix, given and returned as lists of rows, in the lex bases of
+    Lambda^k.
 
-    Entry (a, b) of C_k(mat) is the minor of mat on rows a and columns b,
-    so column b is the k-form mat e_b1 ^ ... ^ mat e_bk: one wedge of a
-    column of mat onto the memoised form of the prefix (b1 .. b_{k-1}).
+    Entry (a, b) of C_k is the minor of the matrix on rows a and columns
+    b, so column b is the k-form e_b1 ^ ... ^ e_bk mapped by the matrix:
+    one wedge of a column onto the memoised form of the prefix
+    (b1 .. b_{k-1}).  Integer rows give integer compounds.
     """
-    n = mat.ncols
-    cols = [{(i,): row[j] for i, row in enumerate(mat.rows) if row[j]}
+    n = len(rows)
+    cols = [{(i,): row[j] for i, row in enumerate(rows) if row[j]}
             for j in range(n)]
     forms = {(): {(): 1}}
     out = {}
     for k in range(top + 1):
         pos = basis_positions(n, k)
-        rows = [[0] * len(pos) for _ in pos]
+        ck = [[0] * len(pos) for _ in pos]
         for j, b in enumerate(multi_indices(n, k)):
             if k:
                 forms[b] = wedge(forms[b[:-1]], cols[b[-1]])
             for a, c in forms[b].items():
-                rows[pos[a]][j] = c
-        out[k] = Matrix(rows, len(pos))
+                ck[pos[a]][j] = c
+        out[k] = ck
     return out
+
+
+# The operators of the calculus are carried as (scale, rows): a Fraction
+# times a matrix of integer rows.  Products, differences and comparisons
+# run on the integer rows and multiply or cross-multiply the scales; a
+# Matrix is built from each pair once, at the end.
+
+
+def _zero_op(nrows, ncols):
+    return Fraction(1), [[0] * ncols for _ in range(nrows)]
+
+
+def _compose(ncols, *ops):
+    """The product of ops, applied right to left, on a source of
+    dimension ncols."""
+    scale, rows = ops[-1]
+    for s, a in reversed(ops[:-1]):
+        rows = _product(a, rows, ncols)
+        scale *= s
+    return scale, rows
+
+
+def _minus(x, y):
+    """x - y over one scale, the gcd of the scales' numerators over the
+    lcm of their denominators, which divides each scale to an integer
+    (p and q)."""
+    (s, a), (t, b) = x, y
+    num = math.gcd(s.numerator, t.numerator)
+    den = math.lcm(s.denominator, t.denominator)
+    p = s.numerator // num * (den // s.denominator)
+    q = t.numerator // num * (den // t.denominator)
+    return Fraction(num, den), [[p * u - q * v for u, v in zip(ra, rb)]
+                                for ra, rb in zip(a, b)]
+
+
+def _same(x, y):
+    """x == y, with the scales cross-multiplied onto the integer rows."""
+    (s, a), (t, b) = x, y
+    p, q = s.numerator * t.denominator, t.numerator * s.denominator
+    if p != q:
+        a = [[p * u for u in row] for row in a]
+        b = [[q * v for v in row] for row in b]
+    return a == b
+
+
+def _identity_op(c, n):
+    return Fraction(c), [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _materialize(op, ncols):
+    """The Matrix of op, each entry an int where it is one and a Fraction
+    otherwise."""
+    s, rows = op
+    num, den = s.numerator, s.denominator
+    if den == 1:
+        return Matrix([[num * x for x in row] for row in rows], ncols)
+
+    def entry(x):
+        y = num * x
+        return y // den if not y % den else Fraction(y, den)
+
+    return Matrix([[entry(x) if x else 0 for x in row] for row in rows], ncols)
+
+
+def _first_irrational(sd):
+    """A description of the first coefficient of sd that is not an int or
+    a Fraction, or None."""
+    for (i, j), targets in sorted(sd.lie.brackets.items()):
+        for k, c in sorted(targets.items()):
+            if not isinstance(c, (int, Fraction)):
+                return "bracket [e%d, e%d] has e%d-coefficient %s" % (i, j, k, c)
+    for (i, j), c in sorted(sd.omega.items()):
+        if not isinstance(c, (int, Fraction)):
+            return "omega has e%d^e%d-coefficient %s" % (i, j, c)
+    return None
 
 
 def symplectic_pair(sd):
     """(BidiffPair, Sl2Operators) for a closed nondegenerate 2-form.
 
     Every structural identity of the calculus is asserted during
-    construction; returning at all certifies them.
+    construction; returning at all certifies them.  The coefficients of
+    the algebra and of omega must be rational.
     """
     lie = sd.lie
     n = lie.n
     if n % 2:
         raise ValueError("symplectic structure needs even dimension")
+    bad = _first_irrational(sd)
+    if bad is not None:
+        raise ValueError("symplectic coefficients must be rational: " + bad)
     m = n // 2
     dgen = lie.dgen()
     _jacobi_check(n, dgen)
@@ -423,67 +514,77 @@ def symplectic_pair(sd):
     # relation below read d_lam = (-1)^(k+1) star d star while keeping
     # [Lambda, L] = H; the opposite orientation flips star by (-1)^k
     # per degree and nothing else (Lambda and both differentials are
-    # unaffected either way).
-    p_mat = mat_inverse(om)
+    # unaffected either way).  P = omega^-1 = P_int / D.
+    den_p, p_int = _int_rows(mat_inverse(om).rows, n)
 
     d = {k: derivation_matrix(n, dgen, k) for k in range(n + 1)}
+    dop = {}
+    for k, mat in d.items():
+        f, rows = _int_rows(mat.rows, mat.ncols)
+        dop[k] = Fraction(1, f), rows
 
+    # omega = Omega / e with Omega integer, so L = L_int / e
+    e, coeffs = _cleared(list(omega.values()))
+    big_omega = dict(zip(omega, coeffs))
     # volume normalization: v = omega^m / m!, v0 its top coefficient
     top = tuple(range(n))
-    v0 = demote(Fraction(wedge_power(omega, m).get(top, 0), math.factorial(m)))
+    v0 = Fraction(wedge_power(big_omega, m).get(top, 0), math.factorial(m) * e ** m)
     if v0 == 0:
         raise AssertionError("volume form vanished for a nondegenerate omega")
 
-    gram = _compounds(p_mat, n)
+    # star_k = (v0 / D^k) S_k, with S_k the compound C_k(P_int) whose row a
+    # moves to the complement of a, signed by the merge
+    gram = _compounds(p_int, n)
+    full = set(range(n))
     star = {}
     L = {}
     for k in range(n + 1):
         idx = multi_indices(n, k)
         co = len(idx)
-        srows = [[0] * co for _ in range(_dim(n, n - k))]
+        srows = [None] * co
         cpos = basis_positions(n, n - k)
-        full = set(range(n))
-        grows = gram[k].rows
-        for j, b in enumerate(idx):
-            for i, a in enumerate(idx):
-                da = grows[i][j]
-                if not da:
-                    continue
-                acomp = tuple(sorted(full - set(a)))
-                sgn, _ = merge_sign(a, acomp)
-                srows[cpos[acomp]][j] = demote(sgn * da * v0)
-        star[k] = Matrix(srows, co)
+        for i, a in enumerate(idx):
+            acomp = tuple(sorted(full - set(a)))
+            sgn, _ = merge_sign(a, acomp)
+            srows[cpos[acomp]] = [sgn * x for x in gram[k][i]]
+        star[k] = v0 / den_p ** k, srows
         lrows = [[0] * co for _ in range(_dim(n, k + 2))]
         if k + 2 <= n:
             lpos = basis_positions(n, k + 2)
             for j, b in enumerate(idx):
-                for mtup, c in wedge(omega, {b: 1}).items():
+                for mtup, c in wedge(big_omega, {b: 1}).items():
                     lrows[lpos[mtup]][j] = c
-        L[k] = Matrix(lrows, co)
+        L[k] = Fraction(1, e), lrows
 
-    lam = {k: star[n - k + 2].mul(L[n - k]).mul(star[k]) if k >= 2
-           else Matrix.zero(0, _dim(n, k)) for k in range(n + 1)}
+    def get(table, k, shift):
+        return _get(table, n, k, shift, _zero_op)
+
+    lam = {k: _compose(_dim(n, k), star[n - k + 2], L[n - k], star[k]) if k >= 2
+           else _zero_op(0, _dim(n, k)) for k in range(n + 1)}
     d_lam = {}
     for k in range(n + 1):
         co = _dim(n, k)
-        if star[n - k].mul(star[k]) != Matrix.identity(co):
+        if not _same(_compose(co, star[n - k], star[k]), _identity_op(1, co)):
             raise AssertionError("star star != id in degree %d" % k)
-        commutator = _get(lam, n, k + 2, -2).mul(L[k]).add(
-            _get(L, n, k - 2, 2).mul(lam[k]).scale(-1)
-        )
-        if commutator != Matrix.identity(co).scale(m - k):
+        commutator = _minus(_compose(co, get(lam, k + 2, -2), L[k]),
+                            _compose(co, get(L, k - 2, 2), lam[k]))
+        if not _same(commutator, _identity_op(m - k, co)):
             raise AssertionError("[Lambda, L] != (m - k) id in degree %d" % k)
-        if _get(d, n, k + 2, 1).mul(L[k]) != _get(L, n, k + 1, 2).mul(d[k]):
+        if not _same(_compose(co, get(dop, k + 2, 1), L[k]),
+                     _compose(co, get(L, k + 1, 2), dop[k])):
             raise AssertionError("d L != L d in degree %d" % k)
-        d_lam[k] = _get(d, n, k - 2, 1).mul(lam[k]).add(
-            _get(lam, n, k + 1, -2).mul(d[k]).scale(-1)
-        )
+        d_lam[k] = _minus(_compose(co, get(dop, k - 2, 1), lam[k]),
+                          _compose(co, get(lam, k + 1, -2), dop[k]))
         # d_lam maps degree 0 into Lambda^{-1} = 0: nothing to compare
         sgn = -1 if k % 2 == 0 else 1  # (-1)^(k+1)
-        if k and d_lam[k] != star[n - k + 1].mul(d[n - k]).mul(star[k]).scale(sgn):
-            raise AssertionError(
-                "d_lam != (-1)^(k+1) star d star in degree %d" % k
-            )
+        if k:
+            s, rows = _compose(co, star[n - k + 1], dop[n - k], star[k])
+            if not _same(d_lam[k], (sgn * s, rows)):
+                raise AssertionError(
+                    "d_lam != (-1)^(k+1) star d star in degree %d" % k
+                )
+    star, L, lam, d_lam = ({k: _materialize(op, _dim(n, k)) for k, op in table.items()}
+                           for table in (star, L, lam, d_lam))
     dims = {k: _dim(n, k) for k in range(n + 1)}
     d1 = {k: mat for k, mat in d.items() if not mat.is_zero() and mat.nrows}
     d2 = {k: mat for k, mat in d_lam.items() if not mat.is_zero() and mat.nrows}

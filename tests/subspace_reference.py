@@ -15,13 +15,20 @@ induced by L^k on them, Zassenhaus intersections and subspace sums.
 
 gram_by_minors is the Gram matrix of the symplectic pairing as
 cohomlab.geometry once built it, one determinant per minor; geometry
-now reads it as an exterior compound.
+now reads it as an exterior compound.  fraction_calculus is the
+symplectic operator calculus in Fraction arithmetic on Matrix objects,
+as geometry once computed it, with those Gram matrices; geometry now
+carries each operator as one rational scale times integer rows.
 """
 
 from cohomlab import linalg
 from cohomlab.cohomology import IllFormedMap, Subquotient, induced_rank
 from cohomlab.complexes import DoubleComplex, tot
-from cohomlab.exterior import multi_indices
+from fractions import Fraction
+from math import factorial
+
+from cohomlab.exterior import (basis_positions, derivation_matrix, merge_sign,
+                               multi_indices, wedge, wedge_power)
 from cohomlab.geometry import _dim, _get
 from cohomlab.linalg import Matrix, Subspace, image, kernel, quotient_dim, rank
 
@@ -259,3 +266,39 @@ def gram_by_minors(p_mat, k):
     idx = multi_indices(p_mat.ncols, k)
     return Matrix([[linalg.det(Matrix([[p_mat.rows[i][j] for j in b] for i in a], k))
                     for b in idx] for a in idx], len(idx))
+
+
+def fraction_calculus(sd):
+    """{"v0", "star", "L", "Lam", "d_lam"} of the symplectic data sd, in
+    Fraction arithmetic: the star reads the Gram matrices of
+    gram_by_minors times v0 = (omega^m / m!)_top, L is omega ^ . on the
+    rational omega, Lambda = star L star and d_lam = d Lambda - Lambda d,
+    every product a Matrix.mul."""
+    n = sd.lie.n
+    m = n // 2
+    omega = sd.omega_form()
+    p_mat = linalg.mat_inverse(sd.omega_matrix())
+    v0 = Fraction(wedge_power(omega, m).get(tuple(range(n)), 0), factorial(m))
+    d = {k: derivation_matrix(n, sd.lie.dgen(), k) for k in range(n + 1)}
+    star, L = {}, {}
+    for k in range(n + 1):
+        idx = multi_indices(n, k)
+        gram = gram_by_minors(p_mat, k)
+        rows = [[0] * len(idx) for _ in range(_dim(n, n - k))]
+        cpos = basis_positions(n, n - k)
+        for i, a in enumerate(idx):
+            comp = tuple(x for x in range(n) if x not in a)
+            sgn = merge_sign(a, comp)[0]
+            for j in range(len(idx)):
+                rows[cpos[comp]][j] = sgn * gram.rows[i][j] * v0
+        star[k] = Matrix(rows, len(idx))
+        rows = [[0] * len(idx) for _ in range(_dim(n, k + 2))]
+        for j, b in enumerate(idx):
+            for mono, c in wedge(omega, {b: 1}).items():
+                rows[basis_positions(n, k + 2)[mono]][j] = c
+        L[k] = Matrix(rows, len(idx))
+    lam = {k: star[n - k + 2].mul(L[n - k]).mul(star[k]) if k >= 2
+           else Matrix.zero(0, _dim(n, k)) for k in range(n + 1)}
+    d_lam = {k: _get(d, n, k - 2, 1).mul(lam[k]).add(
+        _get(lam, n, k + 1, -2).mul(d[k]).scale(-1)) for k in range(n + 1)}
+    return {"v0": v0, "star": star, "L": L, "Lam": lam, "d_lam": d_lam}

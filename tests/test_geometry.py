@@ -460,18 +460,153 @@ COMPOUND_INPUTS = [iwasawa_symplectic()] + criterion_6_algebras(50)
     "criterion6-%d" % i for i in range(50)])
 def test_compounds_are_the_gram_minors_and_invert(sd):
     """C_k(P) is the matrix of k-by-k minors of P = omega^-1, computed by
-    determinants in the reference; the star reads it.  C_k(P) C_k(omega)
+    determinants in the reference; the star reads it as the integer
+    compound C_k(P_int) over D^k, where P_int = D P.  C_k(P) C_k(omega)
     = I in every degree (Cauchy-Binet), so C_k(omega) is the Gram
     inverse, the factor the Gram route to Lambda in
-    test_lambda_matches_the_gram_route reads from the reference."""
+    test_lambda_matches_the_gram_route reads from the reference; on the
+    integers that reads C_k(P_int) C_k(Omega) = (D e)^k I, with
+    Omega = e omega."""
     om = sd.omega_matrix()
     n = om.ncols
     p_mat = linalg.mat_inverse(om)
-    gram, gram_inv = _compounds(p_mat, n), _compounds(om, n)
+    den_p, p_int = linalg._int_rows(p_mat.rows, n)
+    e, big_omega = linalg._int_rows(om.rows, n)
+    gram, gram_inv = _compounds(p_int, n), _compounds(big_omega, n)
     assert sorted(gram) == sorted(gram_inv) == list(range(n + 1))
     for k in range(n + 1):
-        assert gram[k] == subspace_reference.gram_by_minors(p_mat, k), k
-        assert gram[k].mul(gram_inv[k]) == Matrix.identity(_dim(n, k)), k
+        co = _dim(n, k)
+        assert all(type(x) is int for row in gram[k] for x in row), k
+        assert (Matrix(gram[k], co).scale(Fraction(1, den_p ** k))
+                == subspace_reference.gram_by_minors(p_mat, k)), k
+        assert (Matrix(gram[k], co).mul(Matrix(gram_inv[k], co))
+                == Matrix.identity(co).scale((den_p * e) ** k)), k
+
+
+def _scaled_omega(sd, c):
+    return SymplecticData(sd.lie, {key: c * v for key, v in sd.omega.items()})
+
+
+def _scaled_brackets(lie, c):
+    return LieAlgebraPresentation(lie.n, {
+        key: {k: c * v for k, v in targets.items()}
+        for key, targets in lie.brackets.items()})
+
+
+# Inputs whose scales are not all 1: omega scaled by 2/3 gives D = 2 and
+# a non-integer v0; brackets scaled by 1/2 give rational d; the affine
+# algebra is neither nilpotent nor unimodular.
+RATIONAL_INPUTS = [
+    ("iwasawa-omega-2/3", _scaled_omega(iwasawa_symplectic(), Fraction(2, 3))),
+    ("iwasawa-brackets-1/2", SymplecticData(
+        _scaled_brackets(iwasawa_lie(), Fraction(1, 2)), iwasawa_symplectic().omega)),
+    ("iwasawa-both", SymplecticData(
+        _scaled_brackets(iwasawa_lie(), Fraction(-3, 4)),
+        {(1, 6): Fraction(5, 2), (2, 5): Fraction(5, 2), (3, 4): Fraction(-2, 3)})),
+    ("torus4-rational", SymplecticData(builtin("abelian:4"),
+                                       {(1, 2): Fraction(1, 2), (1, 3): 1, (3, 4): Fraction(7, 5)})),
+    ("criterion6-5-omega-3/7", _scaled_omega(criterion_6_algebras(6)[5], Fraction(3, 7))),
+    ("aff2-rational", SymplecticData(
+        _scaled_brackets(affine_symplectic(2).lie, Fraction(2, 5)),
+        {(1, 2): Fraction(1, 3), (3, 4): 2})),
+]
+REFERENCE_INPUTS = [("iwasawa", iwasawa_symplectic())] + [
+    ("criterion6-%d" % i, sd) for i, sd in enumerate(COMPOUND_INPUTS[1:])] + RATIONAL_INPUTS
+
+
+def _scales(sd):
+    """(D, v0, e, rational brackets) of sd, from the reference route."""
+    om = sd.omega_matrix()
+    den_p = linalg._int_rows(linalg.mat_inverse(om).rows, om.ncols)[0]
+    ref = subspace_reference.fraction_calculus(sd)
+    brackets = any(isinstance(c, Fraction) and c.denominator > 1
+                   for targets in sd.lie.brackets.values() for c in targets.values())
+    return den_p, ref["v0"], linalg._int_rows(om.rows, om.ncols)[0], brackets
+
+
+def test_reference_inputs_cover_the_scales():
+    """Among the reference inputs some have D > 1, a non-integer v0, a
+    non-integer omega and rational structure constants."""
+    scales = [_scales(sd) for _name, sd in RATIONAL_INPUTS]
+    assert any(den_p > 1 for den_p, _v0, _e, _b in scales)
+    assert any(Fraction(v0).denominator > 1 for _d, v0, _e, _b in scales)
+    assert any(e > 1 for _d, _v0, e, _b in scales)
+    assert any(b for _d, _v0, _e, b in scales)
+
+
+@pytest.mark.filterwarnings("ignore:Lie algebra is not nilpotent")
+@pytest.mark.parametrize("name,sd", REFERENCE_INPUTS, ids=[n for n, _ in REFERENCE_INPUTS])
+def test_operators_equal_the_fraction_reference(name, sd):
+    """star, L, Lambda and d_lam from the integer route equal the Fraction
+    computation of the reference (Gram matrices by determinants, every
+    product a Matrix.mul), entry for entry, with each entry an int or a
+    Fraction that is not an integer; the pair's d2 is the nonzero d_lam."""
+    pair, ops = symplectic_pair(sd)
+    ref = subspace_reference.fraction_calculus(sd)
+    for table in ("star", "L", "Lam", "d_lam"):
+        got = getattr(ops, table)
+        assert sorted(got) == sorted(ref[table]) == list(range(ops.n + 1)), table
+        for k, mat in got.items():
+            assert mat == ref[table][k], (name, table, k)
+            assert (mat.nrows, mat.ncols) == (ref[table][k].nrows, ref[table][k].ncols)
+            assert all(type(x) is int or (type(x) is Fraction and x.denominator > 1)
+                       for row in mat.rows for x in row), (name, table, k)
+    assert pair.d2 == {k: m for k, m in ref["d_lam"].items()
+                       if m.nrows and not m.is_zero()}
+    verify_operator_identities(ops)
+
+
+def test_operator_helpers_match_fraction_arithmetic():
+    """The (scale, integer rows) product, difference, comparison and
+    materialization agree with the same operations on the Fraction
+    matrices, for scales of every sign and with unequal denominators."""
+    rng = random.Random(5)
+    scales = [Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-5, 4),
+              Fraction(7), Fraction(1, 6), Fraction(9, 10)]
+
+    def draw(nrows, ncols):
+        rows = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(ncols)]
+                for _ in range(nrows)]
+        return rng.choice(scales), rows
+
+    def as_matrix(op, ncols):
+        return Matrix(op[1], ncols).scale(op[0])
+
+    for _ in range(300):
+        a, b, c = (rng.randint(0, 3) for _ in range(3))
+        x, y, z = draw(a, b), draw(b, c), draw(a, b)
+        prod = geometry._compose(c, x, y)
+        assert as_matrix(prod, c) == as_matrix(x, b).mul(as_matrix(y, c))
+        diff = geometry._minus(x, z)
+        assert type(diff[0]) is Fraction
+        assert all(type(v) is int for row in diff[1] for v in row)
+        expected = as_matrix(x, b).add(as_matrix(z, b).scale(-1))
+        assert as_matrix(diff, b) == expected == geometry._materialize(diff, b)
+        assert geometry._same(x, z) == (as_matrix(x, b) == as_matrix(z, b))
+        assert geometry._same(x, (x[0] / 3, [[3 * v for v in row] for row in x[1]]))
+
+
+@pytest.mark.filterwarnings("ignore:Lie algebra is not nilpotent")
+def test_symplectic_pair_multiplies_no_matrix(monkeypatch):
+    """The calculus multiplies integer rows with linalg._product and
+    builds its Matrix objects once, at the end: the only Matrix.mul
+    calls during symplectic_pair are those of the pair's own validate."""
+    validate = geometry.BidiffPair.validate.__code__
+    outside, inside = [], []
+    real = Matrix.mul
+
+    def counting(self, other):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not validate:
+            frame = frame.f_back
+        (inside if frame is not None else outside).append(self.ncols)
+        return real(self, other)
+
+    monkeypatch.setattr(Matrix, "mul", counting)
+    for _name, sd in LAMBDA_INPUTS + RATIONAL_INPUTS:
+        symplectic_pair(sd)
+    assert outside == []
+    assert inside
 
 
 LAMBDA_INPUTS = [("iwasawa", iwasawa_symplectic()),
@@ -532,9 +667,9 @@ def test_scaled_star_trips_the_lambda_guard(monkeypatch):
     square is compared in degree 3."""
     real = geometry._compounds
 
-    def scaled_middle(mat, top):
-        out = real(mat, top)
-        out[3] = out[3].scale(2)
+    def scaled_middle(rows, top):
+        out = real(rows, top)
+        out[3] = [[2 * x for x in row] for row in out[3]]
         return out
 
     monkeypatch.setattr(geometry, "_compounds", scaled_middle)

@@ -413,6 +413,47 @@ def test_usage_errors_exit_one_not_two():
     assert code == 1
 
 
+def test_successive_calls_share_no_state():
+    """The parser is built once per process, and no flag of one main call
+    carries over into the next: --spectral and --format fall back to
+    their defaults, and a usage error in between still exits 1."""
+    assert cli._build_parser() is cli._build_parser()
+    code, out, _ = run_cli("analyze", "--builtin", "iwasawa-complex", "--spectral", "2")
+    assert code == 0 and "spectral" in json.loads(out)
+    code, out, _ = run_cli("analyze", "--builtin", "iwasawa-complex")
+    assert code == 0 and "spectral" not in json.loads(out)
+    code, md, _ = run_cli("analyze", "--builtin", "iwasawa-complex", "--format", "md")
+    assert code == 0 and md.startswith("#")
+    code, _, err = run_cli("analyze", "--builtin", "iwasawa-complex", "--no-such-flag")
+    assert code == 1 and "--no-such-flag" in err
+    code, default, _ = run_cli("analyze", "--builtin", "iwasawa-complex")
+    assert code == 0 and json.loads(default) == json.loads(out)
+
+
+def symplectic_doc(dim, structure, omega):
+    return {"lie_algebra": {"dim": dim, "structure": [
+        {"i": i, "terms": [{"j": j, "k": k, "coeff": c}]} for i, j, k, c in structure],
+        "symplectic": {"omega": [{"j": j, "k": k, "coeff": c} for j, k, c in omega]}}}
+
+
+@pytest.mark.parametrize("doc,message", [
+    # omega = i e12 + e34 on the abelian algebra used to crash analyze
+    # with a TypeError
+    (symplectic_doc(4, [], [(1, 2, "i"), (3, 4, "1")]),
+     "omega has e1^e2-coefficient 1 i"),
+    # d e4 = (1+i) e12 with the closed rational omega = e13 + e24 used to
+    # be analyzed over Q(i) with exit 0
+    (symplectic_doc(4, [(4, 1, 2, "1+i")], [(1, 3, "1"), (2, 4, "1")]),
+     "bracket [e1, e2] has e4-coefficient -1-1 i"),
+], ids=["gaussian-omega", "gaussian-structure"])
+def test_non_rational_symplectic_input_exits_two(tmp_path, doc, message):
+    src = tmp_path / "gaussian.json"
+    src.write_text(json.dumps(doc))
+    code, out, err = run_cli("analyze", str(src))
+    assert (code, out) == (2, "")
+    assert err == "invalid input: symplectic coefficients must be rational: %s\n" % message
+
+
 # -- fuzz ---------------------------------------------------------------------
 
 def test_fuzz_clean_run():
