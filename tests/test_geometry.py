@@ -497,15 +497,15 @@ def _scaled_brackets(lie, c):
 # a non-integer v0; brackets scaled by 1/2 give rational d; the affine
 # algebra is neither nilpotent nor unimodular.
 RATIONAL_INPUTS = [
-    ("iwasawa-omega-2/3", _scaled_omega(iwasawa_symplectic(), Fraction(2, 3))),
-    ("iwasawa-brackets-1/2", SymplecticData(
+    ("iwasawa-omega-scaled", _scaled_omega(iwasawa_symplectic(), Fraction(2, 3))),
+    ("iwasawa-brackets-halved", SymplecticData(
         _scaled_brackets(iwasawa_lie(), Fraction(1, 2)), iwasawa_symplectic().omega)),
     ("iwasawa-both", SymplecticData(
         _scaled_brackets(iwasawa_lie(), Fraction(-3, 4)),
         {(1, 6): Fraction(5, 2), (2, 5): Fraction(5, 2), (3, 4): Fraction(-2, 3)})),
     ("torus4-rational", SymplecticData(builtin("abelian:4"),
                                        {(1, 2): Fraction(1, 2), (1, 3): 1, (3, 4): Fraction(7, 5)})),
-    ("criterion6-5-omega-3/7", _scaled_omega(criterion_6_algebras(6)[5], Fraction(3, 7))),
+    ("criterion6-5-omega-scaled", _scaled_omega(criterion_6_algebras(6)[5], Fraction(3, 7))),
     ("aff2-rational", SymplecticData(
         _scaled_brackets(affine_symplectic(2).lie, Fraction(2, 5)),
         {(1, 2): Fraction(1, 3), (3, 4): 2})),
