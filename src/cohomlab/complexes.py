@@ -301,7 +301,7 @@ def tot(obj, sign=1):
         if n + 1 not in cells:
             continue
         tpos = {(p, q): off for (p, q, off, _d) in layout[n + 1]}
-        rows = [[0] * dims[n] for _ in range(dims[n + 1])]
+        rows = [{} for _ in range(dims[n + 1])]
         for (p, q, key), (_p, _q, soff, sd) in zip(row, layout[n]):
             for mat, cell, scale in (
                 (obj.d1.get(key), (p + 1, q), 1),
@@ -309,14 +309,9 @@ def tot(obj, sign=1):
             ):
                 if mat is None or cell not in tpos:
                     continue
-                toff = tpos[cell]
-                for i in range(mat.nrows):
-                    mrow = mat.rows[i]
-                    trow = rows[toff + i]
-                    for j in range(sd):
-                        x = mrow[j]
-                        if x:
-                            trow[soff + j] = scale * x if scale != 1 else x
-        blocks[n] = Matrix(rows, dims[n])
+                for trow, mrow in zip(rows[tpos[cell]:], mat.sparse):
+                    for j, x in mrow.items():
+                        trow[soff + j] = scale * x if scale != 1 else x
+        blocks[n] = Matrix.from_sparse(rows, dims[n])
     return TotalComplex(dims, blocks, layout, sign,
                         {n: [key for _p, _q, key in row] for n, row in cells.items()}, period)

@@ -155,8 +155,8 @@ def derivation_matrix(n, dgen, k):
     d = extend_derivation(n, dgen)
     src = multi_indices(n, k)
     tgt_pos = basis_positions(n, k + 1)
-    rows = [[0] * len(src) for _ in range(comb(n, k + 1))]
+    rows = [{} for _ in range(comb(n, k + 1))]
     for col, mono in enumerate(src):
         for m, c in d({mono: 1}).items():
             rows[tgt_pos[m]][col] = c
-    return Matrix(rows, len(src))
+    return Matrix.from_sparse(rows, len(src))

@@ -32,10 +32,11 @@ Three constructions feed the complex machinery:
     compound with signed, complemented rows.  No determinant and no
     Gram inversion is computed, and nondegeneracy of omega is a rank.
     Lambda is star L star, and the construction checks each relation
-    once, as an integer identity with the scales cross-multiplied: the
-    star squares to the identity (this pins the volume normalization
-    omega^m / m!), [Lambda, L] = H, d L = L d (omega is closed, so L
-    is a map on d-cohomology), and d_lam = (-1)^(k+1) star d star.
+    once, as an integer identity: brought over one scale, the two sides
+    differ by empty sparse rows.  The relations are: the star squares
+    to the identity (this pins the volume normalization omega^m / m!),
+    [Lambda, L] = H, d L = L d (omega is closed, so L is a map on
+    d-cohomology), and d_lam = (-1)^(k+1) star d star.
     Only then are the Matrix objects built, and the pair's own validate
     checks d d = 0, d_lam d_lam = 0 and d d_lam + d_lam d = 0 on them.
     A failure is an engine bug and raises AssertionError, so a
@@ -72,8 +73,8 @@ from fractions import Fraction
 from .linalg import (
     Matrix,
     Subspace,
-    _cleared,
     _int_rows,
+    _lincomb,
     _product,
     det,
     hstack,
@@ -295,26 +296,23 @@ def complex_bicomplex(csd):
     for (p, q), src in basis.items():
         tgt1 = pos.get((p + 1, q))
         tgt2 = pos.get((p, q + 1))
-        rows1 = [[0] * len(src) for _ in range(spaces.get((p + 1, q), 0))]
-        rows2 = [[0] * len(src) for _ in range(spaces.get((p, q + 1), 0))]
-        any1 = any2 = False
+        rows1 = [{} for _ in range(spaces.get((p + 1, q), 0))]
+        rows2 = [{} for _ in range(spaces.get((p, q + 1), 0))]
         for col, mono in enumerate(src):
             for m, c in d({mono: 1}).items():
                 bd = _bidegree(m, n)
                 if bd == (p + 1, q):
                     rows1[tgt1[m]][col] = c
-                    any1 = True
                 elif bd == (p, q + 1):
                     rows2[tgt2[m]][col] = c
-                    any2 = True
                 else:
                     raise AssertionError(
                         "differential produced bidegree %r from %r" % (bd, (p, q))
                     )
-        if any1:
-            d1[(p, q)] = Matrix(rows1, len(src))
-        if any2:
-            d2[(p, q)] = Matrix(rows2, len(src))
+        if any(rows1):
+            d1[(p, q)] = Matrix.from_sparse(rows1, len(src))
+        if any(rows2):
+            d2[(p, q)] = Matrix.from_sparse(rows2, len(src))
     dc = DoubleComplex(spaces, d1, d2)
     require_valid(dc)
     return dc
@@ -341,11 +339,11 @@ class SymplecticData:
 
     def omega_matrix(self):
         n = self.lie.n
-        rows = [[0] * n for _ in range(n)]
+        rows = [{} for _ in range(n)]
         for (i, j), c in self.omega.items():
             rows[i - 1][j - 1] = c
             rows[j - 1][i - 1] = -c
-        return Matrix(rows, n)
+        return Matrix.from_sparse(rows, n)
 
 
 class Sl2Operators:
@@ -384,7 +382,7 @@ def _get(table, n, k, shift, zero=Matrix.zero):
 
 def _compounds(rows, top):
     """{k: C_k} for k = 0 .. top, the exterior compounds of a square
-    matrix, given and returned as lists of rows, in the lex bases of
+    matrix, given and returned as sparse rows, in the lex bases of
     Lambda^k.
 
     Entry (a, b) of C_k is the minor of the matrix on rows a and columns
@@ -393,13 +391,15 @@ def _compounds(rows, top):
     (b1 .. b_{k-1}).  Integer rows give integer compounds.
     """
     n = len(rows)
-    cols = [{(i,): row[j] for i, row in enumerate(rows) if row[j]}
-            for j in range(n)]
+    cols = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            cols[j][(i,)] = x
     forms = {(): {(): 1}}
     out = {}
     for k in range(top + 1):
         pos = basis_positions(n, k)
-        ck = [[0] * len(pos) for _ in pos]
+        ck = [{} for _ in pos]
         for j, b in enumerate(multi_indices(n, k)):
             if k:
                 forms[b] = wedge(forms[b[:-1]], cols[b[-1]])
@@ -410,21 +410,21 @@ def _compounds(rows, top):
 
 
 # The operators of the calculus are carried as (scale, rows): a Fraction
-# times a matrix of integer rows.  Products, differences and comparisons
-# run on the integer rows and multiply or cross-multiply the scales; a
-# Matrix is built from each pair once, at the end.
+# times a matrix of sparse integer rows.  Products and differences run on
+# the integer rows and multiply or cross-multiply the scales, and two
+# operators are equal when their difference has empty rows; a Matrix is
+# built from each pair once, at the end.
 
 
 def _zero_op(nrows, ncols):
-    return Fraction(1), [[0] * ncols for _ in range(nrows)]
+    return Fraction(1), [{} for _ in range(nrows)]
 
 
-def _compose(ncols, *ops):
-    """The product of ops, applied right to left, on a source of
-    dimension ncols."""
+def _compose(*ops):
+    """The product of ops, applied right to left."""
     scale, rows = ops[-1]
     for s, a in reversed(ops[:-1]):
-        rows = _product(a, rows, ncols)
+        rows = _product(a, rows)
         scale *= s
     return scale, rows
 
@@ -432,43 +432,31 @@ def _compose(ncols, *ops):
 def _minus(x, y):
     """x - y over one scale, the gcd of the scales' numerators over the
     lcm of their denominators, which divides each scale to an integer
-    (p and q)."""
+    (p and q).  A zero scale drops its rows, so the rows of x - y are
+    empty exactly when x == y."""
     (s, a), (t, b) = x, y
     num = math.gcd(s.numerator, t.numerator)
     den = math.lcm(s.denominator, t.denominator)
     p = s.numerator // num * (den // s.denominator)
     q = t.numerator // num * (den // t.denominator)
-    return Fraction(num, den), [[p * u - q * v for u, v in zip(ra, rb)]
-                                for ra, rb in zip(a, b)]
-
-
-def _same(x, y):
-    """x == y, with the scales cross-multiplied onto the integer rows."""
-    (s, a), (t, b) = x, y
-    p, q = s.numerator * t.denominator, t.numerator * s.denominator
-    if p != q:
-        a = [[p * u for u in row] for row in a]
-        b = [[q * v for v in row] for row in b]
-    return a == b
+    return Fraction(num, den), [_lincomb(p, ra, -q, rb) for ra, rb in zip(a, b)]
 
 
 def _identity_op(c, n):
-    return Fraction(c), [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return Fraction(c), [{i: 1} for i in range(n)]
 
 
 def _materialize(op, ncols):
     """The Matrix of op, each entry an int where it is one and a Fraction
     otherwise."""
-    s, rows = op
-    num, den = s.numerator, s.denominator
-    if den == 1:
-        return Matrix([[num * x for x in row] for row in rows], ncols)
+    num, den = op[0].numerator, op[0].denominator
 
     def entry(x):
         y = num * x
         return y // den if not y % den else Fraction(y, den)
 
-    return Matrix([[entry(x) if x else 0 for x in row] for row in rows], ncols)
+    return Matrix.from_sparse([{c: entry(x) for c, x in row.items()} for row in op[1]],
+                              ncols)
 
 
 def _first_irrational(sd):
@@ -515,17 +503,16 @@ def symplectic_pair(sd):
     # [Lambda, L] = H; the opposite orientation flips star by (-1)^k
     # per degree and nothing else (Lambda and both differentials are
     # unaffected either way).  P = omega^-1 = P_int / D.
-    den_p, p_int = _int_rows(mat_inverse(om).rows, n)
+    den_p, p_int = _int_rows(mat_inverse(om).sparse)
 
     d = {k: derivation_matrix(n, dgen, k) for k in range(n + 1)}
     dop = {}
     for k, mat in d.items():
-        f, rows = _int_rows(mat.rows, mat.ncols)
+        f, rows = _int_rows(mat.sparse)
         dop[k] = Fraction(1, f), rows
 
     # omega = Omega / e with Omega integer, so L = L_int / e
-    e, coeffs = _cleared(list(omega.values()))
-    big_omega = dict(zip(omega, coeffs))
+    e, (big_omega,) = _int_rows([omega])
     # volume normalization: v = omega^m / m!, v0 its top coefficient
     top = tuple(range(n))
     v0 = Fraction(wedge_power(big_omega, m).get(top, 0), math.factorial(m) * e ** m)
@@ -546,9 +533,9 @@ def symplectic_pair(sd):
         for i, a in enumerate(idx):
             acomp = tuple(sorted(full - set(a)))
             sgn, _ = merge_sign(a, acomp)
-            srows[cpos[acomp]] = [sgn * x for x in gram[k][i]]
+            srows[cpos[acomp]] = {j: sgn * x for j, x in gram[k][i].items()}
         star[k] = v0 / den_p ** k, srows
-        lrows = [[0] * co for _ in range(_dim(n, k + 2))]
+        lrows = [{} for _ in range(_dim(n, k + 2))]
         if k + 2 <= n:
             lpos = basis_positions(n, k + 2)
             for j, b in enumerate(idx):
@@ -559,27 +546,27 @@ def symplectic_pair(sd):
     def get(table, k, shift):
         return _get(table, n, k, shift, _zero_op)
 
-    lam = {k: _compose(_dim(n, k), star[n - k + 2], L[n - k], star[k]) if k >= 2
+    lam = {k: _compose(star[n - k + 2], L[n - k], star[k]) if k >= 2
            else _zero_op(0, _dim(n, k)) for k in range(n + 1)}
     d_lam = {}
     for k in range(n + 1):
         co = _dim(n, k)
-        if not _same(_compose(co, star[n - k], star[k]), _identity_op(1, co)):
+        if any(_minus(_compose(star[n - k], star[k]), _identity_op(1, co))[1]):
             raise AssertionError("star star != id in degree %d" % k)
-        commutator = _minus(_compose(co, get(lam, k + 2, -2), L[k]),
-                            _compose(co, get(L, k - 2, 2), lam[k]))
-        if not _same(commutator, _identity_op(m - k, co)):
+        commutator = _minus(_compose(get(lam, k + 2, -2), L[k]),
+                            _compose(get(L, k - 2, 2), lam[k]))
+        if any(_minus(commutator, _identity_op(m - k, co))[1]):
             raise AssertionError("[Lambda, L] != (m - k) id in degree %d" % k)
-        if not _same(_compose(co, get(dop, k + 2, 1), L[k]),
-                     _compose(co, get(L, k + 1, 2), dop[k])):
+        if any(_minus(_compose(get(dop, k + 2, 1), L[k]),
+                      _compose(get(L, k + 1, 2), dop[k]))[1]):
             raise AssertionError("d L != L d in degree %d" % k)
-        d_lam[k] = _minus(_compose(co, get(dop, k - 2, 1), lam[k]),
-                          _compose(co, get(lam, k + 1, -2), dop[k]))
+        d_lam[k] = _minus(_compose(get(dop, k - 2, 1), lam[k]),
+                          _compose(get(lam, k + 1, -2), dop[k]))
         # d_lam maps degree 0 into Lambda^{-1} = 0: nothing to compare
         sgn = -1 if k % 2 == 0 else 1  # (-1)^(k+1)
         if k:
-            s, rows = _compose(co, star[n - k + 1], dop[n - k], star[k])
-            if not _same(d_lam[k], (sgn * s, rows)):
+            s, rows = _compose(star[n - k + 1], dop[n - k], star[k])
+            if any(_minus(d_lam[k], (sgn * s, rows))[1]):
                 raise AssertionError(
                     "d_lam != (-1)^(k+1) star d star in degree %d" % k
                 )

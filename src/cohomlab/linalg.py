@@ -1,31 +1,43 @@
 """Exact linear algebra over QQ and QQ(i).
 
 Matrices act on column vectors: an m-by-n matrix is a map K^n -> K^m.
-Matrix is dense: its rows are lists of int / Fraction / GaussianRational.
-Shapes are tracked explicitly so matrices with zero rows or columns keep
-their ambient dimensions (these show up constantly as boundary maps of
-complexes with missing neighbours).
+Matrix stores its rows sparse: Matrix.sparse holds one dict
+{column: nonzero entry} per row, the entries int / Fraction /
+GaussianRational, and no row stores a zero.  Shapes are tracked
+explicitly so matrices with zero rows or columns keep their ambient
+dimensions (these show up constantly as boundary maps of complexes with
+missing neighbours).  Matrix(rows, ncols) is the validating constructor
+for dense input (documents, the random shapes, tests); the builders of
+complexes and operators write sparse rows and wrap them with
+Matrix.from_sparse.  Every product is one walk over the nonzeros of
+both operands (_product); sums, scalings, transposes and stacks work on
+the dicts too, and rank and rank_profile hand them to the elimination
+as they are.  Matrix.rows is a dense view, a fresh list of lists on
+every read, read only at the edges: by io's reproducer writer, and by
+rref, kernel, image, mat_inverse and det, whose eliminations take dense
+rows (the benchmark tracer hooks _rref_rows and det by name and reads
+their entries).
 
 Subspaces are stored as the row space of a basis in reduced row echelon
-form.  RREF is a canonical representative, so subspace equality is plain
-tuple comparison and every lattice operation lands back in canonical
-form for free.
+form, kept as sparse rows (Subspace.basis; Subspace.rows is their dense
+view).  RREF is a canonical representative, so subspace equality is
+plain comparison of the bases and every lattice operation lands back in
+canonical form for free.
 
 Every row reduction but det's is one echelon insertion on sparse integer
 rows (_echelon): a row is a dict {column: nonzero int}, and rows are
 reduced in order, division-free, against a basis keyed by lead column,
-the smallest column left in a row.  Exact rows reach it through one
-dispatch (_integer_rows), which drops their zeros: a rational row is
-scaled to an integer row with the same span, and a Gaussian row is
-split into the interleaved real rows of v and i*v.  rank is the number
-of leads.  rank_profile is the leads themselves, which give the ranks
-of all row prefixes x column prefixes from one pass; the spectral pages
-read theirs from it.  RREF, and with it kernel, image, mat_inverse and
-the subspace lattice, is that echelon basis plus back-substitution on
-the sparse rows, written out as dense rows (_rref_rows).  Containment
-is no new lead: s.contains(t) when, after the rows of s, no row of t
-gets one.  Products of rational matrices are taken on integers too
-(see Matrix.mul).
+the smallest column left in a row.  Exact sparse rows reach it through
+one dispatch (_integer_rows): an integer row enters as a copy, a
+rational row is scaled to an integer row with the same span, and a
+Gaussian row is split into the interleaved real rows of v and i*v.
+rank is the number of leads.  rank_profile is the leads themselves,
+which give the ranks of all row prefixes x column prefixes from one
+pass; the spectral pages read theirs from it.  RREF, and with it
+kernel, image, mat_inverse and the subspace lattice, is that echelon
+basis plus back-substitution on the sparse rows (_rref_rows, which
+takes dense rows).  Containment is no new lead: s.contains(t) when,
+after the rows of s, no row of t gets one.
 
 det keeps its own elimination and has no caller in the package: the
 benchmark tracer (perfbench/tracer.py) still hooks it by name, and it
@@ -35,10 +47,9 @@ goes together with that hook.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 
-from .scalars import GaussianRational, conj, demote
+from .scalars import GaussianRational, demote
 
 __all__ = [
     "Matrix",
@@ -56,22 +67,18 @@ __all__ = [
 ]
 
 
-# Below 3x3x3 multiply-adds, scaling rational operands to integers costs
-# more than the Fraction arithmetic it saves, and the scan for the entry
-# kinds would be most of the cost of the many tiny integer products.
-_CLEARED_MIN = 27
-
-
 class NotASubspace(Exception):
     """Raised when a claimed inclusion of subspaces does not hold."""
 
 
 class Matrix:
-    """Dense exact matrix, rows of int / Fraction / GaussianRational."""
+    """Exact matrix with sparse rows {column: nonzero entry} of int /
+    Fraction / GaussianRational."""
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "sparse")
 
     def __init__(self, rows, ncols=None):
+        """The matrix of dense rows, checked to be of one length ncols."""
         rows = [list(r) for r in rows]
         if rows:
             n = len(rows[0])
@@ -83,89 +90,67 @@ class Matrix:
             ncols = n
         elif ncols is None:
             raise ValueError("ncols required for a matrix with no rows")
-        self.rows = rows
+        self.sparse = [{c: x for c, x in enumerate(r) if x} for r in rows]
         self.nrows = len(rows)
         self.ncols = ncols
 
     @classmethod
+    def from_sparse(cls, rows, ncols):
+        """The matrix of sparse rows, taken as they are: each a dict
+        {column: nonzero entry} with columns below ncols."""
+        self = cls.__new__(cls)
+        self.sparse = rows
+        self.nrows = len(rows)
+        self.ncols = ncols
+        return self
+
+    @property
+    def rows(self):
+        """Dense view: a fresh list of entries per row."""
+        return _dense(self.sparse, self.ncols)
+
+    @classmethod
     def zero(cls, m, n):
-        return cls([[0] * n for _ in range(m)], n)
+        return cls.from_sparse([{} for _ in range(m)], n)
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+        return cls.from_sparse([{i: 1} for i in range(n)], n)
 
     def is_zero(self):
-        return all(not x for row in self.rows for x in row)
+        return not any(self.sparse)
 
     def mul(self, other):
-        """self @ other (composition: apply other first).
-
-        When the entries are rational and not all integers, and the
-        product takes at least _CLEARED_MIN multiply-adds, each operand
-        is scaled to integers once by the lcm of its denominators, the
-        integers are multiplied, and each nonzero entry of the product is
-        divided by both scales.
-        """
+        """self @ other (composition: apply other first)."""
         if self.ncols != other.nrows:
             raise ValueError(
                 "shape mismatch: %dx%d times %dx%d"
                 % (self.nrows, self.ncols, other.nrows, other.ncols)
             )
-        if (self.nrows * self.ncols * other.ncols < _CLEARED_MIN
-                or not _has_fractions_only(self.rows, other.rows)):
-            return Matrix(_product(self.rows, other.rows, other.ncols), other.ncols)
-        da, arows = _int_rows(self.rows, self.ncols)
-        db, brows = _int_rows(other.rows, other.ncols)
-        den = da * db
-        out = [[Fraction(v, den) if v else 0 for v in row]
-               for row in _product(arows, brows, other.ncols)]
-        return Matrix(out, other.ncols)
-
-    def apply(self, vec):
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        out = []
-        for row in self.rows:
-            s = 0
-            for a, x in zip(row, vec):
-                if a and x:
-                    s = s + a * x
-            out.append(s)
-        return out
+        return Matrix.from_sparse(_product(self.sparse, other.sparse), other.ncols)
 
     def add(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in add")
-        return Matrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+        return Matrix.from_sparse(
+            [_lincomb(1, r1, 1, r2) for r1, r2 in zip(self.sparse, other.sparse)],
             self.ncols,
         )
 
     def scale(self, c):
-        return Matrix([[c * a for a in row] for row in self.rows], self.ncols)
+        return Matrix.from_sparse([_lincomb(c, r, 0, {}) for r in self.sparse], self.ncols)
 
     def transpose(self):
-        return Matrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            self.nrows,
-        )
-
-    def conjugate(self):
-        return Matrix([[conj(a) for a in row] for row in self.rows], self.ncols)
+        cols = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.sparse):
+            for j, x in row.items():
+                cols[j][i] = x
+        return Matrix.from_sparse(cols, self.nrows)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and all(
-                a == b
-                for r1, r2 in zip(self.rows, other.rows)
-                for a, b in zip(r1, r2)
-            )
-        )
+        return (self.nrows, self.ncols, self.sparse) == (other.nrows, other.ncols, other.sparse)
 
     def __hash__(self):
         return hash((self.nrows, self.ncols))
@@ -174,28 +159,41 @@ class Matrix:
         return "Matrix(%d x %d)" % (self.nrows, self.ncols)
 
 
-def _product(arows, brows, ncols):
-    """The rows of arows @ brows, skipping zero entries."""
+def _dense(rows, ncols):
+    """Sparse rows written out as lists of width ncols."""
     out = []
-    for arow in arows:
-        acc = [0] * ncols
-        for k, a in enumerate(arow):
-            if not a:
-                continue
-            for j, b in enumerate(brows[k]):
-                if b:
-                    acc[j] = acc[j] + a * b
-        out.append(acc)
+    for r in rows:
+        row = [0] * ncols
+        for c, x in r.items():
+            row[c] = x
+        out.append(row)
     return out
 
 
-def _has_fractions_only(arows, brows):
-    """Every entry of both is an int or a Fraction, and some entry is a
-    Fraction.  brows is not scanned when arows already fails."""
-    kinds = {type(x) for row in arows for x in row}
-    if kinds <= {int, Fraction}:
-        kinds |= {type(x) for row in brows for x in row}
-    return Fraction in kinds and kinds <= {int, Fraction}
+def _product(arows, brows):
+    """The sparse rows of arows @ brows, from the nonzeros of both."""
+    out = []
+    for arow in arows:
+        acc = {}
+        for k, a in arow.items():
+            for j, b in brows[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        out.append({j: x for j, x in acc.items() if x})
+    return out
+
+
+def _lincomb(p, u, q, v):
+    """The sparse row p*u + q*v, storing no zero; a zero p or q drops
+    its row."""
+    out = {c: p * x for c, x in u.items()} if p else {}
+    if q:
+        for c, y in v.items():
+            x = out.get(c, 0) + q * y
+            if x:
+                out[c] = x
+            else:
+                del out[c]
+    return out
 
 
 def _cleared(values):
@@ -208,24 +206,28 @@ def _cleared(values):
     return den, [x.numerator * (den // x.denominator) for x in values]
 
 
-def _int_rows(rows, ncols):
-    """(den, int rows): rational rows scaled by one common den."""
-    den, flat = _cleared(list(chain.from_iterable(rows)))
-    return den, [flat[i * ncols:(i + 1) * ncols] for i in range(len(rows))]
+def _int_rows(rows):
+    """(den, int rows): sparse rational rows scaled by one common den,
+    the lcm of all their denominators."""
+    den = lcm(*{x.denominator for r in rows for x in r.values()})
+    return den, [{c: x.numerator * (den // x.denominator) for c, x in r.items()}
+                 for r in rows]
 
 
 def hstack(a, b):
     if a.nrows != b.nrows:
         raise ValueError("hstack: row count mismatch")
-    return Matrix(
-        [list(r1) + list(r2) for r1, r2 in zip(a.rows, b.rows)], a.ncols + b.ncols
+    n = a.ncols
+    return Matrix.from_sparse(
+        [{**r1, **{c + n: x for c, x in r2.items()}} for r1, r2 in zip(a.sparse, b.sparse)],
+        n + b.ncols,
     )
 
 
 def vstack(a, b):
     if a.ncols != b.ncols:
         raise ValueError("vstack: column count mismatch")
-    return Matrix([list(r) for r in a.rows] + [list(r) for r in b.rows], a.ncols)
+    return Matrix.from_sparse(a.sparse + b.sparse, a.ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +235,11 @@ def vstack(a, b):
 
 
 def _integer_rows(rows):
-    """(int rows, per_row): exact rows as sparse integer rows for _echelon.
+    """(int rows, per_row): exact sparse rows as integer rows for _echelon.
 
-    A sparse row is a dict {column: nonzero int}.  An integer row enters
-    as it is, less its zeros, and a rational row through _cleared, which
+    A sparse row is a dict {column: nonzero entry}.  An integer row
+    enters as a copy, since _echelon edits its rows in place and matrices
+    may share row dicts, and a rational row through _cleared, which
     keeps its span: one sparse row each.  A Gaussian row v enters as the
     split rows of v and i*v, the (re, im) parts of column c at columns
     2c and 2c+1, cleared by one lcm over the denominators of the nonzero
@@ -245,14 +248,13 @@ def _integer_rows(rows):
     decode to the Gaussian RREF, and the split leads of a row fall on one
     Gaussian column.
     """
-    nz = [{c: x for c, x in enumerate(row) if x} for row in rows]
-    kinds = {type(x) for v in nz for x in v.values()}
+    kinds = {type(x) for v in rows for x in v.values()}
     if kinds <= {int}:
-        return nz, 1
+        return [dict(v) for v in rows], 1
     if GaussianRational not in kinds:
-        return [dict(zip(v, _cleared(v.values())[1])) for v in nz], 1
+        return [dict(zip(v, _cleared(v.values())[1])) for v in rows], 1
     split = []
-    for v in nz:
+    for v in rows:
         parts = {}
         for c, x in v.items():
             if type(x) is GaussianRational:
@@ -325,16 +327,18 @@ def _echelon(rows):
 
 
 def _rref_rows(rows, ncols):
-    """Canonical RREF (rows, pivot columns) of any exact rows of width ncols.
+    """Canonical RREF (sparse rows, pivot columns) of any dense exact rows
+    of width ncols (unread here; the benchmark tracer's hook reads it).
 
     The _echelon basis of the _integer_rows, cleared from the right:
     each basis row, taken from the last lead back, is reduced against
     the already cleared rows at the later pivots it holds, then divided
-    by its pivot into a dense row of width ncols * per_row.  Over Q(i)
-    the rows at even split pivots decode to the Gaussian rows (see
-    _integer_rows).
+    by its pivot.  Over Q(i) the rows at even split pivots decode to the
+    Gaussian rows (see _integer_rows).  The rows come in dense, as the
+    subspace lattice holds them: the benchmark tracer reads their entries.
     """
-    int_rows, per_row = _integer_rows(rows)
+    int_rows, per_row = _integer_rows(
+        [{c: x for c, x in enumerate(r) if x} for r in rows])
     basis = _echelon(int_rows)[0]
     pivots = sorted(basis)
     for c in reversed(pivots):
@@ -350,12 +354,10 @@ def _rref_rows(rows, ncols):
             continue
         v = basis[c]
         p = v[c]
-        row = [0] * (ncols * per_row)
-        for k, x in v.items():
-            row[k] = x // p if not x % p else Fraction(x, p)
+        row = {k: x // p if not x % p else Fraction(x, p) for k, x in v.items()}
         if per_row == 2:
-            row = [a if not b else GaussianRational(a, b)
-                   for a, b in zip(row[::2], row[1::2])]
+            row = {g: GaussianRational(row.get(2 * g, 0), row[2 * g + 1])
+                   if 2 * g + 1 in row else row[2 * g] for g in {k // 2 for k in row}}
         out.append(row)
         out_pivots.append(c // per_row)
     return out, out_pivots
@@ -368,13 +370,13 @@ def rref(m):
     strictly increasing and cleared above and below, zero rows dropped.
     """
     rows, pivots = _rref_rows(m.rows, m.ncols)
-    return Matrix(rows, m.ncols), len(pivots)
+    return Matrix.from_sparse(rows, m.ncols), len(pivots)
 
 
 def rank(m):
     """Rank of m, the number of _echelon leads; 0 for a matrix with no
     rows or no columns."""
-    rows, per_row = _integer_rows(m.rows)
+    rows, per_row = _integer_rows(m.sparse)
     return len(_echelon(rows)[0]) // per_row
 
 
@@ -395,7 +397,7 @@ def rank_profile(m):
     row prefix restricted to a column prefix is closed under i, so the
     two leads fall on the same Gaussian column, which is the row's lead.
     """
-    rows, per_row = _integer_rows(m.rows)
+    rows, per_row = _integer_rows(m.sparse)
     leads = _echelon(rows)[1]
     if per_row == 1:
         return leads
@@ -410,26 +412,27 @@ def rank_profile(m):
 
 
 class Subspace:
-    """A subspace of K^n as the row space of a canonical RREF basis.
+    """A subspace of K^n as the row space of a canonical RREF basis, kept
+    as sparse rows (basis) and read densely as tuples (rows).
 
     Equality is literal equality of the reduced bases, which is sound
     because RREF is a unique representative of the row space.
     """
 
-    __slots__ = ("n", "rows", "pivots")
+    __slots__ = ("n", "basis", "pivots")
 
     def __init__(self, spanning_rows, n):
-        rows, pivots = _rref_rows(list(spanning_rows), n)
+        basis, pivots = _rref_rows(list(spanning_rows), n)
         self.n = n
-        self.rows = tuple(tuple(r) for r in rows)
+        self.basis = tuple(basis)
         self.pivots = tuple(pivots)
 
     @classmethod
-    def _trusted(cls, rows, pivots, n):
-        # caller guarantees rows are already canonical RREF
+    def _trusted(cls, basis, pivots, n):
+        # caller guarantees the sparse rows are already canonical RREF
         self = cls.__new__(cls)
         self.n = n
-        self.rows = tuple(tuple(r) for r in rows)
+        self.basis = tuple(basis)
         self.pivots = tuple(pivots)
         return self
 
@@ -439,29 +442,33 @@ class Subspace:
 
     @classmethod
     def full(cls, n):
-        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        return cls._trusted(rows, range(n), n)
+        return cls._trusted([{i: 1} for i in range(n)], range(n), n)
+
+    @property
+    def rows(self):
+        return tuple(map(tuple, _dense(self.basis, self.n)))
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.basis)
 
     def is_zero(self):
-        return not self.rows
+        return not self.basis
 
     def is_full(self):
-        return len(self.rows) == self.n
+        return len(self.basis) == self.n
 
     def basis_matrix(self):
-        return Matrix([list(r) for r in self.rows], self.n)
+        return Matrix.from_sparse(list(self.basis), self.n)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.n == other.n and self.rows == other.rows
+        return self.n == other.n and self.basis == other.basis
 
     def __hash__(self):
-        return hash((self.n, self.rows))
+        # equal subspaces have equal pivots
+        return hash((self.n, self.pivots))
 
     def __repr__(self):
         return "Subspace(dim %d of K^%d)" % (self.dim, self.n)
@@ -476,16 +483,16 @@ class Subspace:
             return True
         if other.dim > self.dim:
             return False
-        rows, per_row = _integer_rows(self.rows + other.rows)
+        rows, per_row = _integer_rows(self.basis + other.basis)
         leads = _echelon(rows)[1]
         return all(lead < 0 for lead in leads[per_row * self.dim:])
 
     def sum(self, other):
         if self.n != other.n:
             raise ValueError("ambient dimension mismatch")
-        if not other.rows or self.is_full():
+        if not other.basis or self.is_full():
             return self
-        if not self.rows or other.is_full():
+        if not self.basis or other.is_full():
             return other
         return Subspace(list(self.rows) + list(other.rows), self.n)
 
@@ -493,7 +500,7 @@ class Subspace:
         """Zassenhaus: reduce [U|U; V|0], read the rows with zero left half."""
         if self.n != other.n:
             raise ValueError("ambient dimension mismatch")
-        if not self.rows or not other.rows:
+        if not self.basis or not other.basis:
             return Subspace.zero(self.n)
         if self.is_full():
             return other
@@ -507,7 +514,7 @@ class Subspace:
         inter_pivots = []
         for row, p in zip(rows, pivots):
             if p >= n:
-                inter_rows.append(row[n:])
+                inter_rows.append({c - n: x for c, x in row.items()})
                 inter_pivots.append(p - n)
         # rows with pivot in the right half have zero left half, and their
         # right halves are already mutually reduced: canonical as they are
@@ -537,8 +544,8 @@ def kernel(m):
             continue
         v = [0] * n
         v[free] = 1
-        for i, p in enumerate(pivots):
-            x = rows[i][free]
+        for row, p in zip(rows, pivots):
+            x = row.get(free)
             if x:
                 v[p] = -x
         basis.append(v)
@@ -582,7 +589,8 @@ def mat_inverse(m):
     rows, pivots = _rref_rows(aug.rows, 2 * n)
     if list(pivots) != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix([row[n:] for row in rows], n)
+    return Matrix.from_sparse([{c - n: x for c, x in row.items() if c >= n}
+                               for row in rows], n)
 
 
 def det(m):

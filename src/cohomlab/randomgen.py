@@ -150,17 +150,14 @@ def direct_sum(pieces):
                 tcell = (p + tshift[0], q + tshift[1])
                 big = tgt_dict.get((p, q))
                 if big is None:
-                    big = [[0] * spaces[(p, q)] for _ in range(spaces[tcell])]
+                    big = [{} for _ in range(spaces[tcell])]
                     tgt_dict[(p, q)] = big
-                roff = offs[tcell]
                 coff = offs[(p, q)]
-                for i in range(m.nrows):
-                    row = m.rows[i]
-                    for j in range(m.ncols):
-                        if row[j]:
-                            big[roff + i][coff + j] = row[j]
-    d1 = {cell: Matrix(rows, spaces[cell]) for cell, rows in d1.items()}
-    d2 = {cell: Matrix(rows, spaces[cell]) for cell, rows in d2.items()}
+                for brow, row in zip(big[offs[tcell]:], m.sparse):
+                    for j, x in row.items():
+                        brow[coff + j] = x
+    d1 = {cell: Matrix.from_sparse(rows, spaces[cell]) for cell, rows in d1.items()}
+    d2 = {cell: Matrix.from_sparse(rows, spaces[cell]) for cell, rows in d2.items()}
     return DoubleComplex(spaces, d1, d2)
 
 

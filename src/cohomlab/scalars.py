@@ -191,7 +191,7 @@ def parse_scalar(s):
     if "e" in t or "E" in t:
         raise ValueError("exponent notation is not accepted")
     if not t.endswith("i"):
-        return Fraction(t)
+        return demote(Fraction(t))
     body = t[:-1]
     # the split point is the last sign that is not the leading one
     cut = 0

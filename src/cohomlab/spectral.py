@@ -107,12 +107,12 @@ class _Engine:
         index of the summands holding its row and its lead."""
         t, i = self.t, self.i
         col, row = ([s[i] for s in t.summands(k) for _ in range(s[3])] for k in (n, n + 1))
-        rows = t.block(n).rows
+        rows, w = t.block(n).sparse, len(col)
         if i:  # q runs down the layout: the rows outside F'^b are a suffix
             rows, row = rows[::-1], row[::-1]
         else:  # p runs up the layout: F^a is a column suffix
-            rows, col = [r[::-1] for r in rows], col[::-1]
-        leads = rank_profile(Matrix(rows, len(col)))
+            rows, col = [{w - 1 - c: x for c, x in r.items()} for r in rows], col[::-1]
+        leads = rank_profile(Matrix.from_sparse(rows, w))
         return Counter((row[k], col[x]) for k, x in enumerate(leads) if x >= 0)
 
     def _checked(self, value, what, r, p, q, bound=None):

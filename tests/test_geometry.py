@@ -470,16 +470,16 @@ def test_compounds_are_the_gram_minors_and_invert(sd):
     om = sd.omega_matrix()
     n = om.ncols
     p_mat = linalg.mat_inverse(om)
-    den_p, p_int = linalg._int_rows(p_mat.rows, n)
-    e, big_omega = linalg._int_rows(om.rows, n)
+    den_p, p_int = linalg._int_rows(p_mat.sparse)
+    e, big_omega = linalg._int_rows(om.sparse)
     gram, gram_inv = _compounds(p_int, n), _compounds(big_omega, n)
     assert sorted(gram) == sorted(gram_inv) == list(range(n + 1))
     for k in range(n + 1):
         co = _dim(n, k)
-        assert all(type(x) is int for row in gram[k] for x in row), k
-        assert (Matrix(gram[k], co).scale(Fraction(1, den_p ** k))
+        assert all(type(x) is int and x for row in gram[k] for x in row.values()), k
+        assert (Matrix.from_sparse(gram[k], co).scale(Fraction(1, den_p ** k))
                 == subspace_reference.gram_by_minors(p_mat, k)), k
-        assert (Matrix(gram[k], co).mul(Matrix(gram_inv[k], co))
+        assert (Matrix.from_sparse(gram[k], co).mul(Matrix.from_sparse(gram_inv[k], co))
                 == Matrix.identity(co).scale((den_p * e) ** k)), k
 
 
@@ -517,11 +517,11 @@ REFERENCE_INPUTS = [("iwasawa", iwasawa_symplectic())] + [
 def _scales(sd):
     """(D, v0, e, rational brackets) of sd, from the reference route."""
     om = sd.omega_matrix()
-    den_p = linalg._int_rows(linalg.mat_inverse(om).rows, om.ncols)[0]
+    den_p = linalg._int_rows(linalg.mat_inverse(om).sparse)[0]
     ref = subspace_reference.fraction_calculus(sd)
     brackets = any(isinstance(c, Fraction) and c.denominator > 1
                    for targets in sd.lie.brackets.values() for c in targets.values())
-    return den_p, ref["v0"], linalg._int_rows(om.rows, om.ncols)[0], brackets
+    return den_p, ref["v0"], linalg._int_rows(om.sparse)[0], brackets
 
 
 def test_reference_inputs_cover_the_scales():
@@ -557,9 +557,11 @@ def test_operators_equal_the_fraction_reference(name, sd):
 
 
 def test_operator_helpers_match_fraction_arithmetic():
-    """The (scale, integer rows) product, difference, comparison and
-    materialization agree with the same operations on the Fraction
-    matrices, for scales of every sign and with unequal denominators."""
+    """The (scale, sparse integer rows) product, difference, comparison
+    (a difference with empty rows) and materialization agree with the
+    same operations on the Fraction matrices, for scales of every sign
+    and with unequal denominators; a zero scale contributes no row
+    entries, so no difference stores a zero."""
     rng = random.Random(5)
     scales = [Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-5, 4),
               Fraction(7), Fraction(1, 6), Fraction(9, 10)]
@@ -567,23 +569,31 @@ def test_operator_helpers_match_fraction_arithmetic():
     def draw(nrows, ncols):
         rows = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(ncols)]
                 for _ in range(nrows)]
-        return rng.choice(scales), rows
+        return rng.choice(scales), Matrix(rows, ncols).sparse
 
     def as_matrix(op, ncols):
-        return Matrix(op[1], ncols).scale(op[0])
+        return Matrix.from_sparse(op[1], ncols).scale(op[0])
+
+    def same(x, y):
+        return not any(geometry._minus(x, y)[1])
 
     for _ in range(300):
         a, b, c = (rng.randint(0, 3) for _ in range(3))
         x, y, z = draw(a, b), draw(b, c), draw(a, b)
-        prod = geometry._compose(c, x, y)
+        prod = geometry._compose(x, y)
         assert as_matrix(prod, c) == as_matrix(x, b).mul(as_matrix(y, c))
         diff = geometry._minus(x, z)
         assert type(diff[0]) is Fraction
-        assert all(type(v) is int for row in diff[1] for v in row)
+        assert all(type(v) is int and v for row in diff[1] for v in row.values())
         expected = as_matrix(x, b).add(as_matrix(z, b).scale(-1))
         assert as_matrix(diff, b) == expected == geometry._materialize(diff, b)
-        assert geometry._same(x, z) == (as_matrix(x, b) == as_matrix(z, b))
-        assert geometry._same(x, (x[0] / 3, [[3 * v for v in row] for row in x[1]]))
+        assert same(x, z) == (as_matrix(x, b) == as_matrix(z, b))
+        assert same(x, (x[0] / 3, [{j: 3 * v for j, v in row.items()} for row in x[1]]))
+        zero = (Fraction(0), z[1])
+        for diff, want in ((geometry._minus(x, zero), as_matrix(x, b)),
+                           (geometry._minus(zero, x), as_matrix(x, b).scale(-1))):
+            assert all(v for row in diff[1] for v in row.values())
+            assert as_matrix(diff, b) == want
 
 
 @pytest.mark.filterwarnings("ignore:Lie algebra is not nilpotent")
@@ -669,7 +679,7 @@ def test_scaled_star_trips_the_lambda_guard(monkeypatch):
 
     def scaled_middle(rows, top):
         out = real(rows, top)
-        out[3] = [[2 * x for x in row] for row in out[3]]
+        out[3] = [{j: 2 * x for j, x in row.items()} for row in out[3]]
         return out
 
     monkeypatch.setattr(geometry, "_compounds", scaled_middle)

@@ -20,7 +20,9 @@ from cohomlab.linalg import (
     preimage,
     quotient_dim,
     rank,
+    rank_profile,
     rref,
+    vstack,
 )
 from cohomlab.scalars import GaussianRational, demote
 from subspace_reference import map_subspace
@@ -91,6 +93,19 @@ def field_rref(rows, ncols):
     return [[demote(x) for x in rows[i]] for i in range(len(pivots))], pivots
 
 
+def dense_rref(rows, ncols):
+    """_rref_rows with its sparse rows written out densely."""
+    basis, pivots = _rref_rows(rows, ncols)
+    return Matrix.from_sparse(basis, ncols).rows, pivots
+
+
+def well_formed(m):
+    """m has nrows sparse rows, each storing only nonzero entries in
+    columns below ncols."""
+    return len(m.sparse) == m.nrows and all(
+        all(r.values()) and all(0 <= c < m.ncols for c in r) for r in m.sparse)
+
+
 @st.composite
 def subspace_pairs(draw, n=4):
     def sub():
@@ -107,9 +122,9 @@ def subspace_pairs(draw, n=4):
 @st.composite
 def products(draw):
     """Two matrices of chained shapes (0 rows or columns allowed), each
-    with its own entry kind: int, Fraction, Gaussian or a mix.  Shapes
-    reach 5x5x5, so both sides of linalg._CLEARED_MIN are drawn."""
-    m, k, n = (draw(st.integers(0, 5)) for _ in range(3))
+    with its own entry kind: int, Fraction, Gaussian, a mix, or mostly
+    zero."""
+    m, k, n = (draw(st.integers(0, 6)) for _ in range(3))
     kinds = st.sampled_from(entry_kinds)
     a, b = draw(kinds), draw(kinds)
     return (Matrix([[draw(a) for _ in range(k)] for _ in range(m)], k),
@@ -122,13 +137,75 @@ def test_mul_matches_the_entrywise_sums(ab):
     a, b = ab
     c = a.mul(b)
     assert (c.nrows, c.ncols) == (a.nrows, b.ncols)
+    assert well_formed(c)
     assert c.rows == [[sum((a.rows[i][t] * b.rows[t][j] for t in range(a.ncols)), 0)
                        for j in range(b.ncols)] for i in range(a.nrows)]
+    # (ab)^T = b^T a^T walks the same nonzeros in the other order
+    assert c.transpose() == b.transpose().mul(a.transpose())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_matrix_operations_match_dense_references(data):
+    """add, scale, transpose, hstack, vstack, is_zero and == on sparse
+    rows agree with the same operations on the dense rows, for every
+    entry kind and with 0 rows or columns."""
+    m, n, k = (data.draw(st.integers(0, 4)) for _ in range(3))
+
+    def dense(nrows, ncols):
+        kind = data.draw(st.sampled_from(entry_kinds))
+        return [[data.draw(kind) for _ in range(ncols)] for _ in range(nrows)]
+
+    a, b, right, below = dense(m, n), dense(m, n), dense(m, k), dense(k, n)
+    c = data.draw(data.draw(st.sampled_from(entry_kinds)))
+    x, y = Matrix(a, n), Matrix(b, n)
+    assert x.rows == a and well_formed(x)
+    results = [
+        (x.add(y), [[u + v for u, v in zip(r, t)] for r, t in zip(a, b)], (m, n)),
+        (x.scale(c), [[c * u for u in r] for r in a], (m, n)),
+        (x.transpose(), [[a[i][j] for i in range(m)] for j in range(n)], (n, m)),
+        (hstack(x, Matrix(right, k)), [r + t for r, t in zip(a, right)], (m, n + k)),
+        (vstack(x, Matrix(below, n)), a + below, (m + k, n)),
+    ]
+    for got, want, shape in results:
+        assert (got.nrows, got.ncols) == shape
+        assert well_formed(got)
+        assert got.rows == want
+    assert x.is_zero() == (not any(u for r in a for u in r))
+    assert (x == y) == (a == b)
+    assert x == Matrix([[demote(u) for u in r] for r in a], n)
+    assert x.add(x.scale(-1)) == Matrix.zero(m, n)
+    assert (Matrix.zero(m, n) == Matrix.zero(m, n + 1)) is False
+    assert (Matrix.zero(m, n) == Matrix.zero(m + 1, n)) is False
+
+
+def test_reductions_leave_their_inputs_unchanged():
+    """_echelon edits rows in place (a unit pivot clears the row it
+    reduces without copying it) and vstack shares row dicts between
+    matrices, so _integer_rows hands it copies: rank, rank_profile, rref,
+    kernel and contains leave every input as it was, also a matrix
+    stacked on itself."""
+    i = GaussianRational(0, 1)
+    mats = [M([[1, 2, 0], [1, 3, 1], [2, 5, 1]]),
+            M([[Fraction(1, 2), 1, 0], [1, 2, 3]]),
+            M([[i, 1], [1, -i]])]
+    mats += [vstack(m, m) for m in mats]
+    for m in mats:
+        before = m.rows
+        rank(m)
+        rank_profile(m)
+        rref(m)
+        kernel(m)
+        assert m.rows == before
+    u, v = Subspace([[1, 2, 0], [0, 1, 1]], 3), Subspace([[1, 3, 1]], 3)
+    before = (u.rows, v.rows)
+    assert u.contains(v) and u.contains(u)
+    assert (u.rows, v.rows) == before
 
 
 def test_mul_of_fractions_reduces_each_entry():
-    """3x3x3 products clear denominators; each entry comes out reduced
-    and a cancelled entry is the int 0."""
+    """Each entry of a product of fractions comes out reduced, and a
+    cancelled entry is not stored, so the dense view reads the int 0."""
     a = M([[Fraction(1, 2), Fraction(1, 3), 0], [Fraction(1, 2), -1, 0], [0, 0, 1]])
     b = M([[Fraction(3, 4), 2, 0], [Fraction(3, 2), 1, 0], [0, 0, Fraction(2, 6)]])
     assert a.mul(b).rows == [[Fraction(7, 8), Fraction(4, 3), 0],
@@ -200,7 +277,7 @@ def test_rref_round_trip_and_canonical_shape(m):
 @given(deficient_matrices(max_dim=7))
 @settings(max_examples=300)
 def test_rref_matches_field_gauss_jordan(m):
-    rows, pivots = _rref_rows(m.rows, m.ncols)
+    rows, pivots = dense_rref(m.rows, m.ncols)
     want_rows, want_pivots = field_rref(m.rows, m.ncols)
     assert pivots == want_pivots
     assert rows == want_rows
@@ -209,7 +286,7 @@ def test_rref_matches_field_gauss_jordan(m):
         [type(x) for x in r] for r in want_rows]
     assert rank(m) == len(want_pivots)
     # sparse basis rows store no zero and are keyed by their smallest column
-    basis, leads = linalg._echelon(linalg._integer_rows(m.rows)[0])
+    basis, leads = linalg._echelon(linalg._integer_rows(m.sparse)[0])
     assert all(min(v) == c and all(v.values()) for c, v in basis.items())
     assert sorted(lead for lead in leads if lead >= 0) == sorted(basis)
 
@@ -219,10 +296,10 @@ def test_rref_gaussian_with_fraction_parts():
     h = Fraction(1, 2)
     m = M([[g(h, 1), 2, g(0, h)], [g(-1, 2), g(0, -4), 1]])
     # independent rows: row 2 is no Gaussian multiple of row 1
-    assert _rref_rows(m.rows, 3) == field_rref(m.rows, 3)
+    assert dense_rref(m.rows, 3) == field_rref(m.rows, 3)
     dep = M([list(m.rows[0]), [g(0, 3) * x for x in m.rows[0]]])
     assert rank(dep) == 1
-    assert _rref_rows(dep.rows, 3) == field_rref(dep.rows, 3)
+    assert dense_rref(dep.rows, 3) == field_rref(dep.rows, 3)
 
 
 def test_rank_and_contains_each_run_one_echelon_pass(monkeypatch):
@@ -313,8 +390,7 @@ def test_kernel_lies_in_domain_image_in_codomain():
 @settings(max_examples=100)
 def test_kernel_vectors_killed(m):
     k = kernel(m)
-    for v in k.rows:
-        assert not any(m.apply(list(v)))
+    assert m.mul(k.basis_matrix().transpose()).is_zero()
 
 
 # -- subspace lattice -------------------------------------------------------

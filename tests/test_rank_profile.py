@@ -257,7 +257,7 @@ def test_pages_run_one_profile_per_tot_degree_and_no_reduction(monkeypatch):
             pages(dc, which)
             # the profiles are the only row reductions: one each
             assert sorted(echelons) == sorted(
-                len(linalg._integer_rows(m.rows)[0]) for m in profiles), which
+                len(linalg._integer_rows(m.sparse)[0]) for m in profiles), which
             assert profile_shapes() == shapes, which
             assert signs == [1], which
         # a check and a spectral report read both filtrations from the

@@ -102,6 +102,11 @@ def test_parse_examples():
     # an explicitly zero imaginary part collapses to a rational
     assert parse_scalar("5+0 i") == 5
     assert isinstance(parse_scalar("5+0 i"), int)
+    # a real scalar demotes the same way, so loaded entries are ints
+    # wherever built ones are
+    assert isinstance(parse_scalar("5"), int)
+    assert parse_scalar("4/2") == 2 and isinstance(parse_scalar("4/2"), int)
+    assert type(parse_scalar("-3/4")) is Fraction
 
 
 def test_parse_rejects_garbage():
