@@ -198,10 +198,18 @@ def _strip_zeros(table):
     return {k: v for k, v in table.items() if v}
 
 
-def _checked(value, where, key, name, formula):
+def _checked(value, where, key, name, formula, records=()):
+    """value, which must not be negative.  Otherwise the AssertionError
+    names it and its formula, and lists the records a cell formula read
+    (at the cell, @1, @2 and @12), formatted only then."""
     if value < 0:
-        raise AssertionError("rank-table engine bug: %s at %s %r is %d = %s"
-                             % (name, where, key, value, formula))
+        msg = "rank-table engine bug: %s at %s %r is %d = %s" % (
+            name, where, key, value, formula)
+        if records:
+            msg += "; records (%s): %s" % (", ".join(_ENTRIES), ", ".join(
+                "%s %r" % ("@" + at if at else "cell", rec)
+                for at, rec in zip(_POSITIONS, records)))
+        raise AssertionError(msg)
     return value
 
 
@@ -265,7 +273,7 @@ class _AnalysisBase:
         recs = self._records_of((key, shift(key, -1, 0), shift(key, 0, -1),
                                  shift(key, -1, -1)))
         return {name: _checked(sum(sign * recs[at][entry] for sign, at, entry in terms),
-                               "cell", key, name, text)
+                               "cell", key, name, text, recs)
                 for name, text, terms in _CELL_FORMULAS}
 
     def flavor_table(self, name, keep_zeros=False):

@@ -31,6 +31,9 @@ the smallest column left in a row.  Exact sparse rows reach it through
 one dispatch (_integer_rows): an integer row enters as a copy, a
 rational row is scaled to an integer row with the same span, and a
 Gaussian row is split into the interleaved real rows of v and i*v.
+GaussianRational keeps integral parts as ints, so the split rows of a
+Gaussian-integer row are integer rows as they are; only a row with a
+Fraction part is scaled.
 rank is the number of leads.  rank_profile is the leads themselves,
 which give the ranks of all row prefixes x column prefixes from one
 pass; the spectral pages read theirs from it.  RREF, and with it
@@ -242,11 +245,13 @@ def _integer_rows(rows):
     may share row dicts, and a rational row through _cleared, which
     keeps its span: one sparse row each.  A Gaussian row v enters as the
     split rows of v and i*v, the (re, im) parts of column c at columns
-    2c and 2c+1, cleared by one lcm over the denominators of the nonzero
-    parts: two each.  Their span is closed under i, so the pivots of its
-    rational RREF come in pairs (2c, 2c+1), the rows at even pivots
-    decode to the Gaussian RREF, and the split leads of a row fall on one
-    Gaussian column.
+    2c and 2c+1: two each.  Parts are ints when integral (see scalars),
+    so a Gaussian-integer row splits into int rows as it is, and only a
+    row with a Fraction part is cleared, by one lcm over the denominators
+    of its nonzero parts.  The span of the split rows is closed under i,
+    so the pivots of its rational RREF come in pairs (2c, 2c+1), the
+    rows at even pivots decode to the Gaussian RREF, and the split leads
+    of a row fall on one Gaussian column.
     """
     kinds = {type(x) for v in rows for x in v.values()}
     if kinds <= {int}:
@@ -264,7 +269,9 @@ def _integer_rows(rows):
                     parts[2 * c + 1] = x.im
             else:
                 parts[2 * c] = x
-        w = dict(zip(parts, _cleared(parts.values())[1]))
+        w = parts
+        if Fraction in {type(x) for x in parts.values()}:
+            w = dict(zip(parts, _cleared(parts.values())[1]))
         # i*(a + bi) = -b + ai: the part at 2c+1 moves to 2c negated,
         # the part at 2c moves to 2c+1
         split += (w, {k ^ 1: -x if k & 1 else x for k, x in w.items()})

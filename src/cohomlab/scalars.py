@@ -3,7 +3,9 @@
 Matrices elsewhere in this package hold a mix of int, Fraction and
 GaussianRational entries; everything stays exact, floats never appear.
 GaussianRational fills the one gap the stdlib leaves open: QQ(i), which
-is needed as soon as complex structure constants show up.
+is needed as soon as complex structure constants show up.  Its parts
+are ints when they are integral and Fractions otherwise, so Gaussian
+integers, the usual case, compute on plain ints.
 
 String form of a scalar (used by the JSON interfaces): "p/q" for a
 rational, "a/b+c/d i" for a Gaussian rational, e.g. "-1/2", "3",
@@ -26,18 +28,23 @@ __all__ = [
 ]
 
 
-def _frac(x):
+def _part(x):
+    """x as a part: an int when integral, else a Fraction."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError("expected int or Fraction, got %s" % type(x).__name__)
 
 
 class GaussianRational:
-    """A Gaussian rational re + im*i with Fraction components.
+    """A Gaussian rational re + im*i.
 
-    Mixed arithmetic with int and Fraction works in both operand orders.
+    Each part is an int when it is integral and a Fraction otherwise; the
+    constructor normalises, so a Fraction with denominator 1 becomes its
+    numerator.  Division goes through Fraction, so int parts never give
+    a float.  Mixed arithmetic with int and Fraction works in both
+    operand orders and acts on the parts directly.
     The class is deliberately not registered with numbers.Complex:
     Fraction's operator fallbacks must keep returning NotImplemented for
     unknown types so that our reflected methods get a chance to run
@@ -51,57 +58,57 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
+        self.re = re if type(re) is int else _part(re)
+        self.im = im if type(im) is int else _part(im)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        w = _coerce(other)
-        if w is None:
-            return NotImplemented
-        return GaussianRational(self.re + w.re, self.im + w.im)
+        if type(other) is GaussianRational:
+            return GaussianRational(self.re + other.re, self.im + other.im)
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        w = _coerce(other)
-        if w is None:
-            return NotImplemented
-        return GaussianRational(self.re - w.re, self.im - w.im)
+        if type(other) is GaussianRational:
+            return GaussianRational(self.re - other.re, self.im - other.im)
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re - other, self.im)
+        return NotImplemented
 
     def __rsub__(self, other):
-        w = _coerce(other)
-        if w is None:
-            return NotImplemented
-        return GaussianRational(w.re - self.re, w.im - self.im)
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(other - self.re, -self.im)
+        return NotImplemented
 
     def __mul__(self, other):
-        w = _coerce(other)
-        if w is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * w.re - self.im * w.im,
-            self.re * w.im + self.im * w.re,
-        )
+        if type(other) is GaussianRational:
+            a, b, c, d = self.re, self.im, other.re, other.im
+            return GaussianRational(a * c - b * d, a * d + b * c)
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        w = _coerce(other)
-        if w is None:
+        if type(other) is GaussianRational:
+            c, d = other.re, other.im
+        elif isinstance(other, (int, Fraction)):
+            c, d = other, 0
+        else:
             return NotImplemented
-        n = w.re * w.re + w.im * w.im  # |w|^2, zero iff w == 0
-        return GaussianRational(
-            (self.re * w.re + self.im * w.im) / n,
-            (self.im * w.re - self.re * w.im) / n,
-        )
+        n = Fraction(c * c + d * d)  # |w|^2, zero iff w == 0
+        a, b = self.re, self.im
+        return GaussianRational((a * c + b * d) / n, (b * c - a * d) / n)
 
     def __rtruediv__(self, other):
-        w = _coerce(other)
-        if w is None:
-            return NotImplemented
-        return w.__truediv__(self)
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(other).__truediv__(self)
+        return NotImplemented
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
@@ -112,14 +119,15 @@ class GaussianRational:
     # -- comparison / hashing ------------------------------------------
 
     def __eq__(self, other):
-        w = _coerce(other)
-        if w is None:
-            return NotImplemented
-        return self.re == w.re and self.im == w.im
+        if type(other) is GaussianRational:
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return not self.im and self.re == other
+        return NotImplemented
 
     def __hash__(self):
         # agree with hash(Fraction)/hash(int) when the value is real
-        if self.im == 0:
+        if not self.im:
             return hash(self.re)
         return hash((self.re, self.im))
 
@@ -131,14 +139,6 @@ class GaussianRational:
 
     def __repr__(self):
         return format_scalar(self)
-
-
-def _coerce(x):
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x, 0)
-    return None
 
 
 I = GaussianRational(0, 1)
@@ -154,16 +154,13 @@ def conj(x):
 def demote(x):
     """Shrink a scalar to the simplest type representing the same value.
 
-    GaussianRational with zero imaginary part becomes Fraction, Fraction
-    with denominator 1 becomes int.  Purely cosmetic (mixed types compare
-    equal anyway), but it keeps the integer fast paths hot and the
-    serialized output tidy.
+    GaussianRational with zero imaginary part becomes its real part,
+    Fraction with denominator 1 becomes int.  Purely cosmetic (mixed
+    types compare equal anyway), but it keeps the integer fast paths hot
+    and the serialized output tidy.
     """
     if isinstance(x, GaussianRational):
-        if x.im == 0:
-            x = x.re
-        else:
-            return x
+        return x if x.im else x.re
     if isinstance(x, Fraction) and x.denominator == 1:
         return x.numerator
     return x

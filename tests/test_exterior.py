@@ -6,6 +6,7 @@ geometry.py relies on.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -51,6 +52,22 @@ def test_merge_sign_disjoint():
 def test_merge_sign_overlap_is_zero():
     assert merge_sign((0,), (0,)) == (0, None)
     assert merge_sign((0, 2), (2, 3)) == (0, None)
+
+
+def _full_merge(a, b):
+    """merge_sign by definition: sort a + b, sign (-1)^(pairs x in a, y in b, x > y)."""
+    if set(a) & set(b):
+        return 0, None
+    inversions = sum(x > y for x in a for y in b)
+    return (-1) ** inversions, tuple(sorted(a + b))
+
+
+def test_merge_sign_single_index_matches_the_full_merge():
+    tuples = [t for k in range(9) for t in combinations(range(8), k)]
+    for x in range(8):
+        for t in tuples:
+            assert merge_sign((x,), t) == _full_merge((x,), t)
+            assert merge_sign(t, (x,)) == _full_merge(t, (x,))
 
 
 def test_form_add_and_scale():

@@ -28,8 +28,9 @@ N = 5
 # left out.
 FIRST_ACCEPTED = 55232
 REPORT_SHA256 = "0915cce7fcda6d5685e17cfdb68692ea0a4370c89071f69164e1af53f9862c31"
-# the op took 0.51-0.53 s before matrices stored sparse rows and 2.27 s
-# on the dense elimination before that, on the same host
+# the first op in a process takes 0.26-0.32 s on a 2-core Xeon; it took
+# 0.41-0.47 s there while Gaussian parts were always Fractions, 0.51-0.53 s
+# before matrices stored sparse rows and 2.27 s on the dense elimination
 BUDGET_S = 6.0
 
 

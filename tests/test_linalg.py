@@ -327,6 +327,30 @@ def test_rank_and_contains_each_run_one_echelon_pass(monkeypatch):
     assert rrefs == []
 
 
+def test_gaussian_integer_rows_skip_the_clearing(monkeypatch):
+    """Gaussian-integer parts are ints, so their split rows enter _echelon
+    as they are; a row with a Fraction part is still cleared."""
+    calls = []
+    cleared = linalg._cleared
+    monkeypatch.setattr(linalg, "_cleared",
+                        lambda values: calls.append(1) or cleared(values))
+    g = GaussianRational
+    # row 3 = i * row 1 + row 2
+    m = M([[g(1, 1), 2, 0], [g(0, 1), -1, g(1, -1)], [g(-1, 2), g(-1, 2), g(1, -1)]])
+    assert rank(m) == 2
+    assert rank_profile(m) == [0, 1, -1]
+    assert calls == []
+    # the entries and parts are ints, also after a Gaussian product
+    assert all(type(p) is int for r in m.mul(m).sparse for x in r.values()
+               for p in ((x.re, x.im) if isinstance(x, g) else (x,)))
+    h = M([[g(Fraction(1, 2), 1), 2], [1, g(0, -1)]])
+    assert rank(h) == 2
+    assert calls
+    calls.clear()
+    assert rank_profile(h) == [0, 1]
+    assert calls
+
+
 def test_rank_of_empty_shapes():
     assert rank(Matrix([], 4)) == 0
     assert rank(Matrix([[], [], []], 0)) == 0

@@ -164,6 +164,9 @@ def test_broken_rank_names_cell_flavor_and_formula(monkeypatch):
     msg = str(err.value)
     assert "D1 at cell (0, 0) is -1" in msg
     assert "n - r1 - r1@1" in msg
+    # the records the formula read, the broken one at the cell itself
+    assert "records (n, r1, r2, r12, rO, rI): cell (1, 2, 0, 0, 1, 0), @1 " in msg
+    assert "@12 (0, 0, 0, 0, 0, 0)" in msg
 
 
 def test_broken_tot_rank_names_degree_and_formula(monkeypatch):

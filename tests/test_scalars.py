@@ -125,3 +125,95 @@ def test_demote():
     assert type(demote(GaussianRational(2, 0))) is int
     assert type(demote(Fraction(1, 2))) is Fraction
     assert type(demote(GaussianRational(0, 1))) is GaussianRational
+
+
+# -- the part invariant: int when integral, Fraction otherwise, never float --
+
+# parts drawn as ints, as integral Fractions and as proper Fractions
+parts = st.one_of(st.integers(-20, 20), st.builds(Fraction, st.integers(-20, 20)),
+                  fractions)
+gauss_any = st.builds(GaussianRational, parts, parts)
+reals = st.one_of(st.integers(-20, 20), fractions)
+operands = st.one_of(reals, gauss_any)
+
+
+def _pair(x):
+    """x as a (re, im) pair of Fractions, the reference representation."""
+    if isinstance(x, GaussianRational):
+        return Fraction(x.re), Fraction(x.im)
+    return Fraction(x), Fraction(0)
+
+
+def _reference(op, x, y):
+    (a, b), (c, d) = _pair(x), _pair(y)
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c - b * d, a * d + b * c
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+def _apply(op, x, y):
+    if op == "+":
+        return x + y
+    if op == "-":
+        return x - y
+    if op == "*":
+        return x * y
+    return x / y
+
+
+def _assert_parts(z):
+    for p in (z.re, z.im):
+        assert type(p) in (int, Fraction)
+        assert (type(p) is int) == (Fraction(p).denominator == 1)
+
+
+def _with_fraction_parts(z):
+    """z as it was stored before integral parts became ints."""
+    w = object.__new__(GaussianRational)
+    w.re, w.im = Fraction(z.re), Fraction(z.im)
+    return w
+
+
+@given(parts, parts)
+def test_constructor_keeps_integral_parts_as_ints(re, im):
+    z = GaussianRational(re, im)
+    _assert_parts(z)
+    assert (z.re, z.im) == (re, im)
+
+
+@given(gauss_any, operands, st.sampled_from("+-*/"))
+def test_arithmetic_parts_and_values_in_both_orders(z, x, op):
+    for a, b in ((z, x), (x, z)):
+        if op == "/" and not b:
+            continue
+        got = _apply(op, a, b)
+        assert type(got) is GaussianRational
+        _assert_parts(got)
+        assert _pair(got) == _reference(op, a, b)
+
+
+@given(gauss_any)
+def test_negation_and_conjugate_keep_the_parts(z):
+    for w, ref in ((-z, (-z.re, -z.im)), (conj(z), (z.re, -z.im)),
+                   (z.conjugate(), (z.re, -z.im))):
+        _assert_parts(w)
+        assert _pair(w) == tuple(map(Fraction, ref))
+
+
+@given(gauss_any)
+def test_eq_hash_and_format_do_not_see_the_part_types(z):
+    old = _with_fraction_parts(z)
+    assert z == old and old == z
+    assert hash(z) == hash(old)
+    assert format_scalar(z) == format_scalar(old)
+    back = parse_scalar(format_scalar(z))
+    assert back == z
+    if isinstance(back, GaussianRational):
+        _assert_parts(back)
+    if not z.im:
+        assert z == z.re and hash(z) == hash(z.re)
