@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,9 @@ def _pair(x):
     return Fraction(x), Fraction(0)
 
 
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def _reference(op, x, y):
     (a, b), (c, d) = _pair(x), _pair(y)
     if op == "+":
@@ -154,16 +158,6 @@ def _reference(op, x, y):
         return a * c - b * d, a * d + b * c
     n = c * c + d * d
     return (a * c + b * d) / n, (b * c - a * d) / n
-
-
-def _apply(op, x, y):
-    if op == "+":
-        return x + y
-    if op == "-":
-        return x - y
-    if op == "*":
-        return x * y
-    return x / y
 
 
 def _assert_parts(z):
@@ -191,7 +185,7 @@ def test_arithmetic_parts_and_values_in_both_orders(z, x, op):
     for a, b in ((z, x), (x, z)):
         if op == "/" and not b:
             continue
-        got = _apply(op, a, b)
+        got = OPS[op](a, b)
         assert type(got) is GaussianRational
         _assert_parts(got)
         assert _pair(got) == _reference(op, a, b)
