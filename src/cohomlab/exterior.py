@@ -16,7 +16,6 @@ in the monomial bases.  d d = 0 is NOT assumed; callers check it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import combinations
 from math import comb
 
@@ -55,22 +54,7 @@ def merge_sign(a, b):
     """Merge two increasing tuples; (sign, merged) or (0, None) on overlap.
 
     The sign is that of the shuffle sorting a + b, i.e. (-1)^inversions.
-    A single index is placed by bisection: its inversions are the
-    indices of the other factor that it passes, those above it when it
-    comes second and those below it when it comes first.
     """
-    if len(b) == 1:
-        x = b[0]
-        k = bisect_left(a, x)
-        if k < len(a) and a[k] == x:
-            return 0, None
-        return (-1 if (len(a) - k) % 2 else 1), a[:k] + b + a[k:]
-    if len(a) == 1:
-        x = a[0]
-        k = bisect_left(b, x)
-        if k < len(b) and b[k] == x:
-            return 0, None
-        return (-1 if k % 2 else 1), b[:k] + a + b[k:]
     i, j = 0, 0
     la, lb = len(a), len(b)
     out = []
