@@ -29,7 +29,7 @@ from .io import (
     load_document,
 )
 from .properties import PropertyFailure, check_bicomplex
-from .randomgen import assemble, random_bicomplex
+from .randomgen import _draw_dim, assemble, random_bicomplex
 from .report import VIEWS, input_echo, make_report, render
 
 EXIT_OK = 0
@@ -38,9 +38,6 @@ EXIT_VALIDATION = 2
 EXIT_PROPERTY = 3
 
 DEFAULT_SHAPES = "dot:2,square:1,hseg:1,vseg:1,zigzag:1"
-
-# the largest dimension of each shape kind random_bicomplex draws
-_MAX_SHAPE_DIM = {"dot": 1, "hseg": 2, "vseg": 2, "square": 4, "zigzag": 5}
 
 
 def _builtin_result(name):
@@ -95,6 +92,7 @@ def _cmd_analyze(args, out, err):
 
 def _parse_shape_counts(spec):
     counts = {}
+    top = 0
     for part in spec.split(","):
         part = part.strip()
         if not part:
@@ -103,7 +101,9 @@ def _parse_shape_counts(spec):
             raise ParseError("--shapes entries look like kind:count, got %r" % part)
         kind, _, num = part.partition(":")
         kind = kind.strip()
-        if kind not in _MAX_SHAPE_DIM:
+        try:
+            dim = _draw_dim(kind)
+        except ValueError:
             raise ParseError("unknown shape kind %r" % kind)
         try:
             n = int(num)
@@ -112,8 +112,8 @@ def _parse_shape_counts(spec):
         if n < 0:
             raise ParseError("negative count in --shapes entry %r" % part)
         counts[kind] = counts.get(kind, 0) + n
+        top += dim * n
     # a draw may reach the same total dimension bound as an analyze input
-    top = sum(_MAX_SHAPE_DIM[kind] * n for kind, n in counts.items())
     if top > MAX_TOTAL_DIM:
         raise ParseError("--shapes may draw total dimension %d, above the bound %d"
                          % (top, MAX_TOTAL_DIM))

@@ -28,8 +28,8 @@ Every row reduction but det's is one echelon insertion on sparse integer
 rows (_echelon): a row is a dict {column: nonzero int}, and rows are
 reduced in order, division-free, against a basis keyed by lead column,
 the smallest column left in a row.  Exact sparse rows reach it through
-one dispatch (_integer_rows): an integer row enters as a copy, a
-rational row is scaled to an integer row with the same span, and a
+one dispatch (_integer_rows): an integer row enters as a copy, a row
+with a Fraction is scaled to an integer row with the same span, and a
 Gaussian row is split into the interleaved real rows of v and i*v.
 GaussianRational keeps integral parts as ints, so the split rows of a
 Gaussian-integer row are integer rows as they are; only a row with a
@@ -242,13 +242,13 @@ def _integer_rows(rows):
 
     A sparse row is a dict {column: nonzero entry}.  An integer row
     enters as a copy, since _echelon edits its rows in place and matrices
-    may share row dicts, and a rational row through _cleared, which
-    keeps its span: one sparse row each.  A Gaussian row v enters as the
-    split rows of v and i*v, the (re, im) parts of column c at columns
-    2c and 2c+1: two each.  Parts are ints when integral (see scalars),
-    so a Gaussian-integer row splits into int rows as it is, and only a
-    row with a Fraction part is cleared, by one lcm over the denominators
-    of its nonzero parts.  The span of the split rows is closed under i,
+    may share row dicts, and a row with a Fraction through _cleared,
+    which keeps its span: one sparse row each.  A Gaussian row v enters
+    as the split rows of v and i*v, the (re, im) parts of column c at
+    columns 2c and 2c+1: two each.  Parts are ints when integral (see
+    scalars), so a Gaussian-integer row splits into int rows as it is,
+    and only a row with a Fraction part is cleared, by one lcm over the
+    denominators of its nonzero parts.  The span of the split rows is closed under i,
     so the pivots of its rational RREF come in pairs (2c, 2c+1), the
     rows at even pivots decode to the Gaussian RREF, and the split leads
     of a row fall on one Gaussian column.
@@ -257,7 +257,9 @@ def _integer_rows(rows):
     if kinds <= {int}:
         return [dict(v) for v in rows], 1
     if GaussianRational not in kinds:
-        return [dict(zip(v, _cleared(v.values())[1])) for v in rows], 1
+        return [dict(zip(v, _cleared(v.values())[1]))
+                if Fraction in {type(x) for x in v.values()} else dict(v)
+                for v in rows], 1
     split = []
     for v in rows:
         parts = {}

@@ -19,13 +19,18 @@ the staircase down-right with odd-index spots as sources:
 
 "upper" is the reflection (even-index spots are the sources).  A length
 2 "lower" zigzag is exactly a horizontal segment.
+
+Each shape has one description (_shape_table): its one-dimensional spots
+and its blocks as (d1 or d2, source spot, +-1).  shape_complex builds the
+complex from it, shape_dim counts its spots, and the per-spot rules of
+predicted_tables read its arrows, not a built complex.
 """
 
 from __future__ import annotations
 
 import random
 
-from .linalg import Matrix
+from .linalg import Matrix, _lincomb
 from .complexes import DoubleComplex
 
 __all__ = [
@@ -41,29 +46,6 @@ __all__ = [
 ]
 
 
-def shape_dot(p, q):
-    return DoubleComplex({(p, q): 1}, {}, {})
-
-
-def shape_hseg(p, q):
-    one = Matrix([[1]])
-    return DoubleComplex({(p, q): 1, (p + 1, q): 1}, {(p, q): one}, {})
-
-
-def shape_vseg(p, q):
-    one = Matrix([[1]])
-    return DoubleComplex({(p, q): 1, (p, q + 1): 1}, {}, {(p, q): one})
-
-
-def shape_square(p, q):
-    # a=(p,q), b=(p+1,q), c=(p,q+1), d=(p+1,q+1)
-    # d1 a = b, d2 a = c, d2 b = -d, d1 c = d: then d1d2 + d2d1 = d - d = 0
-    spaces = {(p, q): 1, (p + 1, q): 1, (p, q + 1): 1, (p + 1, q + 1): 1}
-    d1 = {(p, q): Matrix([[1]]), (p, q + 1): Matrix([[1]])}
-    d2 = {(p, q): Matrix([[1]]), (p + 1, q): Matrix([[-1]])}
-    return DoubleComplex(spaces, d1, d2)
-
-
 def zigzag_spots(p, q, length, orient):
     spots = [(p, q)]
     for i in range(1, length):
@@ -75,59 +57,53 @@ def zigzag_spots(p, q, length, orient):
     return spots
 
 
-def shape_zigzag(p, q, length, orient):
-    if length < 2:
-        raise ValueError("zigzag needs length >= 2")
-    if orient not in ("lower", "upper"):
-        raise ValueError("orient must be 'lower' or 'upper'")
-    spots = zigzag_spots(p, q, length, orient)
-    spaces = {s: 1 for s in spots}
-    if len(spaces) != length:
-        raise ValueError("zigzag spots collide")  # cannot happen, but loudly
-    one = Matrix([[1]])
-    d1 = {}
-    d2 = {}
-    for i in range(1, length):
-        a, b = spots[i - 1], spots[i]
-        if orient == "lower":
-            if i % 2 == 1:
-                d1[a] = one  # a --d1--> b
-            else:
-                d2[b] = one  # b --d2--> a
-        else:
-            if i % 2 == 1:
-                d1[b] = one  # b --d1--> a
-            else:
-                d2[a] = one  # a --d2--> b
-    return DoubleComplex(spaces, d1, d2)
+def _shape_table(shape):
+    """(spots, blocks): the one description of a shape.
+
+    spots are its one-dimensional spaces; each block is (d, source, sign),
+    the 1x1 matrix [sign] of d = "d1" (one step right) or "d2" (one step
+    up) out of the source spot.
+    """
+    kind, p, q = shape[0], shape[1], shape[2]
+    if kind == "dot":
+        return [(p, q)], []
+    if kind == "hseg":
+        return [(p, q), (p + 1, q)], [("d1", (p, q), 1)]
+    if kind == "vseg":
+        return [(p, q), (p, q + 1)], [("d2", (p, q), 1)]
+    if kind == "square":
+        # a=(p,q), b=(p+1,q), c=(p,q+1), d=(p+1,q+1)
+        # d1 a = b, d2 a = c, d2 b = -d, d1 c = d: then d1d2 + d2d1 = d - d = 0
+        a, b, c, d = (p, q), (p + 1, q), (p, q + 1), (p + 1, q + 1)
+        return [a, b, c, d], [("d1", a, 1), ("d1", c, 1), ("d2", a, 1), ("d2", b, -1)]
+    if kind == "zigzag":
+        length, orient = shape[3], shape[4]
+        if length < 2:
+            raise ValueError("zigzag needs length >= 2")
+        if orient not in ("lower", "upper"):
+            raise ValueError("orient must be 'lower' or 'upper'")
+        spots = zigzag_spots(p, q, length, orient)
+        # arrow i joins spots i-1 and i and is d1 for odd i; a "lower"
+        # zigzag has the earlier spot as the source of its odd arrows, an
+        # "upper" one of its even arrows
+        blocks = []
+        for i in range(1, length):
+            source = spots[i - 1] if (i % 2 == 1) == (orient == "lower") else spots[i]
+            blocks.append(("d1" if i % 2 == 1 else "d2", source, 1))
+        return spots, blocks
+    raise ValueError("unknown shape kind %r" % (kind,))
 
 
 def shape_complex(shape):
-    kind = shape[0]
-    if kind == "dot":
-        return shape_dot(shape[1], shape[2])
-    if kind == "hseg":
-        return shape_hseg(shape[1], shape[2])
-    if kind == "vseg":
-        return shape_vseg(shape[1], shape[2])
-    if kind == "square":
-        return shape_square(shape[1], shape[2])
-    if kind == "zigzag":
-        return shape_zigzag(shape[1], shape[2], shape[3], shape[4])
-    raise ValueError("unknown shape kind %r" % (kind,))
+    spots, blocks = _shape_table(shape)
+    d = {"d1": {}, "d2": {}}
+    for which, source, sign in blocks:
+        d[which][source] = Matrix.from_sparse([{0: sign}], 1)
+    return DoubleComplex(dict.fromkeys(spots, 1), d["d1"], d["d2"])
 
 
 def shape_dim(shape):
-    kind = shape[0]
-    if kind == "dot":
-        return 1
-    if kind in ("hseg", "vseg"):
-        return 2
-    if kind == "square":
-        return 4
-    if kind == "zigzag":
-        return shape[3]
-    raise ValueError("unknown shape kind %r" % (kind,))
+    return len(_shape_table(shape)[0])
 
 
 def direct_sum(pieces):
@@ -172,8 +148,8 @@ def _unimodular_pair(k, rng):
     Each row operation m -> E m is undone on the inverse, kept by its
     columns, as m^-1 -> m^-1 E^-1: row i += c row j as column j -= c
     column i, and a swap or a negation as the same one on columns."""
-    rows = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    cols = [list(r) for r in rows]
+    rows = [{i: 1} for i in range(k)]
+    cols = [{i: 1} for i in range(k)]
     for _ in range(rng.randint(k, 3 * k)):
         op = rng.randrange(3)
         i = rng.randrange(k)
@@ -181,16 +157,16 @@ def _unimodular_pair(k, rng):
             j = rng.randrange(k)
             if j != i:
                 c = rng.choice((-1, 1))
-                rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-                cols[j] = [b - c * a for a, b in zip(cols[i], cols[j])]
+                rows[i] = _lincomb(1, rows[i], c, rows[j])
+                cols[j] = _lincomb(1, cols[j], -c, cols[i])
         elif op == 1 and k > 1:
             j = rng.randrange(k)
             rows[i], rows[j] = rows[j], rows[i]
             cols[i], cols[j] = cols[j], cols[i]
         else:
-            rows[i] = [-a for a in rows[i]]
-            cols[i] = [-a for a in cols[i]]
-    return Matrix(rows, k), Matrix(cols, k).transpose()
+            rows[i] = {col: -a for col, a in rows[i].items()}
+            cols[i] = {row: -a for row, a in cols[i].items()}
+    return Matrix.from_sparse(rows, k), Matrix.from_sparse(cols, k).transpose()
 
 
 def conjugate_complex(dc, rng):
@@ -227,7 +203,11 @@ def assemble(shapes, conj_seed=None):
     return dc
 
 
-def random_shapes(rng, counts, max_span=3, max_zigzag=5):
+# the longest zigzag random_shapes draws by default
+_MAX_ZIGZAG = 5
+
+
+def random_shapes(rng, counts, max_span=3, max_zigzag=_MAX_ZIGZAG):
     shapes = []
     for kind in sorted(counts):
         for _ in range(counts[kind]):
@@ -242,6 +222,14 @@ def random_shapes(rng, counts, max_span=3, max_zigzag=5):
     return shapes
 
 
+def _draw_dim(kind):
+    """The dimension of the largest shape of this kind that random_shapes
+    draws by default; ValueError for an unknown kind."""
+    if kind == "zigzag":
+        return shape_dim(("zigzag", 0, 0, _MAX_ZIGZAG, "lower"))
+    return shape_dim((kind, 0, 0))
+
+
 def random_bicomplex(seed, params):
     """Random validated double complex with recorded ground truth.
 
@@ -253,7 +241,7 @@ def random_bicomplex(seed, params):
         rng,
         dict(params.get("counts", {})),
         params.get("max_span", 3),
-        params.get("max_zigzag", 5),
+        params.get("max_zigzag", _MAX_ZIGZAG),
     )
     dc = direct_sum([shape_complex(s) for s in shapes])
     if params.get("conjugate", True):
@@ -297,15 +285,12 @@ _SPOT_RULES = {
 
 
 def _spot_arrows(shape):
-    """{spot: set of "in1", "out1", "in2", "out2"} from the shape's blocks."""
-    dc = shape_complex(shape)
-    arrows = {spot: set() for spot in dc.spaces}
-    for (p, q) in dc.d1:
-        arrows[(p, q)].add("out1")
-        arrows[(p + 1, q)].add("in1")
-    for (p, q) in dc.d2:
-        arrows[(p, q)].add("out2")
-        arrows[(p, q + 1)].add("in2")
+    """{spot: set of "in1", "out1", "in2", "out2"} from the shape's table."""
+    spots, blocks = _shape_table(shape)
+    arrows = {spot: set() for spot in spots}
+    for d, (p, q), _sign in blocks:
+        arrows[(p, q)].add("out" + d[1])
+        arrows[(p + 1, q) if d == "d1" else (p, q + 1)].add("in" + d[1])
     return arrows
 
 

@@ -351,6 +351,28 @@ def test_gaussian_integer_rows_skip_the_clearing(monkeypatch):
     assert calls
 
 
+def test_integer_rows_of_a_rational_matrix_skip_the_clearing(monkeypatch):
+    """Only rows that hold a Fraction are cleared, also one with
+    denominator 1; an all-int row enters _echelon as a copy."""
+    calls = []
+    cleared = linalg._cleared
+    monkeypatch.setattr(linalg, "_cleared",
+                        lambda values: calls.append(1) or cleared(values))
+    m = M([[Fraction(1, 2), 1, 0], [1, 2, 3], [2, 4, 6], [0, Fraction(3), 1]])
+    before = [dict(r) for r in m.sparse]
+    rows, per_row = linalg._integer_rows(m.sparse)
+    assert len(calls) == 2
+    assert per_row == 1
+    assert rows == [{0: 1, 1: 2}, {0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}, {1: 3, 2: 1}]
+    assert all(type(x) is int for r in rows for x in r.values())
+    assert all(a is not b for a, b in zip(rows, m.sparse))
+    calls.clear()
+    assert rank(m) == 3
+    assert rank_profile(m) == [0, 2, -1, 1]
+    assert len(calls) == 4
+    assert [dict(r) for r in m.sparse] == before
+
+
 def test_rank_of_empty_shapes():
     assert rank(Matrix([], 4)) == 0
     assert rank(Matrix([[], [], []], 0)) == 0

@@ -1,11 +1,13 @@
-"""Shape builders, direct sums, conjugation, and ground-truth tables."""
+"""Shape tables, direct sums, conjugation, and ground-truth tables."""
 
+import hashlib
 import json
 import pathlib
 import random
 
 import pytest
 
+from cohomlab.io import canonical_json, document_for_double_complex
 from cohomlab.linalg import Matrix, mat_inverse, rref
 from cohomlab.randomgen import (
     assemble,
@@ -17,7 +19,12 @@ from cohomlab.randomgen import (
     shape_dim,
     zigzag_spots,
 )
-from cohomlab.randomgen import _unimodular_pair, conjugate_complex, random_unimodular
+from cohomlab.randomgen import (
+    _spot_arrows,
+    _unimodular_pair,
+    conjugate_complex,
+    random_unimodular,
+)
 
 
 ALL_SHAPES = [
@@ -41,6 +48,37 @@ def test_every_shape_validates(shape):
     assert dc.validate() == []
     assert dc.total_dim() == shape_dim(shape)
     assert all(d == 1 for d in dc.spaces.values())
+
+
+def reference_spot_arrows(shape):
+    """{spot: set of "in1", "out1", "in2", "out2"} read off the blocks of
+    the built complex."""
+    dc = shape_complex(shape)
+    arrows = {spot: set() for spot in dc.spaces}
+    for (p, q) in dc.d1:
+        arrows[(p, q)].add("out1")
+        arrows[(p + 1, q)].add("in1")
+    for (p, q) in dc.d2:
+        arrows[(p, q)].add("out2")
+        arrows[(p, q + 1)].add("in2")
+    return arrows
+
+
+ZIGZAGS = [("zigzag", 1, -2, n, o) for n in range(2, 8) for o in ("lower", "upper")]
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES + ZIGZAGS, ids=str)
+def test_table_arrows_match_the_built_complex(shape):
+    arrows = _spot_arrows(shape)
+    assert arrows == reference_spot_arrows(shape)
+    if shape[0] == "zigzag":
+        # "lower": s1 --d1--> s2 <--d2-- s3 ..., sources at even 0-based
+        # index; "upper": the reflection, sources at odd index
+        sources = 0 if shape[4] == "lower" else 1
+        for k, spot in enumerate(zigzag_spots(*shape[1:])):
+            ends = arrows[spot]
+            assert ends <= ({"out1", "out2"} if k % 2 == sources else {"in1", "in2"})
+            assert len(ends) == (1 if k in (0, shape[3] - 1) else 2)
 
 
 def test_unknown_shape_rejected():
@@ -242,3 +280,33 @@ def test_predicted_varouchas_of_zigzags():
     assert t["V2"] == {(-1, 1): 1}
     assert t["V3"] == {(0, 0): 1}
     assert t["V4"] == t["V5"] == t["V6"] == {(-1, 0): 1}
+
+
+# canonical_json(document_for_double_complex(...)) sha256 of the default fuzz
+# draw and of its shapes assembled with conj_seed = seed, seeds 0-4
+DEFAULT_COUNTS = {"dot": 2, "square": 1, "hseg": 1, "vseg": 1, "zigzag": 1}
+DRAW_SHA256 = [
+    "6c207b2928abad4a831747ffc47f635aaa79df91a380514f0e637f33dbdd9f77",
+    "483ef05e0a06dde701b879106cd7e16a00f1055442d8beab58fcc65d7062e323",
+    "ad191e0174d3afd56589c721a9f53ee0860e78728301c0806d00219ff4f117f9",
+    "663c612a655217e91b0dd4d25e1af23e0f1db2308dfa3dc76d44054523dec75e",
+    "19f735e2def12884bfe3e20008b9f90783df487dc74c0162ed00b9dea78ea43c",
+]
+ASSEMBLED_SHA256 = [
+    "2a239ee9d03c6c3eee5744cfcf52027f27262411031ee22ffa19ab68ae035f77",
+    "6ccc02a352073a756a22d9561af95b3130d34ed5ef7fac97de0d8c911b95a1bf",
+    "1d1b1c5f709b75dd0e1ec2526696cae9c2fe96868df138564e304aa485b84a30",
+    "bccea9c9aa00044db914ec9cb0eaa5644ec61fb10df2470445845ee0eae39e26",
+    "84d1f1a3551043da41ae3aeb2af984b52e01753d18e99d41a48814a6b2d915bc",
+]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_draws_are_pinned_to_the_byte(seed):
+    def sha(dc):
+        return hashlib.sha256(
+            canonical_json(document_for_double_complex(dc)).encode()).hexdigest()
+
+    rb = random_bicomplex(seed, {"counts": DEFAULT_COUNTS})
+    assert sha(rb.dc) == DRAW_SHA256[seed]
+    assert sha(assemble(rb.shapes, seed)) == ASSEMBLED_SHA256[seed]
