@@ -43,15 +43,23 @@ the Tot differential of one sign and S_n a sum over the cells of Tot^n
 Each record, cell and rk D_n is computed once per analysis; rk D_n
 also gives the total tables.  TOT_MINUS reads its own matrix, so the
 two-sign agreement stays a check.  A negative value means a broken rank
-and raises AssertionError naming the cell, the value and its formula.
+and raises AssertionError naming the cell, the value and its formula,
+and for a cell the records read and the shapes of the cell's blocks.
 The exact sequences of the Varouchas quotients give, per cell,
 
     A  = V1 - V2 + D1 + V4 = V1 - V3 + D2 + V5
     BC = V3 + D1 - V5 + V6 = V2 + D2 - V4 + V6
 
 and BC + A = D1 + D2 + V1 + V6.  On the formulas these are algebra: the
-self-tests exposing them check the formula table, and the shape ground
-truth in randomgen checks the values.
+test suite checks them as linear forms in the 24 record entries, the
+self-tests exposing them stay as safety checks on each input, and the
+shape ground truth in randomgen checks the values.
+
+frolicher_report is the one home of the paper's results: it checks the
+inequalities, the agreement of the eight lemma formulations (inside
+lemma_verdict) and the equality characterization, and raises
+PropertyFailure, an AssertionError naming the property that broke, for
+analyze and for the fuzzer's check_bicomplex alike.
 
 Subquotient and induced_rank treat explicit subspaces Z/B -> Z'/B'
 (Z <= Z' and B <= B', else IllFormedMap; B <= Z, checked by
@@ -81,6 +89,7 @@ __all__ = [
     "IllFormedMap",
     "InducedMap",
     "PairAnalysis",
+    "PropertyFailure",
     "Subquotient",
     "cohom",
     "frolicher_report",
@@ -95,6 +104,15 @@ FLAVORS = ("D1", "D2", "BC", "A", "TOT_PLUS", "TOT_MINUS")
 BIGRADED_FLAVORS = ("D1", "D2", "BC", "A")
 
 VAROUCHAS = ("V1", "V2", "V3", "V4", "V5", "V6")
+
+
+class PropertyFailure(AssertionError):
+    """A check on the paper's results failed; prop names the property."""
+
+    def __init__(self, prop, detail):
+        super().__init__("%s: %s" % (prop, detail))
+        self.prop = prop
+        self.detail = detail
 
 
 class IllFormedMap(Exception):
@@ -198,10 +216,11 @@ def _strip_zeros(table):
     return {k: v for k, v in table.items() if v}
 
 
-def _checked(value, where, key, name, formula, records=()):
+def _checked(value, where, key, name, formula, records=(), obj=None):
     """value, which must not be negative.  Otherwise the AssertionError
-    names it and its formula, and lists the records a cell formula read
-    (at the cell, @1, @2 and @12), formatted only then."""
+    names it and its formula; for a cell formula it lists the records
+    read (at the cell, @1, @2 and @12) and the rows x cols of d1 and d2
+    out of the cell of obj and of [d1 | d2] into it, formatted only then."""
     if value < 0:
         msg = "rank-table engine bug: %s at %s %r is %d = %s" % (
             name, where, key, value, formula)
@@ -209,6 +228,12 @@ def _checked(value, where, key, name, formula, records=()):
             msg += "; records (%s): %s" % (", ".join(_ENTRIES), ", ".join(
                 "%s %r" % ("@" + at if at else "cell", rec)
                 for at, rec in zip(_POSITIONS, records)))
+            a, b = obj.d1.get(obj.shift(key, -1, 0)), obj.d2.get(obj.shift(key, 0, -1))
+            blocks = (("d1 out", obj.d1.get(key)), ("d2 out", obj.d2.get(key)),
+                      ("[d1 | d2] in", hstack(a, b) if a and b else a or b))
+            msg += "; blocks: " + ", ".join(
+                "%s %s" % (label, "%dx%d" % (m.nrows, m.ncols) if m else "none")
+                for label, m in blocks)
         raise AssertionError(msg)
     return value
 
@@ -273,7 +298,7 @@ class _AnalysisBase:
         recs = self._records_of((key, shift(key, -1, 0), shift(key, 0, -1),
                                  shift(key, -1, -1)))
         return {name: _checked(sum(sign * recs[at][entry] for sign, at, entry in terms),
-                               "cell", key, name, text, recs)
+                               "cell", key, name, text, recs, self._obj)
                 for name, text, terms in _CELL_FORMULAS}
 
     def flavor_table(self, name, keep_zeros=False):
@@ -399,9 +424,8 @@ class _AnalysisBase:
             else:
                 conds[ci] = conds[cs] = None
         if len({v for v in conds.values() if v is not None}) != 1:
-            raise AssertionError(
-                "lemma formulations disagree (engine bug): %r" % (conds,)
-            )
+            raise PropertyFailure("lemma-equivalence",
+                                  "lemma formulations disagree (engine bug): %r" % (conds,))
         return {"holds": conds[1], "conditions": conds}
 
     def induced_tables(self):
@@ -583,23 +607,33 @@ class CohomReport:
 def frolicher_report(obj):
     """Dimension tables, inequality slacks and verdicts for one complex.
 
-    Per total degree n the three inequalities are checked and their
-    slacks recorded:
+    The one place the paper's inequalities and its equality
+    characterization are checked.  Each failure raises PropertyFailure
+    naming its property, in this order.  Per total degree n the two
+    total cohomologies must agree (total-cohomology), and three slacks,
+    recorded in the report, must not be negative:
 
-      classical:  min(sum D1, sum D2) - dim TOT        >= 0
-      refined:    (sum BC + sum A) - (sum D1 + sum D2) >= 0
-      doubled:    (sum BC + sum A) - 2 dim TOT         >= 0   (both signs)
+      refined:    (sum BC + sum A) - (sum D1 + sum D2) >= 0   refined-inequality
+      classical:  min(sum D1, sum D2) - dim TOT        >= 0   classical-frolicher
+      doubled:    (sum BC + sum A) - 2 dim TOT_+-      >= 0   doubled-inequality
 
-    Equality of the doubled inequality (plus sign, all degrees) is
-    asserted to coincide with the lemma verdict.
+    Then equality of the doubled inequality (plus sign, all degrees) must
+    coincide with the lemma verdict, and when the lemma holds the refined
+    inequality must be an equality (both equality-characterization).  The
+    second is cellwise: under the lemma every identity-induced map is an
+    isomorphism, so BC = A = D1 = D2 in each cell.  In Varouchas terms,
+    V1 lies in ker(BC -> A), BC -> D1, D2 injective kill V3, V2 and
+    D1, D2 -> A surjective kill V4, V5; the exact sequences then give
+    A = D1 = D2 and BC = D1 + V6, and BC = A kills V6.  The converse
+    fails: a lone segment has no refined slack and no lemma.
 
     Pairs are graded by residue classes of the total degree.  When the
     two differentials have equal degrees there is no total grading at
     all: only the refined inequality survives (it is cellwise), the two
     total tables may legitimately differ, and the equality flags come
-    back None.  The equality-lemma cross-check also needs the two
-    degrees to be coprime, since the total complex only ever sees the
-    part of the space sitting in degrees divisible by their gcd.
+    back None.  The doubled equality-lemma cross-check also needs the
+    two degrees to be coprime, since the total complex only ever sees
+    the part of the space sitting in degrees divisible by their gcd.
     """
     a = _analysis_for(obj)
     tables = {f: a.flavor_table(f, keep_zeros=True) for f in FLAVORS}
@@ -608,10 +642,7 @@ def frolicher_report(obj):
 
     is_pair = isinstance(a, PairAnalysis)
     tot_graded = not (is_pair and a.delta == 0)
-    if is_pair:
-        characterizes = tot_graded and gcd(abs(a.bp.deg1), abs(a.bp.deg2)) == 1
-    else:
-        characterizes = True
+    characterizes = not is_pair or (tot_graded and gcd(abs(a.bp.deg1), abs(a.bp.deg2)) == 1)
 
     sums = {f: a.total_degree_sums(f) for f in BIGRADED_FLAVORS}
     tot_plus = a.total_table(1)
@@ -623,45 +654,42 @@ def frolicher_report(obj):
     if tot_graded:
         slack.update({"classical": {}, "doubled_plus": {}, "doubled_minus": {}})
     for n in degrees:
-        d1 = sums["D1"].get(n, 0)
-        d2 = sums["D2"].get(n, 0)
-        bc = sums["BC"].get(n, 0)
-        aa = sums["A"].get(n, 0)
+        d1, d2, bc, aa = (sums[f].get(n, 0) for f in BIGRADED_FLAVORS)
         tp = tot_plus.get(n, 0)
         tm = tot_minus.get(n, 0)
-        slack["refined"][n] = (bc + aa) - (d1 + d2)
-        checked = [("refined", slack["refined"][n])]
+        checked = [("refined", "refined-inequality", (bc + aa) - (d1 + d2))]
         if tot_graded:
             if tp != tm:
-                raise AssertionError(
-                    "total cohomologies for the two signs differ at degree %d" % n
-                )
-            slack["classical"][n] = min(d1, d2) - tp
-            slack["doubled_plus"][n] = (bc + aa) - 2 * tp
-            slack["doubled_minus"][n] = (bc + aa) - 2 * tm
+                raise PropertyFailure("total-cohomology",
+                                      "the two signs differ at degree %d: %d vs %d"
+                                      % (n, tp, tm))
             checked += [
-                ("classical", slack["classical"][n]),
-                ("doubled_plus", slack["doubled_plus"][n]),
+                ("classical", "classical-frolicher", min(d1, d2) - tp),
+                ("doubled_plus", "doubled-inequality", (bc + aa) - 2 * tp),
+                ("doubled_minus", "doubled-inequality", (bc + aa) - 2 * tm),
             ]
-        for kind, s in checked:
+        for kind, prop, s in checked:
+            slack[kind][n] = s
             if s < 0:
-                raise AssertionError(
-                    "%s inequality violated at degree %d (slack %d)" % (kind, n, s)
-                )
+                raise PropertyFailure(prop, "%s inequality violated at degree %d (slack %d)"
+                                      % (kind, n, s))
+    holds = verdict["holds"]
+    refined_eq = not any(slack["refined"].values())
     verdicts = {
-        "lemma_holds": verdict["holds"],
+        "lemma_holds": holds,
         "lemma_conditions": verdict["conditions"],
-        "thm_refined_equality": all(v == 0 for v in slack["refined"].values()),
+        "thm_refined_equality": refined_eq,
         "cor_equality_plus": None,
         "cor_equality_minus": None,
     }
     if tot_graded:
-        verdicts["cor_equality_plus"] = all(
-            v == 0 for v in slack["doubled_plus"].values())
-        verdicts["cor_equality_minus"] = all(
-            v == 0 for v in slack["doubled_minus"].values())
-        if characterizes and verdicts["cor_equality_plus"] != verdicts["lemma_holds"]:
-            raise AssertionError(
-                "doubled-inequality equality and lemma verdict disagree (engine bug)"
-            )
+        verdicts["cor_equality_plus"] = not any(slack["doubled_plus"].values())
+        verdicts["cor_equality_minus"] = not any(slack["doubled_minus"].values())
+        if characterizes and verdicts["cor_equality_plus"] != holds:
+            raise PropertyFailure("equality-characterization",
+                                  "doubled equality %r but lemma %r"
+                                  % (verdicts["cor_equality_plus"], holds))
+    if holds and not refined_eq:
+        raise PropertyFailure("equality-characterization",
+                              "lemma holds but refined inequality is strict")
     return CohomReport(tables, var, a.induced_tables(), verdicts, slack)

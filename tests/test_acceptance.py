@@ -31,7 +31,7 @@ from cohomlab.cohomology import Analysis, PairAnalysis, lemma_verdict
 from cohomlab.geometry import builtin, hard_lefschetz, random_symplectic, symplectic_pair
 from cohomlab.linalg import Matrix
 from cohomlab.properties import PropertyFailure, check_bicomplex
-from cohomlab.randomgen import random_bicomplex
+from cohomlab.randomgen import _draw_dim, random_bicomplex
 from cohomlab.spectral import doub_degeneration_check, pages
 
 from test_geometry import IWASAWA_D2
@@ -210,7 +210,8 @@ def test_criterion_4_characterization_consistency():
     verdict(4, failures)
 
 
-SHAPE_COST = {"dot": 1, "hseg": 2, "vseg": 2, "square": 4, "zigzag": 5}
+# each kind's largest default draw; the order of the kinds fixes the draws
+SHAPE_COST = {k: _draw_dim(k) for k in ("dot", "hseg", "vseg", "square", "zigzag")}
 
 
 def sized_counts(rng):

@@ -2,13 +2,19 @@
 
 import pytest
 
-from cohomlab.complexes import DoubleComplex
-from cohomlab.cohomology import Analysis, frolicher_report
+from cohomlab import cli
+from cohomlab.complexes import BidiffPair, DoubleComplex
+from cohomlab.cohomology import (
+    Analysis,
+    PairAnalysis,
+    _strip_zeros,
+    frolicher_report,
+    lemma_verdict,
+)
 from cohomlab.linalg import Matrix
 from cohomlab.properties import (
     PROPERTY_NAMES,
     PropertyFailure,
-    _sparse,
     check_bicomplex,
 )
 from cohomlab.randomgen import assemble, random_bicomplex
@@ -22,8 +28,8 @@ def test_property_names_are_distinct():
 
 
 def test_sparse_strips_only_zeros():
-    assert _sparse({}) == {}
-    assert _sparse({(0, 0): 0, (1, 0): 2, 3: 0, -1: 1}) == {(1, 0): 2, -1: 1}
+    assert _strip_zeros({}) == {}
+    assert _strip_zeros({(0, 0): 0, (1, 0): 2, 3: 0, -1: 1}) == {(1, 0): 2, -1: 1}
 
 
 def test_deterministic_batch_is_clean():
@@ -109,3 +115,50 @@ def test_failure_message_carries_property_name():
         assert str(e).startswith("ground-truth:")
     else:
         pytest.fail("expected a ground-truth failure")
+
+
+def _plant_sums(monkeypatch, cls, flavor, delta):
+    """cls.total_degree_sums(flavor) off by delta in every degree."""
+    real = cls.total_degree_sums
+    monkeypatch.setattr(cls, "total_degree_sums", lambda self, name: {
+        n: v + delta * (name == flavor) for n, v in real(self, name).items()})
+
+
+def test_disagreeing_lemma_conditions_reach_fuzz_by_name(monkeypatch):
+    real = Analysis._induced_memo
+
+    def planted(self):
+        # BC -> A injective but not onto everywhere: conditions 1 and 2 disagree
+        memo = real(self)
+        for row in memo["bigraded"].values():
+            row["BC->A"].update(injective=True, surjective=False)
+        return memo
+
+    monkeypatch.setattr(Analysis, "_induced_memo", planted)
+    rb = random_bicomplex(0, BATCH_PARAMS)
+    with pytest.raises(PropertyFailure) as ei:
+        check_bicomplex(rb.dc, shapes=rb.shapes)
+    assert ei.value.prop == "lemma-equivalence"
+    seed, _rb, exc = cli._fuzz_one(0, BATCH_PARAMS["counts"])
+    assert (seed, exc.prop) == (0, "lemma-equivalence")
+
+
+def test_negative_refined_slack_is_named_on_both_paths(monkeypatch):
+    _plant_sums(monkeypatch, Analysis, "D1", 1)
+    dc = assemble([("dot", 0, 0)])
+    for check in (check_bicomplex, frolicher_report):
+        with pytest.raises(PropertyFailure) as ei:
+            check(dc)
+        assert ei.value.prop == "refined-inequality"
+        assert isinstance(ei.value, AssertionError)
+
+
+def test_lemma_with_strict_refined_inequality_is_named(monkeypatch):
+    # deg1 = deg2 leaves no total grading, so no doubled check runs first
+    bp = BidiffPair({0: 1}, 1, 1, {}, {})
+    assert lemma_verdict(bp)["holds"]
+    _plant_sums(monkeypatch, PairAnalysis, "BC", 1)
+    with pytest.raises(PropertyFailure) as ei:
+        frolicher_report(bp)
+    assert ei.value.prop == "equality-characterization"
+    assert "refined inequality is strict" in ei.value.detail

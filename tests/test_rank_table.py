@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohomlab.cohomology import Analysis, PairAnalysis
+from cohomlab.cohomology import _CELL_FORMULAS, _ENTRIES, _POSITIONS, Analysis, PairAnalysis
 from cohomlab.complexes import BidiffPair, tot
 from cohomlab.linalg import Matrix, mat_inverse
 from cohomlab.randomgen import assemble
@@ -167,6 +167,12 @@ def test_broken_rank_names_cell_flavor_and_formula(monkeypatch):
     # the records the formula read, the broken one at the cell itself
     assert "records (n, r1, r2, r12, rO, rI): cell (1, 2, 0, 0, 1, 0), @1 " in msg
     assert "@12 (0, 0, 0, 0, 0, 0)" in msg
+    # rows x cols of the cell's blocks: d1 out of it is the segment's arrow
+    assert msg.endswith("; blocks: d1 out 1x1, d2 out none, [d1 | d2] in none")
+    with pytest.raises(AssertionError) as err:
+        Analysis(assemble([("square", -1, -1), ("dot", 0, 0)], conj_seed=5)).flavor_table("D1")
+    assert "D1 at cell (0, 0) is -1" in str(err.value)
+    assert str(err.value).endswith("; blocks: d1 out none, d2 out none, [d1 | d2] in 2x2")
 
 
 def test_broken_tot_rank_names_degree_and_formula(monkeypatch):
@@ -177,3 +183,38 @@ def test_broken_tot_rank_names_degree_and_formula(monkeypatch):
     msg = str(err.value)
     assert "TOT_MINUS at total degree 0 is -1" in msg
     assert "dim Tot^n - rk D_n - rk D_{n-1}" in msg
+
+
+def _identity_residual(identity):
+    """lhs - rhs of 'X + Y = Z - W' over the values of _CELL_FORMULAS, as
+    {(position, entry): coefficient} without zero coefficients."""
+    forms = {name: terms for name, _text, terms in _CELL_FORMULAS}
+    lhs, rhs = identity.split("=")
+    out = {}
+    for side, outer in ((lhs, 1), (rhs, -1)):
+        sign = outer
+        for tok in side.split():
+            if tok in "+-":
+                sign = outer if tok == "+" else -outer
+                continue
+            for s, at, entry in forms[tok]:
+                out[at, entry] = out.get((at, entry), 0) + sign * s
+    return {k: c for k, c in out.items() if c}
+
+
+def test_identities_hold_as_linear_forms_in_the_records():
+    """The summed identity and the four exactness identities hold on the
+    formula table itself: as linear forms over the 24 record entries (six
+    at each of the cell, @1, @2 and @12) both sides agree, so they hold
+    for any ranks the records carry."""
+    read = {(at, entry) for _name, _text, terms in _CELL_FORMULAS for _s, at, entry in terms}
+    assert read <= {(at, entry) for at in range(len(_POSITIONS))
+                    for entry in range(len(_ENTRIES))}
+    for identity in ("BC + A = D1 + D2 + V1 + V6",
+                     "A = V1 - V2 + D1 + V4",
+                     "A = V1 - V3 + D2 + V5",
+                     "BC = V3 + D1 - V5 + V6",
+                     "BC = V2 + D2 - V4 + V6"):
+        assert _identity_residual(identity) == {}, identity
+    # without V1 + V6 the summed identity leaves a residual
+    assert _identity_residual("BC + A = D1 + D2") != {}
