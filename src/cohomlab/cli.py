@@ -5,7 +5,8 @@
   cohomlab fuzz --seed 0 --iters 100 --shapes dot:2,zigzag:1
 
 Exit codes: 0 success, 1 parse error, 2 validation error, 3 property
-failure or engine crash (fuzz).
+failure or engine crash (fuzz), or property or engine-guard failure
+(analyze).
 """
 
 from __future__ import annotations
@@ -251,6 +252,11 @@ def main(argv=None, out=None, err=None):
         # unknown builtin names, bad views and the like
         print("error: %s" % e, file=err)
         return EXIT_PARSE
+    except AssertionError as e:
+        # analyze: a PropertyFailure ("prop: detail") or an engine guard;
+        # fuzz reports its own before they get here
+        print("error: %s" % e, file=err)
+        return EXIT_PROPERTY
 
 
 if __name__ == "__main__":

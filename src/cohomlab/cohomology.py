@@ -22,6 +22,13 @@ d2 anticommute, d2d1 has rank r12 and [d1; d2][d1 | d2] rank
 r12@2 + r12@1.  _CELL_FORMULAS lists the results; e.g. V2 is
 im d2 n ker d1 over im d1d2, so V2 = r2@2 - r12@2 - r12@12.
 
+A cell is one tuple of eleven ints, its values in _CELL_FORMULAS order
+(D1, D2, BC, A, V1-V6, ker BC->A), read by the constant indices _D1 ...
+_KER_BC_A.  _cell_values, compiled once at import from the formula
+table, computes it from the four records concatenated into one flat
+24-entry vector (cell, @1, @2, @12; six entries each); the table stays
+the one source of the formulas, and the guard messages quote it.
+
 The eight formulations of the del-del-type lemma are injectivity or
 surjectivity of identity-induced maps among BC, A, D1, D2 and the two
 total cohomologies.  A map's rank is its source dimension minus its
@@ -52,8 +59,10 @@ The exact sequences of the Varouchas quotients give, per cell,
 
 and BC + A = D1 + D2 + V1 + V6.  On the formulas these are algebra: the
 test suite checks them as linear forms in the 24 record entries, the
-self-tests exposing them stay as safety checks on each input, and the
-shape ground truth in randomgen checks the values.
+self-tests exposing them (summed_identity_holds and
+exactness_identities_hold) still run on every input, as integer
+comparisons on the cell tuples, and the shape ground truth in randomgen
+checks the values.
 
 frolicher_report is the one home of the paper's results: it checks the
 inequalities, the agreement of the eight lemma formulations (inside
@@ -172,7 +181,9 @@ def induced_rank(src, dst):
 
 
 def _map(rank, src, dst):
-    return InducedMap(rank, rank == src, rank == dst).as_dict()
+    """{rank, injective, surjective} of a map from a space of dimension src
+    to one of dimension dst."""
+    return {"rank": rank, "injective": rank == src, "surjective": rank == dst}
 
 
 _POSITIONS = ("", "1", "2", "12")  # the cell, @1, @2, @12
@@ -206,6 +217,25 @@ V5 = r2 - r12 - r12@1
 V6 = r1 + r2 - rO - r12
 ker BC->A = rI - r12@2 - r12@1 - r12@12
 """.strip().splitlines()))
+_INDEX = {name: i for i, (name, _text, _t) in enumerate(_CELL_FORMULAS)}
+_D1, _D2, _BC, _A, _V1, _V2, _V3, _V4, _V5, _V6, _KER_BC_A = (
+    _INDEX[name] for name in BIGRADED_FLAVORS + VAROUCHAS + ("ker BC->A",))
+
+
+def _compile(formulas):
+    """One function from the flat 24-entry record vector (cell, @1, @2,
+    @12) to the tuple of the formulas' values, in table order.  It runs
+    the formula texts themselves, with entry r1 of the @1 record read as
+    the local r1_1."""
+    names = ["%s_%s" % (entry, at) if at else entry for at in _POSITIONS for entry in _ENTRIES]
+    scope = {}
+    exec("def _cell_values(r):\n    %s = r\n    return (%s,)\n" % (
+        ", ".join(names), ", ".join(text.replace("@", "_") for _name, text, _t in formulas)),
+        scope)
+    return scope["_cell_values"]
+
+
+_cell_values = _compile(_CELL_FORMULAS)
 
 _TOT = "dim Tot^n - rk D_n - rk D_{n-1}"
 _KER_BC_TOT = "rk D_{n-1} - S_{n-1} r12 - S_{n-2} r12"
@@ -252,13 +282,12 @@ class _AnalysisBase:
         self._obj = obj
         self._tots = {}
         self._records = {}  # key -> _record(key)
-        self._cells = {}
+        self._cells = {}  # key -> _make_cell(key)
+        self._cell_list = None  # [(key, cell)] over the support
+        self._sums = {}  # n -> _degree_sums(n)
         self._tot_ranks = {}  # (sign, n) -> rk D_n
         self._totals = {}
         self._induced = None
-
-    def _cell_keys(self):
-        return self._obj.support()
 
     def _record(self, key):
         """(n, r1, r2, r12, rO, rI) of one cell; zeros, and no rank, off the support."""
@@ -287,7 +316,9 @@ class _AnalysisBase:
         return [recs[key] for key in keys]
 
     def cell(self, key):
-        """{value name: int} for one cell: the flavors, V1-V6, ker BC->A."""
+        """The values of one cell as a tuple of ints in _CELL_FORMULAS order
+        (D1, D2, BC, A, V1-V6, ker BC->A; read by _D1 ... _KER_BC_A),
+        built once per analysis by the compiled _cell_values."""
         c = self._cells.get(key)
         if c is None:
             c = self._cells[key] = self._make_cell(key)
@@ -297,48 +328,49 @@ class _AnalysisBase:
         shift = self._obj.shift
         recs = self._records_of((key, shift(key, -1, 0), shift(key, 0, -1),
                                  shift(key, -1, -1)))
-        return {name: _checked(sum(sign * recs[at][entry] for sign, at, entry in terms),
-                               "cell", key, name, text, recs, self._obj)
-                for name, text, terms in _CELL_FORMULAS}
+        values = _cell_values(recs[0] + recs[1] + recs[2] + recs[3])
+        if min(values) < 0:
+            # the first negative value in table order names the broken rank
+            for (name, text, _t), value in zip(_CELL_FORMULAS, values):
+                _checked(value, "cell", key, name, text, recs, self._obj)
+        return values
+
+    def _cells_in_order(self):
+        """[(key, cell)] over the support, in support order."""
+        if self._cell_list is None:
+            self._cell_list = [(k, self.cell(k)) for k in self._obj.support()]
+        return self._cell_list
+
+    def _column(self, name):
+        """{key: value} of one cell value over the support."""
+        i = _INDEX[name]
+        return {k: c[i] for k, c in self._cells_in_order()}
 
     def flavor_table(self, name, keep_zeros=False):
         if name in ("TOT_PLUS", "TOT_MINUS"):
             t = self.total_table(1 if name == "TOT_PLUS" else -1)
         elif name in BIGRADED_FLAVORS:
-            t = {k: self.cell(k)[name] for k in self._cell_keys()}
+            t = self._column(name)
         else:
             raise ValueError("unknown flavor %r" % (name,))
-        return dict(t) if keep_zeros else _strip_zeros(t)
+        return t if keep_zeros else _strip_zeros(t)
 
     def varouchas_tables(self, keep_zeros=False):
-        out = {}
-        for v in VAROUCHAS:
-            t = {k: self.cell(k)[v] for k in self._cell_keys()}
-            out[v] = dict(t) if keep_zeros else _strip_zeros(t)
-        return out
+        out = {v: self._column(v) for v in VAROUCHAS}
+        return out if keep_zeros else {v: _strip_zeros(t) for v, t in out.items()}
 
     def summed_identity_holds(self):
         """BC + A = D1 + D2 + V1 + V6 in every cell."""
-        for k in self._cell_keys():
-            c = self.cell(k)
-            if c["BC"] + c["A"] != c["D1"] + c["D2"] + c["V1"] + c["V6"]:
-                return False
-        return True
+        return all(c[_BC] + c[_A] == c[_D1] + c[_D2] + c[_V1] + c[_V6]
+                   for _k, c in self._cells_in_order())
 
     def exactness_identities_hold(self):
         """The four alternating-sum identities of the exact sequences."""
-        for k in self._cell_keys():
-            c = self.cell(k)
-            d1, d2, bc, a = c["D1"], c["D2"], c["BC"], c["A"]
-            if a != c["V1"] - c["V2"] + d1 + c["V4"]:
-                return False
-            if a != c["V1"] - c["V3"] + d2 + c["V5"]:
-                return False
-            if bc != c["V3"] + d1 - c["V5"] + c["V6"]:
-                return False
-            if bc != c["V2"] + d2 - c["V4"] + c["V6"]:
-                return False
-        return True
+        return all(c[_A] == c[_V1] - c[_V2] + c[_D1] + c[_V4]
+                   and c[_A] == c[_V1] - c[_V3] + c[_D2] + c[_V5]
+                   and c[_BC] == c[_V3] + c[_D1] - c[_V5] + c[_V6]
+                   and c[_BC] == c[_V2] + c[_D2] - c[_V4] + c[_V6]
+                   for _k, c in self._cells_in_order())
 
     # -- total-degree machinery ----------------------------------------
 
@@ -384,15 +416,24 @@ class _AnalysisBase:
         return Subquotient(("TOT", sign, n), kernel(self._tot_block(sign, n)),
                            image(self._tot_block(sign, self._tot_prev(n))))
 
+    def _degree_sums(self, n):
+        """(sum BC, sum A, sum rI, sum r12) over the cells of Tot^n."""
+        keys = self._tot_keys(n)
+        cells = [self.cell(k) for k in keys]
+        recs = self._records_of(keys)
+        return (sum(c[_BC] for c in cells), sum(c[_A] for c in cells),
+                sum(rec[_RI] for rec in recs), sum(rec[_R12] for rec in recs))
+
     def _total_row(self, n):
         """The four maps between BC, A and both total cohomologies at n."""
-        keys = self._tot_keys
         prev = self._tot_prev(n)
-        bc = sum(self.cell(k)["BC"] for k in keys(n))
-        a = sum(self.cell(k)["A"] for k in keys(n))
-        r_in = sum(rec[_RI] for rec in self._records_of(keys(n)))
-        r12_1, r12_2 = (sum(rec[_R12] for rec in self._records_of(keys(m)))
-                        for m in (prev, self._tot_prev(prev)))
+        before = self._tot_prev(prev)
+        sums = self._sums
+        for m in (n, prev, before):
+            if m not in sums:
+                sums[m] = self._degree_sums(m)
+        bc, a, r_in, _ = sums[n]
+        r12_1, r12_2 = sums[prev][3], sums[before][3]
         row = {}
         for sign, tag in ((1, "TOT_PLUS"), (-1, "TOT_MINUS")):
             h = self._total(sign)[n]
@@ -442,15 +483,14 @@ class _AnalysisBase:
         if self._induced is not None:
             return self._induced
         per_cell = {}
-        for key in self._cell_keys():
-            c = self.cell(key)
-            bc, a = c["BC"], c["A"]
+        for key, c in self._cells_in_order():
+            bc, a, d1, d2 = c[_BC], c[_A], c[_D1], c[_D2]
             per_cell[key] = {
-                "BC->A": _map(bc - c["ker BC->A"], bc, a),
-                "BC->D1": _map(bc - c["V3"], bc, c["D1"]),
-                "BC->D2": _map(bc - c["V2"], bc, c["D2"]),
-                "D1->A": _map(a - c["V4"], c["D1"], a),
-                "D2->A": _map(a - c["V5"], c["D2"], a),
+                "BC->A": _map(bc - c[_KER_BC_A], bc, a),
+                "BC->D1": _map(bc - c[_V3], bc, d1),
+                "BC->D2": _map(bc - c[_V2], bc, d2),
+                "D1->A": _map(a - c[_V4], d1, a),
+                "D2->A": _map(a - c[_V5], d2, a),
             }
         per_degree = {}
         if self._tot_applicable():
@@ -487,9 +527,10 @@ class Analysis(_AnalysisBase):
 
     def total_degree_sums(self, name):
         """Flavor table summed along antidiagonals: {n: sum over p+q=n}."""
+        i = _INDEX[name]
         out = {}
-        for (p, q), v in self.flavor_table(name, keep_zeros=True).items():
-            out[p + q] = out.get(p + q, 0) + v
+        for (p, q), c in self._cells_in_order():
+            out[p + q] = out.get(p + q, 0) + c[i]
         return out
 
 
@@ -542,10 +583,10 @@ class PairAnalysis(_AnalysisBase):
         range(|delta|).  For deg1 == deg2 the flavor table itself is
         returned (total cohomology is graded by plain degrees there).
         """
-        table = self.flavor_table(name, keep_zeros=True)
         if self.delta == 0:
-            return table
-        return {n: sum(table[k] for k in self._tot_keys(n))
+            return self.flavor_table(name, keep_zeros=True)
+        i = _INDEX[name]
+        return {n: sum(self.cell(k)[i] for k in self._tot_keys(n))
                 for n in self._tot_degrees()}
 
 

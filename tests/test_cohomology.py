@@ -19,6 +19,7 @@ from cohomlab.linalg import Matrix, Subspace
 from cohomlab.report import make_report
 from cohomlab.scalars import GaussianRational
 from cohomlab.complexes import BidiffPair, DoubleComplex
+from cohomlab import cohomology
 from cohomlab.cohomology import (
     Analysis,
     IllFormedMap,
@@ -31,7 +32,9 @@ from cohomlab.cohomology import (
     varouchas,
     varouchas_identity_check,
 )
+from cohomlab.properties import check_bicomplex
 from cohomlab.randomgen import (
+    assemble,
     predicted_tables,
     random_bicomplex,
     shape_complex,
@@ -366,6 +369,37 @@ def test_report_computes_each_map_and_cell_once(monkeypatch):
     want = reference(pair)["induced"]["total"]
     assert PairAnalysis(pair).induced_tables()["total"] == want
     assert induced["total"] == {str(n): row for n, row in want.items()}
+
+
+def test_fuzz_check_builds_each_cell_and_degree_sum_once(monkeypatch):
+    """check_bicomplex on a conjugated fuzz-style draw (its identity checks,
+    frolicher_report and the readers of its tables): each record, each
+    cell and each per-degree sum of the total rows is built once, and the
+    compiled evaluator runs once per cell."""
+    calls = {"record": [], "cell": [], "sums": [], "evaluator": []}
+    for name, attr in (("record", "_record"), ("cell", "_make_cell"), ("sums", "_degree_sums")):
+        def counted(self, *args, _orig=getattr(Analysis, attr), _log=calls[name]):
+            _log.append(args)
+            return _orig(self, *args)
+
+        monkeypatch.setattr(Analysis, attr, counted)
+    real = cohomology._cell_values
+    monkeypatch.setattr(cohomology, "_cell_values",
+                        lambda vec: calls["evaluator"].append(vec) or real(vec))
+    shapes = [("zigzag", 0, 0, 4, "lower"), ("square", 1, -1), ("dot", 2, 0),
+              ("hseg", -1, 1), ("vseg", 0, 2), ("zigzag", 1, 1, 3, "upper")]
+    dc = assemble(shapes, conj_seed=7)
+    a = check_bicomplex(dc, shapes=shapes)
+    for name in ("record", "cell", "sums"):
+        assert len(calls[name]) == len(set(calls[name])), name
+    assert sorted(key for key, in calls["cell"]) == dc.support()
+    # two cells may read equal records, so the vectors need not differ
+    assert len(calls["evaluator"]) == len(dc.support())
+    assert sorted(key for key, in calls["record"] if dc.dim(*key)) == dc.support()
+    lo, hi = dc.total_range()
+    # every total degree, and the two below the lowest that its rows read
+    assert sorted(n for n, in calls["sums"]) == list(range(lo - 2, hi + 1))
+    assert a.lemma_verdict() == {"holds": False, "conditions": dict.fromkeys(range(1, 9), False)}
 
 
 def test_edits_to_returned_tables_do_not_reach_the_analysis():

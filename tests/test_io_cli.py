@@ -3,6 +3,7 @@
 import hashlib
 import io as pyio
 import json
+import pathlib
 import re
 import time
 
@@ -10,7 +11,7 @@ import pytest
 
 from cohomlab import cli
 from cohomlab import io as cio
-from cohomlab.cohomology import IllFormedMap, cohom
+from cohomlab.cohomology import Analysis, IllFormedMap, cohom
 from cohomlab.linalg import NotASubspace
 from cohomlab.randomgen import assemble
 
@@ -311,6 +312,31 @@ def test_analyze_unwritable_out_exits_one_with_one_line(tmp_path):
     assert (code, out) == (1, "")
     assert err.startswith("error: cannot write %s" % target)
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_analyze_property_and_guard_failures_exit_three_with_one_line(tmp_path, monkeypatch):
+    """A PropertyFailure or an engine-guard AssertionError inside analyze
+    is reported as one error line and exit 3, as fuzz reports them."""
+    golden = json.loads((pathlib.Path(__file__).parent / "golden" / "dot.json").read_text())
+    src = tmp_path / "dot.json"
+    src.write_text(json.dumps(golden["input"]))
+    real_sums, real_record = Analysis.total_degree_sums, Analysis._record
+
+    def check(prefix):
+        code, out, err = run_cli("analyze", str(src))
+        assert (code, out) == (cli.EXIT_PROPERTY, "")
+        assert err.startswith("error: " + prefix)
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    with monkeypatch.context() as m:
+        m.setattr(Analysis, "total_degree_sums", lambda self, name: {
+            n: v + (name == "D1") for n, v in real_sums(self, name).items()})
+        check("refined-inequality: refined inequality violated at degree 0")
+    with monkeypatch.context() as m:
+        m.setattr(Analysis, "_record", lambda self, key: (
+            (1, 2) + real_record(self, key)[2:] if key == (0, 0) else real_record(self, key)))
+        check("rank-table engine bug: D1 at cell (0, 0) is -1 = n - r1 - r1@1")
+    assert run_cli("analyze", str(src))[0] == 0
 
 
 def test_oversized_declarations_are_rejected_before_building():

@@ -11,12 +11,14 @@ total tables differ.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cohomlab.cohomology import _CELL_FORMULAS, _ENTRIES, _POSITIONS, Analysis, PairAnalysis
+from cohomlab.cohomology import (_CELL_FORMULAS, _ENTRIES, _POSITIONS, Analysis, PairAnalysis,
+                                 _cell_values)
 from cohomlab.complexes import BidiffPair, tot
 from cohomlab.linalg import Matrix, mat_inverse
 from cohomlab.randomgen import assemble
@@ -173,6 +175,46 @@ def test_broken_rank_names_cell_flavor_and_formula(monkeypatch):
         Analysis(assemble([("square", -1, -1), ("dot", 0, 0)], conj_seed=5)).flavor_table("D1")
     assert "D1 at cell (0, 0) is -1" in str(err.value)
     assert str(err.value).endswith("; blocks: d1 out none, d2 out none, [d1 | d2] in 2x2")
+
+
+def _by_terms(vec):
+    """The reference evaluator: each formula of _CELL_FORMULAS summed term
+    by term over the flat record vector (cell, @1, @2, @12)."""
+    width = len(_ENTRIES)
+    return tuple(sum(sign * vec[at * width + entry] for sign, at, entry in terms)
+                 for _name, _text, terms in _CELL_FORMULAS)
+
+
+RECORD_VECTORS = st.lists(st.integers(-5, 30), min_size=24, max_size=24).map(tuple)
+
+
+@given(RECORD_VECTORS)
+@settings(max_examples=300, deadline=None)
+def test_compiled_evaluator_matches_the_formula_table(vec):
+    assert _cell_values(vec) == _by_terms(vec)
+
+
+@given(st.lists(st.integers(0, 3), min_size=24, max_size=24).map(tuple))
+@example((3, 1, 1, 0, 2, 0) + (0,) * 18)
+@settings(max_examples=200, deadline=None)
+def test_negative_value_names_the_first_negative_formula(vec):
+    """Records planted around the cell (0, 0): a cell with no negative value
+    is the reference tuple; otherwise the guard names the first negative
+    formula in table order, with its value and its text."""
+    dc = assemble([("dot", 0, 0)])
+    planted = {key: vec[6 * i:6 * i + 6]
+               for i, key in enumerate([(0, 0), (-1, 0), (0, -1), (-1, -1)])}
+    want = _by_terms(vec)
+    with mock.patch.object(Analysis, "_record", lambda self, key: planted[key]):
+        a = Analysis(dc)
+        if min(want) >= 0:
+            assert a.cell((0, 0)) == want
+            return
+        with pytest.raises(AssertionError) as err:
+            a.cell((0, 0))
+    i = next(i for i, v in enumerate(want) if v < 0)
+    name, text, _terms = _CELL_FORMULAS[i]
+    assert ": %s at cell (0, 0) is %d = %s; records" % (name, want[i], text) in str(err.value)
 
 
 def test_broken_tot_rank_names_degree_and_formula(monkeypatch):
