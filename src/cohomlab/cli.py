@@ -121,13 +121,14 @@ def _parse_shape_counts(spec):
     return counts
 
 
-def _minimize(shapes, prop):
-    """Greedy shape removal keeping the named property failing."""
-    shapes = list(shapes)
+def _minimize(shapes, prop, seed, dc):
+    """Greedy shape removal keeping the named property failing on sub-draws
+    conjugated by seed, as faults may depend on the entries.  Returns the
+    shapes and the last complex seen failing, dc when no sub-draw fails."""
 
-    def still_fails(sub):
+    def still_fails(sub, sub_dc):
         try:
-            check_bicomplex(assemble(sub), shapes=sub)
+            check_bicomplex(sub_dc, shapes=sub)
         except PropertyFailure as e:
             return e.prop == prop
         except Exception:
@@ -139,11 +140,11 @@ def _minimize(shapes, prop):
         changed = False
         for i in range(len(shapes)):
             sub = shapes[:i] + shapes[i + 1:]
-            if still_fails(sub):
-                shapes = sub
-                changed = True
+            sub_dc = assemble(sub, conj_seed=seed)
+            if still_fails(sub, sub_dc):
+                shapes, dc, changed = sub, sub_dc, True
                 break
-    return shapes
+    return shapes, dc
 
 
 def _fuzz_one(seed, counts):
@@ -174,8 +175,7 @@ def _cmd_fuzz(args, out, err):
         print("fuzz: %d iterations, all properties hold" % args.iters, file=out)
         return EXIT_OK
     seed, rb, exc = failure
-    small = _minimize(rb.shapes, exc.prop)
-    dc = assemble(small)
+    small, dc = _minimize(rb.shapes, exc.prop, seed, rb.dc)
     path = args.reproducer or ("fuzz-reproducer-%d.json" % seed)
     print("fuzz: property %r failed at seed %d (%s)"
           % (exc.prop, seed, exc.detail), file=err)

@@ -47,11 +47,14 @@ the Tot differential of one sign and S_n a sum over the cells of Tot^n
     d1d2 on the difference of the two inputs, so
     rank = (dim Tot^n - rk D_n) - S_n rI + S_{n-1} r12.
 
-Each record, cell and rk D_n is computed once per analysis; rk D_n
-also gives the total tables.  TOT_MINUS reads its own matrix, so the
-two-sign agreement stays a check.  A negative value means a broken rank
-and raises AssertionError naming the cell, the value and its formula,
-and for a cell the records read and the shapes of the cell's blocks.
+Each record and cell is computed once per analysis, and so is the
+per-degree table that the total tables, the total rows and
+total_degree_sums read by index: per total degree n, the records and the
+cell tuples summed over the cells of Tot^n (entry n of the records is
+dim Tot^n) and rk D_n of each sign.  TOT_MINUS reads its own matrix, so
+the two-sign agreement stays a check.  A negative value means a broken
+rank and raises AssertionError naming the cell, the value and its
+formula, and for a cell the records read and the shapes of its blocks.
 The exact sequences of the Varouchas quotients give, per cell,
 
     A  = V1 - V2 + D1 + V4 = V1 - V3 + D2 + V5
@@ -236,6 +239,7 @@ def _compile(formulas):
 
 
 _cell_values = _compile(_CELL_FORMULAS)
+_ZERO_CELL = (0,) * len(_CELL_FORMULAS)
 
 _TOT = "dim Tot^n - rk D_n - rk D_{n-1}"
 _KER_BC_TOT = "rk D_{n-1} - S_{n-1} r12 - S_{n-2} r12"
@@ -284,9 +288,8 @@ class _AnalysisBase:
         self._records = {}  # key -> _record(key)
         self._cells = {}  # key -> _make_cell(key)
         self._cell_list = None  # [(key, cell)] over the support
-        self._sums = {}  # n -> _degree_sums(n)
-        self._tot_ranks = {}  # (sign, n) -> rk D_n
-        self._totals = {}
+        self._degrees = None  # _degree_table()
+        self._totals = {}  # sign -> the checked total table
         self._induced = None
 
     def _record(self, key):
@@ -382,27 +385,34 @@ class _AnalysisBase:
         return t
 
     def _tot_keys(self, n):
+        """The cells of Tot^n."""
         return self.tot(1).cells(n)
-
-    def _tot_dim(self, n):
-        return self.tot(1).dim(n)
 
     def _tot_block(self, sign, n):
         return self.tot(sign).block(n)
 
-    def _tot_rank(self, sign, n):
-        r = self._tot_ranks.get((sign, n))
-        if r is None:
-            r = self._tot_ranks[(sign, n)] = rank(self._tot_block(sign, n))
-        return r
+    def _degree_table(self):
+        """{n: (records, cells, {sign: rk D_n})} over the total degrees and
+        the degree before each, records and cells summed over Tot^n; built
+        once.  Every degree with cells is a total degree."""
+        if self._degrees is None:
+            degrees, table = self._tot_degrees(), {}
+            for n in sorted(set(degrees).union(map(self._tot_prev, degrees))):
+                keys = self._tot_keys(n)
+                table[n] = (tuple(map(sum, zip(_ZERO_RECORD, *self._records_of(keys)))),
+                            tuple(map(sum, zip(_ZERO_CELL, *map(self.cell, keys)))),
+                            {sign: rank(self._tot_block(sign, n)) for sign in (1, -1)})
+            self._degrees = table  # set only when complete: a guard may raise above
+        return self._degrees
 
     def _total(self, sign):
         t = self._totals.get(sign)
         if t is None:
             name = "TOT_PLUS" if sign == 1 else "TOT_MINUS"
+            table = self._degree_table()
             t = self._totals[sign] = {
-                n: _checked(self._tot_dim(n) - self._tot_rank(sign, n)
-                            - self._tot_rank(sign, self._tot_prev(n)),
+                n: _checked(table[n][0][0] - table[n][2][sign]
+                            - table[self._tot_prev(n)][2][sign],
                             "total degree", n, name, _TOT)
                 for n in self._tot_degrees()}
         return t
@@ -416,33 +426,23 @@ class _AnalysisBase:
         return Subquotient(("TOT", sign, n), kernel(self._tot_block(sign, n)),
                            image(self._tot_block(sign, self._tot_prev(n))))
 
-    def _degree_sums(self, n):
-        """(sum BC, sum A, sum rI, sum r12) over the cells of Tot^n."""
-        keys = self._tot_keys(n)
-        cells = [self.cell(k) for k in keys]
-        recs = self._records_of(keys)
-        return (sum(c[_BC] for c in cells), sum(c[_A] for c in cells),
-                sum(rec[_RI] for rec in recs), sum(rec[_R12] for rec in recs))
-
     def _total_row(self, n):
         """The four maps between BC, A and both total cohomologies at n."""
+        table = self._degree_table()
         prev = self._tot_prev(n)
         before = self._tot_prev(prev)
-        sums = self._sums
-        for m in (n, prev, before):
-            if m not in sums:
-                sums[m] = self._degree_sums(m)
-        bc, a, r_in, _ = sums[n]
-        r12_1, r12_2 = sums[prev][3], sums[before][3]
+        recs, cells, rk = table[n]
+        r12_1, rk_prev = table[prev][0][_R12], table[prev][2]
+        r12_2 = table[before][0][_R12] if before in table else 0
         row = {}
         for sign, tag in ((1, "TOT_PLUS"), (-1, "TOT_MINUS")):
             h = self._total(sign)[n]
-            ker = _checked(self._tot_rank(sign, prev) - r12_1 - r12_2,
+            ker = _checked(rk_prev[sign] - r12_1 - r12_2,
                            "total degree", n, "ker BC->" + tag, _KER_BC_TOT)
-            into = _checked(self._tot_dim(n) - self._tot_rank(sign, n) - r_in + r12_1,
+            into = _checked(recs[0] - rk[sign] - recs[_RI] + r12_1,
                             "total degree", n, "rank %s->A" % tag, _RANK_TOT_A)
-            row["BC->" + tag] = _map(bc - ker, bc, h)
-            row[tag + "->A"] = _map(into, h, a)
+            row["BC->" + tag] = _map(cells[_BC] - ker, cells[_BC], h)
+            row[tag + "->A"] = _map(into, h, cells[_A])
         return row
 
     def lemma_verdict(self):
@@ -526,12 +526,10 @@ class Analysis(_AnalysisBase):
         return n - 1
 
     def total_degree_sums(self, name):
-        """Flavor table summed along antidiagonals: {n: sum over p+q=n}."""
+        """Flavor table summed along antidiagonals: {n: sum over p+q=n},
+        over the total degrees that have cells."""
         i = _INDEX[name]
-        out = {}
-        for (p, q), c in self._cells_in_order():
-            out[p + q] = out.get(p + q, 0) + c[i]
-        return out
+        return {n: row[1][i] for n, row in self._degree_table().items() if row[0][0]}
 
 
 class PairAnalysis(_AnalysisBase):
@@ -565,8 +563,9 @@ class PairAnalysis(_AnalysisBase):
         # Tot Doub is periodic in n; with delta == 0, d1 +- d2 has degree deg1
         return (n - 1) % abs(self.delta) if self.delta else n - self.bp.deg1
 
-    def _tot_dim(self, n):
-        return super()._tot_dim(n) if self.delta else self.bp.dim(n)
+    def _tot_keys(self, n):
+        # with delta == 0, Tot^n is the degree n itself
+        return super()._tot_keys(n) if self.delta else [n] if n in self.bp.dims else []
 
     def _tot_block(self, sign, n):
         if self.delta:
@@ -583,11 +582,9 @@ class PairAnalysis(_AnalysisBase):
         range(|delta|).  For deg1 == deg2 the flavor table itself is
         returned (total cohomology is graded by plain degrees there).
         """
-        if self.delta == 0:
-            return self.flavor_table(name, keep_zeros=True)
         i = _INDEX[name]
-        return {n: sum(self.cell(k)[i] for k in self._tot_keys(n))
-                for n in self._tot_degrees()}
+        table = self._degree_table()
+        return {n: table[n][1][i] for n in self._tot_degrees()}
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,10 @@ def _dc_reference(dc):
     layout = {n: [((p, q), off) for p, q, off, _d in tots[1].summands(n)]
               for n in range(lo, hi + 1)}
     totals = {sign: t.cohomology() for sign, t in tots.items()}
-    return cells, totals, _total_rows(cells, layout, lambda s, n: tots[s].block(n))
+    groups = {}
+    for p, q in dc.support():
+        groups.setdefault(p + q, []).append((p, q))
+    return cells, totals, _total_rows(cells, layout, lambda s, n: tots[s].block(n)), groups
 
 
 def _pair_reference(bp):
@@ -148,27 +151,33 @@ def _pair_reference(bp):
             def rk(k, sign=sign):
                 return rank(bp.d1_block(k).add(bp.d2_block(k).scale(sign)))
             totals[sign] = {k: bp.dim(k) - rk(k) - rk(k - e1) for k in bp.support()}
-        return cells, totals, {}
+        return cells, totals, {}, {k: [k] for k in bp.support()}
     # Doub^{p,q} = A^{e1*p + e2*q}; Tot Doub repeats with period delta,
     # so the block into residue 0 is the one out of residue delta - 1
     tots = {sign: tot(bp, sign) for sign in (1, -1)}
     layout = {n: [(e1 * p + e2 * q, off) for p, q, off, _d in tots[1].summands(n)]
               for n in range(delta)}
     totals = {sign: doub_total_cohomology(bp, sign) for sign in (1, -1)}
+    groups = {n: [key for key, _off in parts] for n, parts in layout.items()}
     return cells, totals, _total_rows(
-        cells, layout, lambda s, n: tots[s].block(n % delta))
+        cells, layout, lambda s, n: tots[s].block(n % delta)), groups
 
 
 def reference(obj):
     """Every table, Varouchas quotient and induced map of a complex or pair,
-    shaped as the rank-table analysis reports them (zeros kept)."""
+    shaped as the rank-table analysis reports them (zeros kept).  The
+    total-degree sums add each flavor over the cells of one total degree:
+    by p+q for a complex, over the degrees with cells; by residue class for
+    a pair, over every class; and one degree each when deg1 = deg2."""
     if isinstance(obj, DoubleComplex):
-        cells, totals, rows = _dc_reference(obj)
+        cells, totals, rows, groups = _dc_reference(obj)
     else:
-        cells, totals, rows = _pair_reference(obj)
+        cells, totals, rows, groups = _pair_reference(obj)
+    tables = {f: {k: c.sq[f].dim for k, c in cells.items()} for f in ("D1", "D2", "BC", "A")}
     return {
-        "tables": {f: {k: c.sq[f].dim for k, c in cells.items()}
-                   for f in ("D1", "D2", "BC", "A")},
+        "tables": tables,
+        "sums": {f: {n: sum(t[k] for k in keys) for n, keys in groups.items()}
+                 for f, t in tables.items()},
         "varouchas": {v: {k: c.var[v] for k, c in cells.items()}
                       for v in ("V1", "V2", "V3", "V4", "V5", "V6")},
         "TOT_PLUS": totals[1],
@@ -183,6 +192,7 @@ def engine_view(a):
     return {
         "tables": {f: a.flavor_table(f, keep_zeros=True)
                    for f in ("D1", "D2", "BC", "A")},
+        "sums": {f: a.total_degree_sums(f) for f in ("D1", "D2", "BC", "A")},
         "varouchas": a.varouchas_tables(keep_zeros=True),
         "TOT_PLUS": a.total_table(1),
         "TOT_MINUS": a.total_table(-1),

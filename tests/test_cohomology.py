@@ -373,32 +373,48 @@ def test_report_computes_each_map_and_cell_once(monkeypatch):
 
 def test_fuzz_check_builds_each_cell_and_degree_sum_once(monkeypatch):
     """check_bicomplex on a conjugated fuzz-style draw (its identity checks,
-    frolicher_report and the readers of its tables): each record, each
-    cell and each per-degree sum of the total rows is built once, and the
-    compiled evaluator runs once per cell."""
-    calls = {"record": [], "cell": [], "sums": [], "evaluator": []}
-    for name, attr in (("record", "_record"), ("cell", "_make_cell"), ("sums", "_degree_sums")):
+    frolicher_report and the readers of its tables): the per-degree table
+    is built once, each Tot block is ranked once, each record and each cell
+    is built once, and the compiled evaluator runs once per cell."""
+    calls = {"record": [], "cell": [], "keys": [], "block": [], "table": [],
+             "evaluator": [], "ranked": []}
+    for name, attr in (("record", "_record"), ("cell", "_make_cell"), ("keys", "_tot_keys"),
+                       ("block", "_tot_block"), ("table", "_degree_table")):
         def counted(self, *args, _orig=getattr(Analysis, attr), _log=calls[name]):
-            _log.append(args)
-            return _orig(self, *args)
+            out = _orig(self, *args)
+            _log.append((args, out))
+            return out
 
         monkeypatch.setattr(Analysis, attr, counted)
     real = cohomology._cell_values
     monkeypatch.setattr(cohomology, "_cell_values",
                         lambda vec: calls["evaluator"].append(vec) or real(vec))
+    real_rank = cohomology.rank
+    monkeypatch.setattr(cohomology, "rank",
+                        lambda m: calls["ranked"].append(m) or real_rank(m))
     shapes = [("zigzag", 0, 0, 4, "lower"), ("square", 1, -1), ("dot", 2, 0),
               ("hseg", -1, 1), ("vseg", 0, 2), ("zigzag", 1, 1, 3, "upper")]
     dc = assemble(shapes, conj_seed=7)
     a = check_bicomplex(dc, shapes=shapes)
-    for name in ("record", "cell", "sums"):
-        assert len(calls[name]) == len(set(calls[name])), name
-    assert sorted(key for key, in calls["cell"]) == dc.support()
+    args = {name: [arg for arg, _out in log] for name, log in calls.items()
+            if name not in ("evaluator", "ranked")}
+    for name in ("record", "cell", "keys", "block"):
+        assert len(args[name]) == len(set(args[name])), name
+    assert sorted(key for key, in args["cell"]) == dc.support()
     # two cells may read equal records, so the vectors need not differ
     assert len(calls["evaluator"]) == len(dc.support())
-    assert sorted(key for key, in calls["record"] if dc.dim(*key)) == dc.support()
+    assert sorted(key for key, in args["record"] if dc.dim(*key)) == dc.support()
+    # one table, its rows built once: every total degree and the one below
+    # the lowest, the degree its total tables and rows read rk D_{n-1} at
+    assert len({id(out) for _arg, out in calls["table"]}) == 1
     lo, hi = dc.total_range()
-    # every total degree, and the two below the lowest that its rows read
-    assert sorted(n for n, in calls["sums"]) == list(range(lo - 2, hi + 1))
+    degrees = list(range(lo - 1, hi + 1))
+    assert list(calls["table"][0][1]) == degrees
+    assert sorted(n for n, in args["keys"]) == degrees
+    assert sorted(args["block"]) == sorted((s, n) for s in (1, -1) for n in degrees)
+    # each block is ranked once, by the table
+    for _arg, block in calls["block"]:
+        assert sum(m is block for m in calls["ranked"]) == 1
     assert a.lemma_verdict() == {"holds": False, "conditions": dict.fromkeys(range(1, 9), False)}
 
 

@@ -574,6 +574,32 @@ def test_fuzz_engine_crash_minimizes_and_writes_reproducer(tmp_path, monkeypatch
     assert rebuilt.total_dim() == 1
 
 
+def test_fuzz_reproducer_keeps_the_failing_basis(tmp_path, monkeypatch):
+    """A fault that depends on the entries, here any entry of size 2 or
+    more, still fails on the written reproducer: minimization runs on
+    conjugated sub-draws and writes the last complex seen failing."""
+    real_check = cli.check_bicomplex
+
+    def planted(dc, shapes=None):
+        if any(abs(x) >= 2 for blocks in (dc.d1, dc.d2) for m in blocks.values()
+               for row in m.rows for x in row):
+            raise cli.PropertyFailure("identities", "planted: an entry of size 2 or more")
+        return real_check(dc, shapes=shapes)
+
+    monkeypatch.setattr(cli, "check_bicomplex", planted)
+    repro = tmp_path / "repro.json"
+    code, out, err = run_cli(
+        "fuzz", "--iters", "1", "--seed", "5",
+        "--shapes", "square:2,hseg:2,vseg:2", "--reproducer", str(repro),
+    )
+    assert code == 3
+    assert "'identities' failed at seed 5" in err
+    rebuilt = cio.build(cio.parse_document(json.loads(repro.read_text()))).obj
+    with pytest.raises(cli.PropertyFailure) as failure:
+        planted(rebuilt)
+    assert failure.value.prop == "identities"
+
+
 def test_fuzz_unwritable_reproducer_still_reports_the_failure(tmp_path, monkeypatch):
     def planted(dc, shapes=None):
         raise cli.PropertyFailure("identities", "planted for the test")

@@ -410,6 +410,16 @@ def test_rank_nullity(m):
     assert kernel(m).dim + image(m).dim == m.ncols
 
 
+@given(deficient_matrices(), st.data())
+@settings(max_examples=300)
+def test_rank_ignores_row_order(m, data):
+    """rank is free to take its rows in any order: every permutation of
+    the rows, dependent ones among them, on integer, Fraction, Gaussian and
+    mixed entries, gives the same rank."""
+    order = data.draw(st.permutations(range(m.nrows)))
+    assert rank(Matrix([m.rows[i] for i in order], m.ncols)) == rank(m)
+
+
 # -- kernel / image ---------------------------------------------------------
 
 
