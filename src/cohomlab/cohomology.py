@@ -31,12 +31,12 @@ the one source of the formulas, and the guard messages quote it.
 
 The eight formulations of the del-del-type lemma are injectivity or
 surjectivity of identity-induced maps among BC, A, D1, D2 and the two
-total cohomologies.  A map's rank is its source dimension minus its
-kernel or its target dimension minus its cokernel; it is injective iff
-rank == source, surjective iff rank == target.  ker(BC -> A) is in
-_CELL_FORMULAS; BC -> D1 and BC -> D2 have kernels V3 and V2, and
-D1 -> A and D2 -> A cokernels V4 and V5.  Per total degree n, with D_n
-the Tot differential of one sign and S_n a sum over the cells of Tot^n
+total cohomologies, so lemma_verdict reads each as one vanishing
+kernel or cokernel.  ker(BC -> A) is in _CELL_FORMULAS; BC -> D1 and
+BC -> D2 have kernels V3 and V2, and D1 -> A and D2 -> A cokernels V4
+and V5.  A map's rank is its source dimension minus its kernel or its
+target dimension minus its cokernel.  Per total degree n, with D_n the
+Tot differential of one sign and S_n a sum over the cells of Tot^n
 (degrees run mod |deg1 - deg2| for a pair):
 
   * BC -> TOT has kernel (ker d1 n ker d2 n im D_{n-1}) / im d1d2, and
@@ -51,10 +51,15 @@ Each record and cell is computed once per analysis, and so is the
 per-degree table that the total tables, the total rows and
 total_degree_sums read by index: per total degree n, the records and the
 cell tuples summed over the cells of Tot^n (entry n of the records is
-dim Tot^n) and rk D_n of each sign.  TOT_MINUS reads its own matrix, so
-the two-sign agreement stays a check.  A negative value means a broken
-rank and raises AssertionError naming the cell, the value and its
-formula, and for a cell the records read and the shapes of its blocks.
+dim Tot^n) and rk D_n of each sign; from it _total(sign) holds dim H^n,
+ker(BC -> H^n) and rank(H^n -> A), each checked once.  TOT_MINUS reads
+its own matrix, so the two-sign agreement stays a check.  Only numbers
+are memoised: induced_tables() builds fresh dicts from them on each
+call.  graded and characterizes, set once per analysis, say whether Tot
+is graded and whether its degrees characterize the lemma.  A negative
+value means a broken rank and raises AssertionError naming the cell,
+the value and its formula, and for a cell the records read and the
+shapes of its blocks.
 The exact sequences of the Varouchas quotients give, per cell,
 
     A  = V1 - V2 + D1 + V4 = V1 - V3 + D2 + V5
@@ -276,8 +281,12 @@ class _AnalysisBase:
     """Flavor/Varouchas/lemma logic from block ranks over the cells of a
     validated DoubleComplex or BidiffPair, and its memoised tot(sign).
 
-    Subclasses provide the total degrees: _tot_degrees(), _tot_prev(n)
-    and _tot_applicable().
+    The lemma verdict reads vanishing numbers among the memoised ones,
+    and induced_tables() builds fresh dicts from them on each call.
+    Subclasses provide the total degrees, _tot_degrees() and
+    _tot_prev(n), and set graded (Tot has a total grading: lemma
+    conditions 5-8 and the total inequalities apply) and characterizes
+    (doubled equality must coincide with the lemma) once per analysis.
     """
 
     def __init__(self, obj, validated):
@@ -289,8 +298,7 @@ class _AnalysisBase:
         self._cells = {}  # key -> _make_cell(key)
         self._cell_list = None  # [(key, cell)] over the support
         self._degrees = None  # _degree_table()
-        self._totals = {}  # sign -> the checked total table
-        self._induced = None
+        self._totals = {}  # sign -> _total(sign)
 
     def _record(self, key):
         """(n, r1, r2, r12, rO, rI) of one cell; zeros, and no rank, off the support."""
@@ -406,19 +414,30 @@ class _AnalysisBase:
         return self._degrees
 
     def _total(self, sign):
+        """{n: (dim H^n, ker BC -> H^n, rank H^n -> A)} for d1 + sign*d2,
+        checked and built once per sign.  The module docstring's
+        derivation holds for deg1 == deg2 too: [d1; d2] D and D [d1 | d2]
+        are still d1d2, up to sign, out of the degree before n."""
         t = self._totals.get(sign)
         if t is None:
-            name = "TOT_PLUS" if sign == 1 else "TOT_MINUS"
-            table = self._degree_table()
-            t = self._totals[sign] = {
-                n: _checked(table[n][0][0] - table[n][2][sign]
-                            - table[self._tot_prev(n)][2][sign],
-                            "total degree", n, name, _TOT)
-                for n in self._tot_degrees()}
+            tag = "TOT_PLUS" if sign == 1 else "TOT_MINUS"
+            table, t = self._degree_table(), {}
+            for n in self._tot_degrees():
+                prev = self._tot_prev(n)
+                before = self._tot_prev(prev)
+                recs, _cells, rk = table[n]
+                r12_1, rk_prev = table[prev][0][_R12], table[prev][2][sign]
+                r12_2 = table[before][0][_R12] if before in table else 0
+                t[n] = (_checked(recs[0] - rk[sign] - rk_prev, "total degree", n, tag, _TOT),
+                        _checked(rk_prev - r12_1 - r12_2,
+                                 "total degree", n, "ker BC->" + tag, _KER_BC_TOT),
+                        _checked(recs[0] - rk[sign] - recs[_RI] + r12_1,
+                                 "total degree", n, "rank %s->A" % tag, _RANK_TOT_A))
+            self._totals[sign] = t  # set only when complete: a guard may raise above
         return t
 
     def total_table(self, sign):
-        return dict(self._total(sign))
+        return {n: h for n, (h, _ker, _into) in self._total(sign).items()}
 
     def tot_subquotient(self, sign, n):
         """Z/B of total degree n as subspaces.  No table reads it;
@@ -428,60 +447,39 @@ class _AnalysisBase:
 
     def _total_row(self, n):
         """The four maps between BC, A and both total cohomologies at n."""
-        table = self._degree_table()
-        prev = self._tot_prev(n)
-        before = self._tot_prev(prev)
-        recs, cells, rk = table[n]
-        r12_1, rk_prev = table[prev][0][_R12], table[prev][2]
-        r12_2 = table[before][0][_R12] if before in table else 0
+        cells = self._degree_table()[n][1]
         row = {}
         for sign, tag in ((1, "TOT_PLUS"), (-1, "TOT_MINUS")):
-            h = self._total(sign)[n]
-            ker = _checked(rk_prev[sign] - r12_1 - r12_2,
-                           "total degree", n, "ker BC->" + tag, _KER_BC_TOT)
-            into = _checked(recs[0] - rk[sign] - recs[_RI] + r12_1,
-                            "total degree", n, "rank %s->A" % tag, _RANK_TOT_A)
+            h, ker, into = self._total(sign)[n]
             row["BC->" + tag] = _map(cells[_BC] - ker, cells[_BC], h)
             row[tag + "->A"] = _map(into, h, cells[_A])
         return row
 
     def lemma_verdict(self):
-        """The eight lemma conditions, read from the induced-map table."""
-        tables = self._induced_memo()
-        cells = tables["bigraded"].values()
+        """The eight lemma conditions as vanishing numbers: per cell ker and
+        coker of BC -> A, V2 and V3, V4 and V5; per total degree ker
+        BC -> H and coker H -> A of each sign, when Tot is graded."""
+        cells = [c for _k, c in self._cells_in_order()]
         conds = {
-            1: all(c["BC->A"]["injective"] for c in cells),
-            2: all(c["BC->A"]["surjective"] for c in cells),
-            3: all(c["BC->D1"]["injective"] and c["BC->D2"]["injective"]
-                   for c in cells),
-            4: all(c["D1->A"]["surjective"] and c["D2->A"]["surjective"]
-                   for c in cells),
+            1: not any(c[_KER_BC_A] for c in cells),
+            2: not any(c[_BC] - c[_KER_BC_A] - c[_A] for c in cells),
+            3: not any(c[_V3] or c[_V2] for c in cells),
+            4: not any(c[_V4] or c[_V5] for c in cells),
         }
-        rows = tables["total"].values()
-        for tag, ci, cs in (("TOT_PLUS", 5, 6), ("TOT_MINUS", 7, 8)):
-            if self._tot_applicable():
-                conds[ci] = all(r["BC->" + tag]["injective"] for r in rows)
-                conds[cs] = all(r[tag + "->A"]["surjective"] for r in rows)
-            else:
-                conds[ci] = conds[cs] = None
+        for sign, i in ((1, 5), (-1, 7)):
+            conds[i] = conds[i + 1] = None
+            if self.graded:
+                t, table = self._total(sign), self._degree_table()
+                conds[i] = not any(ker for _h, ker, _into in t.values())
+                conds[i + 1] = not any(table[n][1][_A] - into for n, (_h, _k, into) in t.items())
         if len({v for v in conds.values() if v is not None}) != 1:
             raise PropertyFailure("lemma-equivalence",
                                   "lemma formulations disagree (engine bug): %r" % (conds,))
         return {"holds": conds[1], "conditions": conds}
 
     def induced_tables(self):
-        """Ranks of all identity-induced maps, cellwise and total-degree.
-
-        The maps are computed once per analysis; each call returns a
-        fresh copy, so a caller's edits never reach the lemma verdict.
-        """
-        return {part: {k: {m: dict(r) for m, r in row.items()}
-                       for k, row in t.items()}
-                for part, t in self._induced_memo().items()}
-
-    def _induced_memo(self):
-        if self._induced is not None:
-            return self._induced
+        """Ranks of all identity-induced maps, cellwise and, when Tot is
+        graded, total-degree: fresh dicts on each call."""
         per_cell = {}
         for key, c in self._cells_in_order():
             bc, a, d1, d2 = c[_BC], c[_A], c[_D1], c[_D2]
@@ -492,17 +490,15 @@ class _AnalysisBase:
                 "D1->A": _map(a - c[_V4], d1, a),
                 "D2->A": _map(a - c[_V5], d2, a),
             }
-        per_degree = {}
-        if self._tot_applicable():
-            per_degree = {n: self._total_row(n) for n in self._tot_degrees()}
-        self._induced = {"bigraded": per_cell, "total": per_degree}
-        return self._induced
+        per_degree = {n: self._total_row(n) for n in self._tot_degrees()} if self.graded else {}
+        return {"bigraded": per_cell, "total": per_degree}
 
 
 class Analysis(_AnalysisBase):
     """All flavor data of one validated bounded double complex, cached."""
 
     input_kind = DoubleComplex
+    graded = characterizes = True
 
     def __init__(self, dc, validated=False):
         super().__init__(dc, validated)
@@ -514,9 +510,6 @@ class Analysis(_AnalysisBase):
         a DoubleComplex, validated first.  Anything else (a BidiffPair or
         its PairAnalysis too) raises ValueError before anything is built."""
         return _analysis_of(obj, (cls,))
-
-    def _tot_applicable(self):
-        return True
 
     def _tot_degrees(self):
         lo, hi = self.dc.total_range()
@@ -551,9 +544,8 @@ class PairAnalysis(_AnalysisBase):
         super().__init__(bp, validated)
         self.bp = bp
         self.delta = bp.deg1 - bp.deg2
-
-    def _tot_applicable(self):
-        return self.delta != 0
+        self.graded = self.delta != 0
+        self.characterizes = self.graded and gcd(bp.deg1, bp.deg2) == 1
 
     def _tot_degrees(self):
         """Residues mod |delta|, or the plain degrees when delta == 0."""
@@ -667,36 +659,29 @@ def frolicher_report(obj):
 
     Pairs are graded by residue classes of the total degree.  When the
     two differentials have equal degrees there is no total grading at
-    all: only the refined inequality survives (it is cellwise), the two
-    total tables may legitimately differ, and the equality flags come
-    back None.  The doubled equality-lemma cross-check also needs the
-    two degrees to be coprime, since the total complex only ever sees
-    the part of the space sitting in degrees divisible by their gcd.
+    all (graded is False): only the refined inequality survives (it is
+    cellwise), the two total tables may legitimately differ, and the
+    equality flags come back None.  The doubled equality-lemma
+    cross-check also needs the two degrees to be coprime
+    (characterizes), since the total complex only ever sees the part of
+    the space sitting in degrees divisible by their gcd.
     """
     a = _analysis_for(obj)
     tables = {f: a.flavor_table(f, keep_zeros=True) for f in FLAVORS}
     var = a.varouchas_tables(keep_zeros=True)
     verdict = a.lemma_verdict()
 
-    is_pair = isinstance(a, PairAnalysis)
-    tot_graded = not (is_pair and a.delta == 0)
-    characterizes = not is_pair or (tot_graded and gcd(abs(a.bp.deg1), abs(a.bp.deg2)) == 1)
-
     sums = {f: a.total_degree_sums(f) for f in BIGRADED_FLAVORS}
     tot_plus = a.total_table(1)
     tot_minus = a.total_table(-1)
-    degrees = sorted(
-        set(tot_plus) | set(tot_minus) | {n for s in sums.values() for n in s}
-    )
     slack = {"refined": {}}
-    if tot_graded:
+    if a.graded:
         slack.update({"classical": {}, "doubled_plus": {}, "doubled_minus": {}})
-    for n in degrees:
+    for n in a._tot_degrees():
         d1, d2, bc, aa = (sums[f].get(n, 0) for f in BIGRADED_FLAVORS)
-        tp = tot_plus.get(n, 0)
-        tm = tot_minus.get(n, 0)
+        tp, tm = tot_plus[n], tot_minus[n]
         checked = [("refined", "refined-inequality", (bc + aa) - (d1 + d2))]
-        if tot_graded:
+        if a.graded:
             if tp != tm:
                 raise PropertyFailure("total-cohomology",
                                       "the two signs differ at degree %d: %d vs %d"
@@ -720,10 +705,10 @@ def frolicher_report(obj):
         "cor_equality_plus": None,
         "cor_equality_minus": None,
     }
-    if tot_graded:
+    if a.graded:
         verdicts["cor_equality_plus"] = not any(slack["doubled_plus"].values())
         verdicts["cor_equality_minus"] = not any(slack["doubled_minus"].values())
-        if characterizes and verdicts["cor_equality_plus"] != holds:
+        if a.characterizes and verdicts["cor_equality_plus"] != holds:
             raise PropertyFailure("equality-characterization",
                                   "doubled equality %r but lemma %r"
                                   % (verdicts["cor_equality_plus"], holds))

@@ -181,13 +181,15 @@ class BidiffPair(_Bicomplex):
         delta = self.deg1 - self.deg2
         if not delta:
             raise ValueError("Tot of Doub is infinite-dimensional when deg1 == deg2")
+        period, ns = abs(delta), {}  # ns: the n of each residue deg2*n mod |delta|
+        for n in range(period + 1):
+            ns.setdefault(self.deg2 * n % period, []).append(n)
         cells = {}
-        for n in range(abs(delta) + 1):
-            for k in self.support():
-                p, rest = divmod(k - self.deg2 * n, delta)
-                if not rest:
-                    cells.setdefault(n, []).append((p, n - p, k))
-        return {n: sorted(row) for n, row in cells.items()}, abs(delta)
+        for k in self.support():
+            for n in ns.get(k % period, ()):
+                p = (k - self.deg2 * n) // delta
+                cells.setdefault(n, []).append((p, n - p, k))
+        return {n: sorted(cells[n]) for n in sorted(cells)}, period
 
 
 def require_valid(obj):

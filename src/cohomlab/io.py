@@ -27,8 +27,9 @@ a pair's Doub walks |deg1 - deg2| + 1 total degrees.  A
 symplectic lie_algebra above MAX_SYMPLECTIC_DIM generators raises
 ValidationError too: on a 2-core Xeon host its analysis takes about
 10 s at dimension 10 (building the operator calculus about 2 s of it),
-and at dimension 12 the operator calculus alone did not finish within
-ten minutes when it still computed its Gram matrices by determinants.
+and at dimension 12 symplectic_pair had not returned after 17 minutes
+of process time, in the products that build Lambda = star L star: the
+star's middle degree is a 924 x 924 compound, about a third nonzero.
 So does a symplectic block whose coefficients, or those of its
 algebra, are not rational: the operator calculus runs on integers.
 """

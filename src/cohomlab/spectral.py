@@ -53,7 +53,6 @@ compares page r against page r_stab.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 
 from .cohomology import Analysis
@@ -190,12 +189,12 @@ def doub_degeneration_check(pa):
     the degrees hitting n, and the row sequence sums the D1 flavor.
     Degeneration at the first page is equivalent to those sums equaling
     dim H^n(Tot Doub); periodicity makes one period of n enough.  pa is
-    the pair's PairAnalysis, which already holds all three tables.
+    the pair's PairAnalysis, which already holds all three tables and
+    says whether Tot is graded and the degrees are coprime.
     """
-    bp = pa.bp
-    if pa.delta == 0:
+    if not pa.graded:
         raise ValueError("Tot of Doub is infinite-dimensional when deg1 == deg2")
-    if math.gcd(abs(bp.deg1), abs(bp.deg2)) != 1:
+    if not pa.characterizes:
         raise ValueError("degeneration check needs coprime differential degrees")
     h = pa.total_table(1)
     first, second = ({n: h[n] == s[n] for n in h}

@@ -6,7 +6,8 @@ intersections through Subquotient and induced_rank.  The total-degree
 maps compare the direct sums of the cells' BC and A subquotients, placed
 at their coordinates in Tot^n, with the kernel and image of the Tot
 differential of each sign.  Total tables come from GradedComplex and
-doub_total_cohomology.  Nothing here shares a formula with
+doub_total_cohomology.  The eight lemma conditions are read off those
+induced maps, injectivity or surjectivity.  Nothing here shares a formula with
 cohomlab.cohomology's rank table.
 
 hard_lefschetz and primitive_and_lefschetz_decomposition are the
@@ -163,9 +164,26 @@ def _pair_reference(bp):
         cells, layout, lambda s, n: tots[s].block(n % delta)), groups
 
 
+def _conditions(maps, rows, graded):
+    """The eight lemma conditions from the cells' maps and the total rows;
+    5-8 are None without a total grading."""
+    cells = maps.values()
+    conds = {
+        1: all(m["BC->A"]["injective"] for m in cells),
+        2: all(m["BC->A"]["surjective"] for m in cells),
+        3: all(m["BC->D1"]["injective"] and m["BC->D2"]["injective"] for m in cells),
+        4: all(m["D1->A"]["surjective"] and m["D2->A"]["surjective"] for m in cells),
+    }
+    for tag, i in (("TOT_PLUS", 5), ("TOT_MINUS", 7)):
+        conds[i] = all(r["BC->" + tag]["injective"] for r in rows.values()) if graded else None
+        conds[i + 1] = all(r[tag + "->A"]["surjective"] for r in rows.values()) if graded else None
+    return conds
+
+
 def reference(obj):
-    """Every table, Varouchas quotient and induced map of a complex or pair,
-    shaped as the rank-table analysis reports them (zeros kept).  The
+    """Every table, Varouchas quotient, induced map and lemma condition of
+    a complex or pair, shaped as the rank-table analysis reports them
+    (zeros kept).  The
     total-degree sums add each flavor over the cells of one total degree:
     by p+q for a complex, over the degrees with cells; by residue class for
     a pair, over every class; and one degree each when deg1 = deg2."""
@@ -174,6 +192,8 @@ def reference(obj):
     else:
         cells, totals, rows, groups = _pair_reference(obj)
     tables = {f: {k: c.sq[f].dim for k, c in cells.items()} for f in ("D1", "D2", "BC", "A")}
+    maps = {k: c.maps for k, c in cells.items()}
+    graded = isinstance(obj, DoubleComplex) or obj.deg1 != obj.deg2
     return {
         "tables": tables,
         "sums": {f: {n: sum(t[k] for k in keys) for n, keys in groups.items()}
@@ -182,8 +202,8 @@ def reference(obj):
                       for v in ("V1", "V2", "V3", "V4", "V5", "V6")},
         "TOT_PLUS": totals[1],
         "TOT_MINUS": totals[-1],
-        "induced": {"bigraded": {k: c.maps for k, c in cells.items()},
-                    "total": rows},
+        "induced": {"bigraded": maps, "total": rows},
+        "conditions": _conditions(maps, rows, graded),
     }
 
 
@@ -197,6 +217,7 @@ def engine_view(a):
         "TOT_PLUS": a.total_table(1),
         "TOT_MINUS": a.total_table(-1),
         "induced": a.induced_tables(),
+        "conditions": a.lemma_verdict()["conditions"],
     }
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cohomlab import cli
+from cohomlab import cli, cohomology
 from cohomlab.complexes import BidiffPair, DoubleComplex
 from cohomlab.cohomology import (
     Analysis,
@@ -125,16 +125,15 @@ def _plant_sums(monkeypatch, cls, flavor, delta):
 
 
 def test_disagreeing_lemma_conditions_reach_fuzz_by_name(monkeypatch):
-    real = Analysis._induced_memo
+    real = cohomology._cell_values
 
-    def planted(self):
-        # BC -> A injective but not onto everywhere: conditions 1 and 2 disagree
-        memo = real(self)
-        for row in memo["bigraded"].values():
-            row["BC->A"].update(injective=True, surjective=False)
-        return memo
+    def planted(vec):
+        # ker BC -> A read as 0 in every cell, which no identity reads:
+        # condition 1 holds while condition 2 fails where BC and A differ
+        values = real(vec)
+        return values[:cohomology._KER_BC_A] + (0,) + values[cohomology._KER_BC_A + 1:]
 
-    monkeypatch.setattr(Analysis, "_induced_memo", planted)
+    monkeypatch.setattr(cohomology, "_cell_values", planted)
     rb = random_bicomplex(0, BATCH_PARAMS)
     with pytest.raises(PropertyFailure) as ei:
         check_bicomplex(rb.dc, shapes=rb.shapes)
