@@ -76,6 +76,7 @@ from .linalg import (
     _int_rows,
     _lincomb,
     _product,
+    _scaled,
     det,
     hstack,
     kernel,
@@ -95,7 +96,7 @@ from .exterior import (
     wedge_power,
 )
 from .complexes import BidiffPair, DoubleComplex, GradedComplex, require_valid
-from .cohomology import Analysis, _checked
+from .cohomology import BIGRADED_FLAVORS, Analysis, _checked
 
 __all__ = [
     "ComplexStructureData",
@@ -446,19 +447,6 @@ def _identity_op(c, n):
     return Fraction(c), [{i: 1} for i in range(n)]
 
 
-def _materialize(op, ncols):
-    """The Matrix of op, each entry an int where it is one and a Fraction
-    otherwise."""
-    num, den = op[0].numerator, op[0].denominator
-
-    def entry(x):
-        y = num * x
-        return y // den if not y % den else Fraction(y, den)
-
-    return Matrix.from_sparse([{c: entry(x) for c, x in row.items()} for row in op[1]],
-                              ncols)
-
-
 def _first_irrational(sd):
     """A description of the first coefficient of sd that is not an int or
     a Fraction, or None."""
@@ -570,8 +558,9 @@ def symplectic_pair(sd):
                 raise AssertionError(
                     "d_lam != (-1)^(k+1) star d star in degree %d" % k
                 )
-    star, L, lam, d_lam = ({k: _materialize(op, _dim(n, k)) for k, op in table.items()}
-                           for table in (star, L, lam, d_lam))
+    star, L, lam, d_lam = (
+        {k: Matrix.from_sparse(_scaled(s.numerator, s.denominator, rows), _dim(n, k))
+         for k, (s, rows) in table.items()} for table in (star, L, lam, d_lam))
     dims = {k: _dim(n, k) for k in range(n + 1)}
     d1 = {k: mat for k, mat in d.items() if not mat.is_zero() and mat.nrows}
     d2 = {k: mat for k, mat in d_lam.items() if not mat.is_zero() and mat.nrows}
@@ -705,7 +694,7 @@ def type_n_view(dc_or_analysis):
     """
     a = Analysis.of(dc_or_analysis)
     out = {}
-    for name in ("D1", "D2", "BC", "A"):
+    for name in BIGRADED_FLAVORS:
         t = {}
         for (p, q), v in a.flavor_table(name).items():
             t[p - q] = t.get(p - q, 0) + v

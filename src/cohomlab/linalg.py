@@ -199,22 +199,24 @@ def _lincomb(p, u, q, v):
     return out
 
 
-def _cleared(values):
-    """(den, ints): rational values times the lcm den of their
-    denominators.  The one scaling routine: a rational row enters a
-    reduction as _cleared(row)[1], which has the same span."""
-    den = lcm(*{x.denominator for x in values})
-    if den == 1:
-        return 1, [x.numerator for x in values]
-    return den, [x.numerator * (den // x.denominator) for x in values]
-
-
 def _int_rows(rows):
-    """(den, int rows): sparse rational rows scaled by one common den,
-    the lcm of all their denominators."""
+    """(den, int rows): sparse rational rows scaled by one common den, the
+    lcm of all their denominators; the one clearing routine."""
     den = lcm(*{x.denominator for r in rows for x in r.values()})
     return den, [{c: x.numerator * (den // x.denominator) for c, x in r.items()}
                  for r in rows]
+
+
+def _scaled(num, den, rows):
+    """Integer rows times num/den, ints where integral: the one restoring routine."""
+    out = []
+    for r in rows:
+        row = {}
+        for c, x in r.items():
+            y = num * x
+            row[c] = y // den if not y % den else Fraction(y, den)
+        out.append(row)
+    return out
 
 
 def hstack(a, b):
@@ -242,7 +244,7 @@ def _integer_rows(rows):
 
     A sparse row is a dict {column: nonzero entry}.  An integer row
     enters as a copy, since _echelon edits its rows in place and matrices
-    may share row dicts, and a row with a Fraction through _cleared,
+    may share row dicts, and a row with a Fraction through _int_rows,
     which keeps its span: one sparse row each.  A Gaussian row v enters
     as the split rows of v and i*v, the (re, im) parts of column c at
     columns 2c and 2c+1: two each.  Parts are ints when integral (see
@@ -257,7 +259,7 @@ def _integer_rows(rows):
     if kinds <= {int}:
         return [dict(v) for v in rows], 1
     if GaussianRational not in kinds:
-        return [dict(zip(v, _cleared(v.values())[1]))
+        return [_int_rows([v])[1][0]
                 if Fraction in {type(x) for x in v.values()} else dict(v)
                 for v in rows], 1
     split = []
@@ -273,7 +275,7 @@ def _integer_rows(rows):
                 parts[2 * c] = x
         w = parts
         if Fraction in {type(x) for x in parts.values()}:
-            w = dict(zip(parts, _cleared(parts.values())[1]))
+            w = _int_rows([parts])[1][0]
         # i*(a + bi) = -b + ai: the part at 2c+1 moves to 2c negated,
         # the part at 2c moves to 2c+1
         split += (w, {k ^ 1: -x if k & 1 else x for k, x in w.items()})
@@ -362,8 +364,7 @@ def _rref_rows(rows, ncols):
         if per_row == 2 and c % 2:
             continue
         v = basis[c]
-        p = v[c]
-        row = {k: x // p if not x % p else Fraction(x, p) for k, x in v.items()}
+        (row,) = _scaled(1, v[c], [v])
         if per_row == 2:
             row = {g: GaussianRational(row.get(2 * g, 0), row[2 * g + 1])
                    if 2 * g + 1 in row else row[2 * g] for g in {k // 2 for k in row}}

@@ -11,7 +11,8 @@ too; the checks here read its tables and verdicts.
 
 from __future__ import annotations
 
-from .cohomology import Analysis, PropertyFailure, _strip_zeros, frolicher_report
+from .cohomology import (
+    BIGRADED_FLAVORS, Analysis, PropertyFailure, _strip_zeros, frolicher_report)
 from .randomgen import predicted_tables
 from .spectral import pages
 
@@ -61,7 +62,7 @@ def _check_spectral(a, tables):
 
 def _check_ground_truth(rep, shapes):
     want = predicted_tables(shapes)
-    got = {name: rep.tables[name] for name in ("D1", "D2", "BC", "A")}
+    got = {name: rep.tables[name] for name in BIGRADED_FLAVORS}
     got.update(rep.varouchas)
     got["BC->A"] = {k: row["BC->A"]["rank"] for k, row in rep.induced["bigraded"].items()}
     for name, table in got.items():

@@ -234,7 +234,7 @@ def random_bicomplex(seed, params):
     """Random validated double complex with recorded ground truth.
 
     params keys: "counts" ({kind: how many}), "max_span" (anchor range,
-    default 3), "max_zigzag" (default 5), "conjugate" (default True).
+    default 3), "max_zigzag" (default 5).
     """
     rng = random.Random(seed)
     shapes = random_shapes(
@@ -243,9 +243,7 @@ def random_bicomplex(seed, params):
         params.get("max_span", 3),
         params.get("max_zigzag", _MAX_ZIGZAG),
     )
-    dc = direct_sum([shape_complex(s) for s in shapes])
-    if params.get("conjugate", True):
-        dc = conjugate_complex(dc, rng)
+    dc = conjugate_complex(direct_sum([shape_complex(s) for s in shapes]), rng)
     return RandomBicomplex(dc, shapes)
 
 

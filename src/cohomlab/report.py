@@ -6,16 +6,18 @@ spectral pages, geometry sections, and warnings.  No timestamps, no
 environment data; identical input gives an identical dict, so the
 canonical JSON form is byte-stable.
 
-render_markdown and render_csv derive text from that dict.  Tables are
-laid out with degrees down the rows and one column per cohomology
-flavor, so two reports diff cleanly.
+render_markdown and render_csv derive text from that dict.  Every
+markdown table comes from one writer, _md_table: degrees down the rows,
+one column per cohomology flavor, so two reports diff cleanly.  Keys
+sort by _sort_key, which parses each key label once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
-from .cohomology import Analysis, PairAnalysis, frolicher_report
+from .cohomology import BIGRADED_FLAVORS, VAROUCHAS, Analysis, PairAnalysis, frolicher_report
 from .geometry import hard_lefschetz, primitive_and_lefschetz_decomposition, type_n_view
 from .io import canonical_json
 from .spectral import doub_degeneration_check, pages
@@ -32,9 +34,8 @@ def input_echo(raw):
 
 
 def _key_str(k):
-    if isinstance(k, tuple):
-        return ",".join(str(x) for x in k)
-    return str(k)
+    # every tuple key in a report is a bidegree (p, q)
+    return "%s,%s" % k if isinstance(k, tuple) else str(k)
 
 
 def _table_json(t):
@@ -77,7 +78,7 @@ def _spectral_section(a, r_max):
 def _totals_section(a):
     return {
         "sums": {f: _table_json(a.total_degree_sums(f))
-                 for f in ("D1", "D2", "BC", "A")},
+                 for f in BIGRADED_FLAVORS},
         "TOT_PLUS": _table_json(a.total_table(1)),
         "TOT_MINUS": _table_json(a.total_table(-1)),
     }
@@ -158,7 +159,9 @@ def make_report(result, echo, view="bigraded", spectral_rmax=None):
 # rendering
 
 
+@functools.cache
 def _sort_key(s):
+    """Numeric keys ("3", "1,-2") in order, then names; cached per label."""
     parts = s.split(",")
     try:
         return (0, tuple(int(x) for x in parts))
@@ -166,25 +169,16 @@ def _sort_key(s):
         return (1, tuple(parts))
 
 
-def _md_table(columns, rows, title=None):
-    lines = []
-    if title:
-        lines.append("### " + title)
-        lines.append("")
-    lines.append("| " + " | ".join(columns) + " |")
-    lines.append("|" + "|".join("---:" for _ in columns) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(str(x) for x in row) + " |")
+def _md_table(title, tables, columns, label):
+    """Titled table: a row per key of the columns' tables, 0 where one lacks it."""
+    keys = sorted({k for f in columns for k in tables.get(f, {})}, key=_sort_key)
+    lines = ["### " + title, "", "| " + " | ".join([label, *columns]) + " |",
+             "|" + "---:|" * (len(columns) + 1)]
+    for k in keys:
+        row = [k] + [str(tables.get(f, {}).get(k, 0)) for f in columns]
+        lines.append("| " + " | ".join(row) + " |")
     lines.append("")
     return lines
-
-
-def _flavor_rows(tables, flavors, label):
-    keys = sorted({k for f in flavors for k in tables.get(f, {})}, key=_sort_key)
-    rows = []
-    for k in keys:
-        rows.append([k] + [tables.get(f, {}).get(k, 0) for f in flavors])
-    return [label] + list(flavors), rows
 
 
 def render_markdown(doc):
@@ -195,8 +189,7 @@ def render_markdown(doc):
     out.append("")
 
     if "betti" in doc:
-        cols, rows = _flavor_rows({"H": doc["betti"]}, ("H",), "degree")
-        out += _md_table(cols, rows, "invariant-model cohomology")
+        out += _md_table("invariant-model cohomology", {"H": doc["betti"]}, ("H",), "degree")
         lie = doc["lie"]
         out.append("- nilpotent: %s" % lie["nilpotent"])
         out.append("- unimodular: %s" % lie["unimodular"])
@@ -207,31 +200,22 @@ def render_markdown(doc):
         bigraded = doc["input"]["kind"] in ("double_complex", "lie_complex")
         cell_label = "p,q" if bigraded else "degree"
         if view == "type-n" and "type_n" in doc:
-            cols, rows = _flavor_rows(doc["type_n"], ("D1", "D2", "BC", "A"), "p-q")
-            out += _md_table(cols, rows, "transverse-degree tables")
-            cols, rows = _flavor_rows(
-                {"b": doc["totals"]["TOT_PLUS"]}, ("b",), "degree")
-            out += _md_table(cols, rows, "betti numbers")
+            out += _md_table("transverse-degree tables", doc["type_n"], BIGRADED_FLAVORS,
+                             "p-q")
+            out += _md_table("betti numbers", {"b": doc["totals"]["TOT_PLUS"]}, ("b",),
+                             "degree")
         elif view == "total":
             t = dict(doc["totals"]["sums"])
             t["TOT+"] = doc["totals"]["TOT_PLUS"]
             t["TOT-"] = doc["totals"]["TOT_MINUS"]
-            cols, rows = _flavor_rows(
-                t, ("D1", "D2", "BC", "A", "TOT+", "TOT-"), "degree")
-            out += _md_table(cols, rows, "total-degree tables")
+            out += _md_table("total-degree tables", t, BIGRADED_FLAVORS + ("TOT+", "TOT-"),
+                             "degree")
         else:
-            cols, rows = _flavor_rows(
-                c["tables"], ("D1", "D2", "BC", "A"), cell_label)
-            out += _md_table(cols, rows, "dimension tables")
-            cols, rows = _flavor_rows(
-                c["tables"], ("TOT_PLUS", "TOT_MINUS"), "degree")
-            out += _md_table(cols, rows, "total cohomology")
-        cols, rows = _flavor_rows(
-            c["varouchas"], ("V1", "V2", "V3", "V4", "V5", "V6"), cell_label)
-        out += _md_table(cols, rows, "auxiliary quotients")
-        kinds = sorted(c["slack"])
-        cols, rows = _flavor_rows(c["slack"], tuple(kinds), "degree")
-        out += _md_table(cols, rows, "inequality slack")
+            out += _md_table("dimension tables", c["tables"], BIGRADED_FLAVORS, cell_label)
+            out += _md_table("total cohomology", c["tables"], ("TOT_PLUS", "TOT_MINUS"),
+                             "degree")
+        out += _md_table("auxiliary quotients", c["varouchas"], VAROUCHAS, cell_label)
+        out += _md_table("inequality slack", c["slack"], sorted(c["slack"]), "degree")
         out.append("### verdicts")
         out.append("")
         for k in sorted(c["verdicts"]):
@@ -254,11 +238,10 @@ def render_markdown(doc):
         out.append("")
     if "symplectic" in doc:
         s = doc["symplectic"]
-        cols, rows = _flavor_rows(
-            {"betti": s["betti"], "slack": s["hard_lefschetz"]["slack"],
-             "primitive": s["primitive"]},
-            ("betti", "slack", "primitive"), "degree")
-        out += _md_table(cols, rows, "symplectic structure")
+        out += _md_table("symplectic structure",
+                         {"betti": s["betti"], "slack": s["hard_lefschetz"]["slack"],
+                          "primitive": s["primitive"]},
+                         ("betti", "slack", "primitive"), "degree")
         iso = s["hard_lefschetz"]["iso"]
         out.append("- L^k isomorphism: "
                    + ", ".join("k=%s %s" % (k, iso[k])
@@ -269,11 +252,9 @@ def render_markdown(doc):
     if "spectral" in doc:
         for which in ("first", "second"):
             for pg in doc["spectral"][which]:
-                cols, rows = _flavor_rows(
-                    {"dim": pg["dims"], "d_r rank": pg["dr_ranks"]},
-                    ("dim", "d_r rank"), "cell")
-                out += _md_table(
-                    cols, rows, "%s sequence, page %d" % (which, pg["r"]))
+                out += _md_table("%s sequence, page %d" % (which, pg["r"]),
+                                 {"dim": pg["dims"], "d_r rank": pg["dr_ranks"]},
+                                 ("dim", "d_r rank"), "cell")
     if doc["warnings"]:
         out.append("### warnings")
         out.append("")
@@ -285,8 +266,8 @@ def render_markdown(doc):
 
 def _csv_walk(prefix, obj, rows):
     if isinstance(obj, dict):
-        for k in sorted(obj, key=lambda x: _sort_key(str(x))):
-            _csv_walk(prefix + [str(k).replace(",", ";")], obj[k], rows)
+        for k in sorted(obj, key=_sort_key):
+            _csv_walk(prefix + [k.replace(",", ";")], obj[k], rows)
     elif isinstance(obj, list):
         for i, v in enumerate(obj):
             _csv_walk(prefix + [str(i)], v, rows)

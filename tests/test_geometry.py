@@ -586,7 +586,8 @@ def test_operator_helpers_match_fraction_arithmetic():
         assert type(diff[0]) is Fraction
         assert all(type(v) is int and v for row in diff[1] for v in row.values())
         expected = as_matrix(x, b).add(as_matrix(z, b).scale(-1))
-        assert as_matrix(diff, b) == expected == geometry._materialize(diff, b)
+        scaled = linalg._scaled(diff[0].numerator, diff[0].denominator, diff[1])
+        assert as_matrix(diff, b) == expected == Matrix.from_sparse(scaled, b)
         assert same(x, z) == (as_matrix(x, b) == as_matrix(z, b))
         assert same(x, (x[0] / 3, [{j: 3 * v for j, v in row.items()} for row in x[1]]))
         zero = (Fraction(0), z[1])

@@ -10,7 +10,6 @@ from cohomlab.linalg import (
     Matrix,
     NotASubspace,
     Subspace,
-    _cleared,
     _rref_rows,
     annihilator,
     hstack,
@@ -331,9 +330,9 @@ def test_gaussian_integer_rows_skip_the_clearing(monkeypatch):
     """Gaussian-integer parts are ints, so their split rows enter _echelon
     as they are; a row with a Fraction part is still cleared."""
     calls = []
-    cleared = linalg._cleared
-    monkeypatch.setattr(linalg, "_cleared",
-                        lambda values: calls.append(1) or cleared(values))
+    int_rows = linalg._int_rows
+    monkeypatch.setattr(linalg, "_int_rows",
+                        lambda rows: calls.append(1) or int_rows(rows))
     g = GaussianRational
     # row 3 = i * row 1 + row 2
     m = M([[g(1, 1), 2, 0], [g(0, 1), -1, g(1, -1)], [g(-1, 2), g(-1, 2), g(1, -1)]])
@@ -355,9 +354,9 @@ def test_integer_rows_of_a_rational_matrix_skip_the_clearing(monkeypatch):
     """Only rows that hold a Fraction are cleared, also one with
     denominator 1; an all-int row enters _echelon as a copy."""
     calls = []
-    cleared = linalg._cleared
-    monkeypatch.setattr(linalg, "_cleared",
-                        lambda values: calls.append(1) or cleared(values))
+    int_rows = linalg._int_rows
+    monkeypatch.setattr(linalg, "_int_rows",
+                        lambda rows: calls.append(1) or int_rows(rows))
     m = M([[Fraction(1, 2), 1, 0], [1, 2, 3], [2, 4, 6], [0, Fraction(3), 1]])
     before = [dict(r) for r in m.sparse]
     rows, per_row = linalg._integer_rows(m.sparse)
@@ -638,7 +637,7 @@ def test_matrix_shape_guards():
 
 
 def cleared_by_loop(values):
-    """_cleared as it was: the lcm folded over every entry."""
+    """Reference clearing for _int_rows: the lcm folded over every entry."""
     den = 1
     for x in values:
         den = lcm(den, x.denominator)
@@ -652,7 +651,8 @@ def cleared_by_loop(values):
     [Fraction(-1, 2), Fraction(1, 3), -4, Fraction(-5, 6)],
 ])
 def test_cleared_matches_the_per_entry_loop(values):
-    got = _cleared(values)
+    den, (row,) = linalg._int_rows([dict(enumerate(values))])
+    got = den, list(row.values())
     assert got == cleared_by_loop(values)
     assert all(type(x) is int for x in got[1])
 
@@ -661,4 +661,5 @@ def test_cleared_matches_the_per_entry_loop(values):
 @given(st.lists(st.one_of(st.integers(-9, 9),
                           st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))))
 def test_cleared_matches_the_per_entry_loop_on_random_rows(values):
-    assert _cleared(values) == cleared_by_loop(values)
+    den, (row,) = linalg._int_rows([dict(enumerate(values))])
+    assert (den, list(row.values())) == cleared_by_loop(values)
