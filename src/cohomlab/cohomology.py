@@ -47,13 +47,24 @@ Tot differential of one sign and S_n a sum over the cells of Tot^n
     d1d2 on the difference of the two inputs, so
     rank = (dim Tot^n - rk D_n) - S_n rI + S_{n-1} r12.
 
+Every rank is taken once, on the analysis's integer copy of its blocks
+(_integer_copy, built with the analysis): a Gaussian block is
+realified, a ring map that doubles every rank, and the blocks into one
+target cell are cleared of denominators by one integer scale, which no
+rank read here sees (see _integer_copy).  The records, Tot and the
+spectral pages eliminate the copy's rows through linalg.echelon_leads,
+which returns one lead per input row, so no rank is halved later.
+
 Each record and cell is computed once per analysis, and so is the
 per-degree table that the total tables, the total rows and
 total_degree_sums read by index: per total degree n, the records and the
 cell tuples summed over the cells of Tot^n (entry n of the records is
 dim Tot^n) and rk D_n of each sign; from it _total(sign) holds dim H^n,
-ker(BC -> H^n) and rank(H^n -> A), each checked once.  TOT_MINUS reads
-its own matrix, so the two-sign agreement stays a check.  Only numbers
+ker(BC -> H^n) and rank(H^n -> A), each checked once.  For a double
+complex, rk D_n for d1 + d2 is the number of leads of the first
+filtration's rank profile of D_n, which the spectral pages read as
+well.  TOT_MINUS reads its own matrix, so the two-sign agreement stays
+a check.  Only numbers
 are memoised: induced_tables() builds fresh dicts from them on each
 call.  graded and characterizes, set once per analysis, say whether Tot
 is graded and whether its degrees characterize the lemma.  A negative
@@ -87,17 +98,20 @@ tests and the names perfbench's tracer hooks.
 
 from __future__ import annotations
 
+import copy
 from math import gcd
 
 from .linalg import (
+    echelon_leads,
     hstack,
     image,
+    integer_copies,
     kernel,
     quotient_dim,
-    rank,
     vstack,
 )
 from .complexes import BidiffPair, DoubleComplex, require_valid, tot
+from .scalars import GaussianRational
 
 __all__ = [
     "Analysis",
@@ -277,9 +291,45 @@ def _checked(value, where, key, name, formula, records=(), obj=None):
     return value
 
 
+def _integer_copy(obj):
+    """(copy, per_row): obj with integer d1/d2 blocks of the same ranks,
+    the one conversion of an analysis (linalg.integer_copies), and 2 when
+    its Gaussian blocks were realified, else 1.
+
+    The blocks into one target cell share one scale, so every rank the
+    engine takes is the input's rank times per_row: a stack of blocks
+    out of a cell scales its row blocks, [d1 | d2] into a cell and
+    d1 +- d2 of a homogeneous pair land in one cell and take one scalar,
+    a product through a cell takes the middle scale as a scalar, and Tot
+    rows and the rows of every rank-profile prefix are grouped by target
+    cell.  The copy need not anticommute (d1 and d2 out of one cell may
+    take different scales), so only ranks are read from it.  An input
+    with only int entries is its own copy.
+    """
+    blocks = (obj.d1, obj.d2)
+    kinds = {type(x) for d in blocks for m in d.values() for r in m.sparse for x in r.values()}
+    if kinds <= {int}:
+        return obj, 1
+    per_row = 2 if GaussianRational in kinds else 1
+    groups = {}  # target cell -> [(0 for d1 or 1 for d2, source cell)]
+    for i, d in enumerate(blocks):
+        for key in d:
+            groups.setdefault(obj.shift(key, 1 - i, i), []).append((i, key))
+    out = copy.copy(obj)
+    out.dims = {k: per_row * v for k, v in obj.dims.items()}
+    out.d1, out.d2 = {}, {}
+    mats = integer_copies([[blocks[i][key] for i, key in g] for g in groups.values()], per_row)
+    for g, ms in zip(groups.values(), mats):
+        for (i, key), m in zip(g, ms):
+            (out.d1, out.d2)[i][key] = m
+    return out, per_row
+
+
 class _AnalysisBase:
     """Flavor/Varouchas/lemma logic from block ranks over the cells of a
     validated DoubleComplex or BidiffPair, and its memoised tot(sign).
+    Every rank is taken on the integer copy (_integer_copy), built with
+    the analysis, through linalg.echelon_leads.
 
     The lemma verdict reads vanishing numbers among the memoised ones,
     and induced_tables() builds fresh dicts from them on each call.
@@ -293,19 +343,26 @@ class _AnalysisBase:
         if not validated:
             require_valid(obj)
         self._obj = obj
-        self._tots = {}
+        self._int, self._per_row = _integer_copy(obj)
+        self._tots = {}  # (on the copy, sign) -> Tot
         self._records = {}  # key -> _record(key)
         self._cells = {}  # key -> _make_cell(key)
         self._cell_list = None  # [(key, cell)] over the support
         self._degrees = None  # _degree_table()
         self._totals = {}  # sign -> _total(sign)
 
+    def _rank(self, m):
+        """The rank of a matrix over the integer copy, in input units."""
+        leads = echelon_leads(m.sparse, self._per_row)
+        return len(leads) - leads.count(-1)
+
     def _record(self, key):
-        """(n, r1, r2, r12, rO, rI) of one cell; zeros, and no rank, off the support."""
-        obj = self._obj
-        n = obj.dims.get(key, 0)
+        """(n, r1, r2, r12, rO, rI) of one cell, ranked on the integer copy;
+        zeros, and no rank, off the support."""
+        n = self._obj.dims.get(key, 0)
         if not n:
             return _ZERO_RECORD
+        obj, rank = self._int, self._rank
         shift = obj.shift
         d1, d2 = obj.d1.get(key), obj.d2.get(key)
         d1_next = obj.d1.get(shift(key, 0, 1))
@@ -386,18 +443,29 @@ class _AnalysisBase:
     # -- total-degree machinery ----------------------------------------
 
     def tot(self, sign):
-        """Tot with differential d1 + sign*d2, built once per sign."""
-        t = self._tots.get(sign)
+        """Tot of the input with differential d1 + sign*d2, built once per sign."""
+        return self._tot_of(self._obj, sign)
+
+    def _tot_of(self, obj, sign):
+        """Tot of obj, the input or its integer copy, built once per sign;
+        an input that is its own copy has one Tot per sign."""
+        key = (obj is self._int, sign)
+        t = self._tots.get(key)
         if t is None:
-            t = self._tots[sign] = tot(self._obj, sign)
+            t = self._tots[key] = tot(obj, sign)
         return t
 
     def _tot_keys(self, n):
         """The cells of Tot^n."""
-        return self.tot(1).cells(n)
+        return self._tot_of(self._int, 1).cells(n)
 
-    def _tot_block(self, sign, n):
-        return self.tot(sign).block(n)
+    def _tot_block(self, obj, sign, n):
+        """D_n for d1 + sign*d2 of obj, the input or its integer copy."""
+        return self._tot_of(obj, sign).block(n)
+
+    def _rank_plus(self, n):
+        """rk D_n for d1 + d2."""
+        return self._rank(self._tot_block(self._int, 1, n))
 
     def _degree_table(self):
         """{n: (records, cells, {sign: rk D_n})} over the total degrees and
@@ -409,7 +477,8 @@ class _AnalysisBase:
                 keys = self._tot_keys(n)
                 table[n] = (tuple(map(sum, zip(_ZERO_RECORD, *self._records_of(keys)))),
                             tuple(map(sum, zip(_ZERO_CELL, *map(self.cell, keys)))),
-                            {sign: rank(self._tot_block(sign, n)) for sign in (1, -1)})
+                            {1: self._rank_plus(n),
+                             -1: self._rank(self._tot_block(self._int, -1, n))})
             self._degrees = table  # set only when complete: a guard may raise above
         return self._degrees
 
@@ -442,8 +511,9 @@ class _AnalysisBase:
     def tot_subquotient(self, sign, n):
         """Z/B of total degree n as subspaces.  No table reads it;
         perfbench's tracer hooks the name."""
-        return Subquotient(("TOT", sign, n), kernel(self._tot_block(sign, n)),
-                           image(self._tot_block(sign, self._tot_prev(n))))
+        obj = self._obj
+        return Subquotient(("TOT", sign, n), kernel(self._tot_block(obj, sign, n)),
+                           image(self._tot_block(obj, sign, self._tot_prev(n))))
 
     def _total_row(self, n):
         """The four maps between BC, A and both total cohomologies at n."""
@@ -503,6 +573,32 @@ class Analysis(_AnalysisBase):
     def __init__(self, dc, validated=False):
         super().__init__(dc, validated)
         self.dc = dc
+        self._first = {}  # n -> _leads(n)
+
+    def _leads(self, n, second=False):
+        """The rank profile of D_n for d1 + d2 on the integer copy, one lead
+        per row of the input's D_n, in the layout of a filtration (see
+        spectral): for the first, each row's columns reversed, built once;
+        for the second, the rows in reverse order."""
+        leads = None if second else self._first.get(n)
+        if leads is None:
+            m = self._tot_block(self._int, 1, n)
+            rows = m.sparse
+            if second:
+                rows = rows[::-1]
+            else:
+                w = m.ncols - 1
+                rows = [{w - c: x for c, x in r.items()} for r in rows]
+            leads = echelon_leads(rows, self._per_row)
+            if not second:
+                self._first[n] = leads
+        return leads
+
+    def _rank_plus(self, n):
+        """rk D_n for d1 + d2: the number of leads of the first
+        filtration's profile, which the spectral pages read too."""
+        leads = self._leads(n)
+        return len(leads) - leads.count(-1)
 
     @classmethod
     def of(cls, obj):
@@ -559,11 +655,10 @@ class PairAnalysis(_AnalysisBase):
         # with delta == 0, Tot^n is the degree n itself
         return super()._tot_keys(n) if self.delta else [n] if n in self.bp.dims else []
 
-    def _tot_block(self, sign, n):
+    def _tot_block(self, obj, sign, n):
         if self.delta:
-            return super()._tot_block(sign, n)
-        bp = self.bp
-        return bp.d1_block(n).add(bp.d2_block(n).scale(sign))
+            return super()._tot_block(obj, sign, n)
+        return obj.d1_block(n).add(obj.d2_block(n).scale(sign))
 
     def total_degree_sums(self, name):
         """Flavor dims summed the way the total grading groups them.

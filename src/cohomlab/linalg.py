@@ -27,16 +27,23 @@ canonical form for free.
 Every row reduction but det's is one echelon insertion on sparse integer
 rows (_echelon): a row is a dict {column: nonzero int}, and rows are
 reduced in order, division-free, against a basis keyed by lead column,
-the smallest column left in a row.  Exact sparse rows reach it through
-one dispatch (_integer_rows): an integer row enters as a copy, a row
-with a Fraction is scaled to an integer row with the same span, and a
-Gaussian row is split into the interleaved real rows of v and i*v.
-GaussianRational keeps integral parts as ints, so the split rows of a
-Gaussian-integer row are integer rows as they are; only a row with a
-Fraction part is scaled.
+the smallest column left in a row.  Integer rows reach it two ways.  An
+analysis converts its blocks once (integer_copies): a Gaussian matrix
+becomes its realification, entry a+bi the 2x2 block [[a, b], [-b, a]],
+and each group of blocks into one cell is cleared by one integer scale;
+it then eliminates those rows through echelon_leads, which takes them as
+they are.  The library's rank, rank_profile, rref, kernel and
+mat_inverse take exact rows of any kind through one dispatch per call
+(_integer_rows): an integer row enters as a copy, a row with a Fraction
+is scaled to an integer row with the same span, and a Gaussian row is
+split into the interleaved real rows of v and i*v, the rows of its
+realification.  GaussianRational keeps integral parts as ints, so the
+split rows of a Gaussian-integer row are integer rows as they are; only
+a row with a Fraction part is scaled.
 rank is the number of leads.  rank_profile is the leads themselves,
 which give the ranks of all row prefixes x column prefixes from one
-pass; the spectral pages read theirs from it.  RREF, and with it
+pass; echelon_leads gives the same leads, and an analysis counts its
+ranks and reads its spectral pages from them.  RREF, and with it
 kernel, image, mat_inverse and the subspace lattice, is that echelon
 basis plus back-substitution on the sparse rows (_rref_rows, which
 takes dense rows).  Containment is no new lead: s.contains(t) when,
@@ -246,14 +253,14 @@ def _integer_rows(rows):
     enters as a copy, since _echelon edits its rows in place and matrices
     may share row dicts, and a row with a Fraction through _int_rows,
     which keeps its span: one sparse row each.  A Gaussian row v enters
-    as the split rows of v and i*v, the (re, im) parts of column c at
-    columns 2c and 2c+1: two each.  Parts are ints when integral (see
-    scalars), so a Gaussian-integer row splits into int rows as it is,
-    and only a row with a Fraction part is cleared, by one lcm over the
-    denominators of its nonzero parts.  The span of the split rows is closed under i,
-    so the pivots of its rational RREF come in pairs (2c, 2c+1), the
-    rows at even pivots decode to the Gaussian RREF, and the split leads
-    of a row fall on one Gaussian column.
+    as the split rows of v and i*v (_split_row): two each.  Parts are
+    ints when integral (see scalars), so a Gaussian-integer row splits
+    into int rows as it is, and only a row with a Fraction part is
+    cleared, by one lcm over the denominators of its nonzero parts.  The
+    span of the split rows is closed under i, so the pivots of its
+    rational RREF come in pairs (2c, 2c+1), the rows at even pivots
+    decode to the Gaussian RREF, and the split leads of a row fall on
+    one Gaussian column.
     """
     kinds = {type(x) for v in rows for x in v.values()}
     if kinds <= {int}:
@@ -264,22 +271,91 @@ def _integer_rows(rows):
                 for v in rows], 1
     split = []
     for v in rows:
-        parts = {}
-        for c, x in v.items():
-            if type(x) is GaussianRational:
-                if x.re:
-                    parts[2 * c] = x.re
-                if x.im:
-                    parts[2 * c + 1] = x.im
-            else:
-                parts[2 * c] = x
-        w = parts
-        if Fraction in {type(x) for x in parts.values()}:
-            w = _int_rows([parts])[1][0]
-        # i*(a + bi) = -b + ai: the part at 2c+1 moves to 2c negated,
-        # the part at 2c moves to 2c+1
-        split += (w, {k ^ 1: -x if k & 1 else x for k, x in w.items()})
+        w = _split_row(v)
+        if Fraction in {type(x) for x in w.values()}:
+            w = _int_rows([w])[1][0]
+        split += (w, _times_i(w))
     return split, 2
+
+
+def _split_row(v):
+    """The split row of a sparse row v: the (re, im) parts of column c at
+    columns 2c and 2c+1, a real entry at 2c."""
+    parts = {}
+    for c, x in v.items():
+        if type(x) is GaussianRational:
+            if x.re:
+                parts[2 * c] = x.re
+            if x.im:
+                parts[2 * c + 1] = x.im
+        else:
+            parts[2 * c] = x
+    return parts
+
+
+def _times_i(w):
+    """The split row of i*v from the split row w of v: i*(a + bi) =
+    -b + ai, so the part at 2c+1 moves to 2c negated and the part at 2c
+    moves to 2c+1."""
+    return {k ^ 1: -x if k & 1 else x for k, x in w.items()}
+
+
+def integer_copies(groups, per_row):
+    """Integer matrices with the ranks of the matrices of groups, a list
+    of lists, in the same nesting: what an analysis eliminates instead
+    of its blocks (cohomology's integer copy).
+
+    With per_row 2, every matrix is realified: the entry a+bi at row r and
+    column c becomes the 2x2 block [[a, b], [-b, a]] at rows 2r, 2r+1 and
+    columns 2c, 2c+1, so row 2r is the split row of v and row 2r+1 that
+    of i*v, the rows _integer_rows builds.  Realification is a ring map,
+    so it commutes with sums, products and stacks; it doubles every rank,
+    and the split leads of a row fall on one Gaussian column (see
+    echelon_leads).  Then each group is cleared by one positive integer,
+    the lcm of its denominators (_int_rows): a scalar on all the rows of
+    its matrices, which keeps the rank of every product through them,
+    every stack of them and every rank-profile prefix.
+    """
+    out = []
+    for group in groups:
+        rows = []
+        for m in group:
+            for v in m.sparse:
+                if per_row == 2:
+                    w = _split_row(v)
+                    rows += (w, _times_i(w))
+                else:
+                    rows.append(v)
+        rows = _int_rows(rows)[1]
+        mats, at = [], 0
+        for m in group:
+            nrows = per_row * m.nrows
+            mats.append(Matrix.from_sparse(rows[at:at + nrows], per_row * m.ncols))
+            at += nrows
+        out.append(mats)
+    return out
+
+
+def _gaussian_leads(leads):
+    """One lead per Gaussian row from the leads of its two split rows,
+    which must fall on one Gaussian column."""
+    pairs = list(zip(leads[::2], leads[1::2]))
+    if any(x // 2 != y // 2 for x, y in pairs):
+        raise AssertionError("rank_profile: split leads of a Gaussian row disagree")
+    return [x // 2 for x, _y in pairs]
+
+
+def echelon_leads(rows, per_row=1):
+    """The rank profile (as rank_profile) of sparse integer rows taken as
+    they are: no type scan, split or clearing.  The entry for rows that
+    are integers already, as an analysis's integer copy holds them; the
+    rows are copied, since _echelon edits its rows in place.  With
+    per_row 2 the rows are the split rows of Gaussian rows (as realified
+    by integer_copies), and the leads come back one per Gaussian row, on
+    Gaussian columns; the rank is the number of leads that are not -1.
+    """
+    leads = _echelon([dict(r) for r in rows])[1]
+    return leads if per_row == 1 else _gaussian_leads(leads)
 
 
 def _reduce(v, w, c):
@@ -312,14 +388,15 @@ def _echelon(rows):
     """(basis, leads): sparse integer rows inserted in order into an
     echelon basis.
 
-    The one row reduction; it consumes the rows of _integer_rows.  A
-    row's lead is the smallest column left in it.  While a basis row
-    leads there, the row is cleared at its lead by that basis row
-    (_reduce), division-free, so it stays on integers.  Otherwise it
-    joins the basis there, as the row reduced so far.  leads holds one
-    lead per row, -1 for a row in the span of the rows before it (it
-    emptied out).  basis maps lead column -> row, and each basis row is
-    keyed by its smallest column and stores no zero.
+    The one row reduction; it consumes the rows of _integer_rows and
+    the copies echelon_leads makes.  A row's lead is the smallest
+    column left in it.  While a basis row leads there, the row is
+    cleared at its lead by that basis row (_reduce), division-free, so
+    it stays on integers.  Otherwise it joins the basis there, as the
+    row reduced so far.  leads holds one lead per row, -1 for a row in
+    the span of the rows before it (it emptied out).  basis maps lead
+    column -> row, and each basis row is keyed by its smallest column
+    and stores no zero.
     """
     basis = {}
     leads = []
@@ -409,12 +486,7 @@ def rank_profile(m):
     """
     rows, per_row = _integer_rows(m.sparse)
     leads = _echelon(rows)[1]
-    if per_row == 1:
-        return leads
-    pairs = list(zip(leads[::2], leads[1::2]))
-    if any(x // 2 != y // 2 for x, y in pairs):
-        raise AssertionError("rank_profile: split leads of a Gaussian row disagree")
-    return [x // 2 for x, _y in pairs]
+    return leads if per_row == 1 else _gaussian_leads(leads)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Spectral sequences of the two standard filtrations of Tot.
 
-Both read the differential D_n of the analysis's memoised tot(1), the
-Tot its total tables come from.  The column filtration F^p Tot^n
-collects the summands with first index at least p.  No subspace is ever
-built: every page is read off the pivots of one rank profile per total
-degree.
+Both read the differential D_n for d1 + d2 of the analysis's integer
+copy (Analysis._leads), the matrix its total tables take rk D_n from:
+the copy's rows are the input's, realified over Q(i) and scaled by one
+integer per target cell, which keeps the rank of every row prefix x
+column prefix.  The column filtration F^p Tot^n collects the summands
+with first index at least p.  No subspace is ever built: every page is
+read off the pivots of one rank profile per total degree, and the first
+filtration's profiles are the ones rk D_n is counted from.
 
 The profile lemma (Dumas, Pernet, Sultan, Computing the rank profile
-matrix, ISSAC 2015).  linalg.rank_profile inserts the rows of a matrix
+matrix, ISSAC 2015).  linalg.echelon_leads inserts the rows of a matrix
 in order into an echelon basis; row i gets a lead column when it is
 independent of the rows above it, and then
 
@@ -56,7 +59,6 @@ from __future__ import annotations
 from collections import Counter
 
 from .cohomology import Analysis
-from .linalg import Matrix, rank_profile
 
 __all__ = [
     "SpectralPage",
@@ -88,14 +90,19 @@ class SpectralPage:
 
 
 class _Engine:
-    """Pages from the profile pivots of an analysis's tot(1), on cells
-    keyed (filtration index, other index): (q, p) for "second"."""
+    """Pages from the profile pivots of an analysis's D_n for d1 + d2, on
+    cells keyed (filtration index, other index): (q, p) for "second"."""
 
     def __init__(self, a, which):
         self.which = which
-        self.t = a.tot(1)
+        self.a = a
         i = self.i = int(which == "second")  # where the filtration index sits in (p, q)
         self.dims = dict(sorted(((c[i], c[1 - i]), d) for c, d in a.dc.dims.items()))
+        # n -> the filtration index of each coordinate of Tot^n, whose
+        # summands run by p ascending
+        self.index = {}
+        for c, d in sorted(a.dc.dims.items()):
+            self.index.setdefault(c[0] + c[1], []).extend([c[i]] * d)
 
     def r_stab(self):
         ps = [p for p, _q in self.dims] or [0]
@@ -104,14 +111,12 @@ class _Engine:
     def _profile(self, n):
         """The rank profile of D_n, each pivot keyed by the filtration
         index of the summands holding its row and its lead."""
-        t, i = self.t, self.i
-        col, row = ([s[i] for s in t.summands(k) for _ in range(s[3])] for k in (n, n + 1))
-        rows, w = t.block(n).sparse, len(col)
-        if i:  # q runs down the layout: the rows outside F'^b are a suffix
-            rows, row = rows[::-1], row[::-1]
+        col, row = self.index[n], self.index[n + 1]
+        if self.i:  # q runs down the layout: the rows outside F'^b are a suffix
+            row = row[::-1]
         else:  # p runs up the layout: F^a is a column suffix
-            rows, col = [{w - 1 - c: x for c, x in r.items()} for r in rows], col[::-1]
-        leads = rank_profile(Matrix.from_sparse(rows, w))
+            col = col[::-1]
+        leads = self.a._leads(n, second=bool(self.i))
         return Counter((row[k], col[x]) for k, x in enumerate(leads) if x >= 0)
 
     def _checked(self, value, what, r, p, q, bound=None):
@@ -127,9 +132,8 @@ class _Engine:
         """Pages 1 .. upto in one pass over r."""
         # {s: {(p,q): rank of d_s out of (p,q)}}, from the length-s pivots
         out_ranks = {}
-        t = self.t
-        for n in sorted({p + q for p, q in self.dims}):
-            if not t.dim(n + 1):
+        for n in sorted(self.index):
+            if n + 1 not in self.index:
                 continue  # D_n has no rows, so no pivots
             for (row, lead), k in self._profile(n).items():
                 out_ranks.setdefault(row - lead, {})[(lead, n - lead)] = k

@@ -374,30 +374,45 @@ def test_report_computes_each_map_and_cell_once(monkeypatch):
 def test_fuzz_check_builds_each_cell_and_degree_sum_once(monkeypatch):
     """check_bicomplex on a conjugated fuzz-style draw (its identity checks,
     frolicher_report and the readers of its tables): the per-degree table
-    is built once, each Tot block is ranked once, each record and each cell
-    is built once, and the compiled evaluator runs once per cell."""
+    is built once, each record and each cell is built once, the compiled
+    evaluator runs once per cell, and each Tot block is eliminated once
+    for the table: D_n for d1 - d2 as it is, and D_n for d1 + d2 in the
+    first filtration's layout, whose leads the first pages read too."""
     calls = {"record": [], "cell": [], "keys": [], "block": [], "table": [],
              "evaluator": [], "ranked": []}
+    inside = []  # the (n, second) of each running _leads call
     for name, attr in (("record", "_record"), ("cell", "_make_cell"), ("keys", "_tot_keys"),
                        ("block", "_tot_block"), ("table", "_degree_table")):
         def counted(self, *args, _orig=getattr(Analysis, attr), _log=calls[name]):
             out = _orig(self, *args)
-            _log.append((args, out))
+            _log.append((args, out, inside[-1] if inside else None))
             return out
 
         monkeypatch.setattr(Analysis, attr, counted)
+    real_leads = Analysis._leads
+
+    def leads(self, n, second=False):
+        inside.append((n, second))
+        try:
+            return real_leads(self, n, second)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Analysis, "_leads", leads)
     real = cohomology._cell_values
     monkeypatch.setattr(cohomology, "_cell_values",
                         lambda vec: calls["evaluator"].append(vec) or real(vec))
-    real_rank = cohomology.rank
-    monkeypatch.setattr(cohomology, "rank",
-                        lambda m: calls["ranked"].append(m) or real_rank(m))
+    real_echelon = cohomology.echelon_leads
+    monkeypatch.setattr(cohomology, "echelon_leads", lambda rows, per_row=1: calls[
+        "ranked"].append((rows, inside[-1] if inside else None)) or real_echelon(rows, per_row))
     shapes = [("zigzag", 0, 0, 4, "lower"), ("square", 1, -1), ("dot", 2, 0),
               ("hseg", -1, 1), ("vseg", 0, 2), ("zigzag", 1, 1, 3, "upper")]
     dc = assemble(shapes, conj_seed=7)
     a = check_bicomplex(dc, shapes=shapes)
-    args = {name: [arg for arg, _out in log] for name, log in calls.items()
-            if name not in ("evaluator", "ranked")}
+    # the second filtration's profiles read D_n for d1 + d2 again, in its
+    # own layout; leave them out
+    args = {name: [arg for arg, _out, at in log if not (at and at[1])]
+            for name, log in calls.items() if name not in ("evaluator", "ranked")}
     for name in ("record", "cell", "keys", "block"):
         assert len(args[name]) == len(set(args[name])), name
     assert sorted(key for key, in args["cell"]) == dc.support()
@@ -406,15 +421,22 @@ def test_fuzz_check_builds_each_cell_and_degree_sum_once(monkeypatch):
     assert sorted(key for key, in args["record"] if dc.dim(*key)) == dc.support()
     # one table, its rows built once: every total degree and the one below
     # the lowest, the degree its total tables and rows read rk D_{n-1} at
-    assert len({id(out) for _arg, out in calls["table"]}) == 1
+    assert len({id(out) for _arg, out, _at in calls["table"]}) == 1
     lo, hi = dc.total_range()
     degrees = list(range(lo - 1, hi + 1))
     assert list(calls["table"][0][1]) == degrees
     assert sorted(n for n, in args["keys"]) == degrees
-    assert sorted(args["block"]) == sorted((s, n) for s in (1, -1) for n in degrees)
-    # each block is ranked once, by the table
-    for _arg, block in calls["block"]:
-        assert sum(m is block for m in calls["ranked"]) == 1
+    # an integer input is its own copy
+    assert {obj for obj, _s, _n in args["block"]} == {dc}
+    assert sorted((s, n) for _obj, s, n in args["block"]) == sorted(
+        (s, n) for s in (1, -1) for n in degrees)
+    # each block is eliminated once for the table: D_n for d1 - d2 as it
+    # is, D_n for d1 + d2 once in the first filtration's layout
+    for (_obj, sign, n), block, _at in calls["block"]:
+        if sign == -1:
+            assert sum(rows is block.sparse for rows, _at in calls["ranked"]) == 1
+    assert sorted(at for _rows, at in calls["ranked"] if at and not at[1]) == [
+        (n, False) for n in degrees]
     assert a.lemma_verdict() == {"holds": False, "conditions": dict.fromkeys(range(1, 9), False)}
 
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohomlab import complexes, linalg, spectral
+from cohomlab import cohomology, complexes, linalg
+from cohomlab.cohomology import Analysis
 from cohomlab.complexes import tot
 from cohomlab.geometry import builtin
 from cohomlab.io import BuildResult
@@ -237,34 +238,57 @@ def test_pages_run_one_profile_per_tot_degree_and_no_reduction(monkeypatch):
     echelon = linalg._echelon
     monkeypatch.setattr(linalg, "_echelon",
                         lambda rows: echelons.append(len(rows)) or echelon(rows))
-    monkeypatch.setattr(spectral, "rank_profile",
-                        lambda m: profiles.append(m) or rank_profile(m))
+    # every elimination of an analysis goes through the integer entry;
+    # the profiles are the ones made inside Analysis._leads
+    inside = []
+    real_leads = Analysis._leads
+
+    def leads(self, n, second=False):
+        inside.append((n, second))
+        try:
+            return real_leads(self, n, second)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Analysis, "_leads", leads)
+    real_entry = cohomology.echelon_leads
+    monkeypatch.setattr(cohomology, "echelon_leads", lambda rows, per_row=1: profiles.append(
+        (inside[-1] if inside else None, len(rows) // per_row, len(rows))) or real_entry(rows, per_row))
     signs = count_tot_signs(monkeypatch)
 
-    def profile_shapes():
-        shapes = sorted((m.nrows, m.ncols) for m in profiles)
+    def profile_degrees():
+        """{second: sorted degrees} of the profiles made since the last call."""
+        out = {False: [], True: []}
+        for at, _nrows, _split in profiles:
+            if at:
+                out[at[1]].append(at[0])
         profiles.clear()
-        return shapes
+        return {k: sorted(v) for k, v in out.items()}
 
     for dc in dcs:
         t = tot(dc, 1)
-        # one profile per support degree whose target Tot^{n+1} is nonempty
-        shapes = sorted((t.dim(n + 1), t.dim(n)) for n in {p + q for p, q in dc.support()}
-                        if t.dim(n + 1))
+        # one profile per support degree whose target Tot^{n+1} is nonempty,
+        # with the rows of D_n
+        degrees = sorted(n for n in {p + q for p, q in dc.support()} if t.dim(n + 1))
         for which in ("first", "second"):
             signs.clear()
             echelons.clear()
             pages(dc, which)
             # the profiles are the only row reductions: one each
-            assert sorted(echelons) == sorted(
-                len(linalg._integer_rows(m.sparse)[0]) for m in profiles), which
-            assert profile_shapes() == shapes, which
+            assert sorted(echelons) == sorted(split for _at, _n, split in profiles), which
+            assert sorted((at[0], nrows) for at, nrows, _split in profiles) == [
+                (n, t.dim(n + 1)) for n in degrees], which
+            assert profile_degrees() == {which == "second": degrees,
+                                         which == "first": []}, which
             assert signs == [1], which
         # a check and a spectral report read both filtrations from the
-        # analysis's own Tot: one Tot per sign, one profile per degree each
+        # analysis's integer copy: one Tot per sign, one profile per degree
+        # and filtration; the first filtration's profiles are the ones the
+        # total tables count rk D_n from, so they cover each of its degrees
+        lo, hi = dc.total_range()
         for run in (lambda: check_bicomplex(dc),
                     lambda: make_report(BuildResult("double_complex", dc), {}, spectral_rmax=3)):
             signs.clear()
             run()
             assert sorted(signs) == [-1, 1]
-            assert profile_shapes() == sorted(shapes * 2)
+            assert profile_degrees() == {False: list(range(lo - 1, hi + 1)), True: degrees}

@@ -228,7 +228,7 @@ def test_negative_value_names_the_first_negative_formula(vec):
 
 def test_broken_tot_rank_names_degree_and_formula(monkeypatch):
     dc = assemble([("dot", 0, 0)])
-    monkeypatch.setattr(Analysis, "_tot_block", lambda self, sign, n: Matrix.identity(1))
+    monkeypatch.setattr(Analysis, "_tot_block", lambda self, obj, sign, n: Matrix.identity(1))
     with pytest.raises(AssertionError) as err:
         Analysis(dc).total_table(-1)
     msg = str(err.value)
