@@ -253,7 +253,7 @@ def _integer_rows(rows):
     enters as a copy, since _echelon edits its rows in place and matrices
     may share row dicts, and a row with a Fraction through _int_rows,
     which keeps its span: one sparse row each.  A Gaussian row v enters
-    as the split rows of v and i*v (_split_row): two each.  Parts are
+    as the split rows of v and i*v (_split_rows): two each.  Parts are
     ints when integral (see scalars), so a Gaussian-integer row splits
     into int rows as it is, and only a row with a Fraction part is
     cleared, by one lcm over the denominators of its nonzero parts.  The
@@ -271,33 +271,30 @@ def _integer_rows(rows):
                 for v in rows], 1
     split = []
     for v in rows:
-        w = _split_row(v)
-        if Fraction in {type(x) for x in w.values()}:
-            w = _int_rows([w])[1][0]
-        split += (w, _times_i(w))
+        pair = _split_rows(v)
+        if Fraction in {type(x) for x in pair[0].values()}:
+            pair = _int_rows(pair)[1]
+        split += pair
     return split, 2
 
 
-def _split_row(v):
-    """The split row of a sparse row v: the (re, im) parts of column c at
-    columns 2c and 2c+1, a real entry at 2c."""
-    parts = {}
+def _split_rows(v):
+    """[w, iw]: the split rows of a sparse row v and of i*v, the (re, im)
+    parts of column c at columns 2c and 2c+1.  i*(a + bi) = -b + ai, so
+    iw holds -b at 2c and a at 2c+1."""
+    w, iw = {}, {}
     for c, x in v.items():
         if type(x) is GaussianRational:
-            if x.re:
-                parts[2 * c] = x.re
-            if x.im:
-                parts[2 * c + 1] = x.im
+            a, b = x.re, x.im
+            if b:
+                w[2 * c + 1] = b
+                iw[2 * c] = -b
         else:
-            parts[2 * c] = x
-    return parts
-
-
-def _times_i(w):
-    """The split row of i*v from the split row w of v: i*(a + bi) =
-    -b + ai, so the part at 2c+1 moves to 2c negated and the part at 2c
-    moves to 2c+1."""
-    return {k ^ 1: -x if k & 1 else x for k, x in w.items()}
+            a = x
+        if a:
+            w[2 * c] = a
+            iw[2 * c + 1] = a
+    return [w, iw]
 
 
 def integer_copies(groups, per_row):
@@ -311,22 +308,24 @@ def integer_copies(groups, per_row):
     of i*v, the rows _integer_rows builds.  Realification is a ring map,
     so it commutes with sums, products and stacks; it doubles every rank,
     and the split leads of a row fall on one Gaussian column (see
-    echelon_leads).  Then each group is cleared by one positive integer,
-    the lcm of its denominators (_int_rows): a scalar on all the rows of
-    its matrices, which keeps the rank of every product through them,
-    every stack of them and every rank-profile prefix.
+    echelon_leads).  Then each group with a Fraction is cleared by one
+    positive integer, the lcm of its denominators (_int_rows): a scalar
+    on all the rows of its matrices, which keeps the rank of every
+    product through them, every stack of them and every rank-profile
+    prefix.  A group of integer rows is taken as it is, sharing its row
+    dicts with the input: no reader of the copy edits a row.
     """
     out = []
     for group in groups:
         rows = []
         for m in group:
-            for v in m.sparse:
-                if per_row == 2:
-                    w = _split_row(v)
-                    rows += (w, _times_i(w))
-                else:
-                    rows.append(v)
-        rows = _int_rows(rows)[1]
+            if per_row == 2:
+                for v in m.sparse:
+                    rows += _split_rows(v)
+            else:
+                rows += m.sparse
+        if Fraction in {type(x) for r in rows for x in r.values()}:
+            rows = _int_rows(rows)[1]
         mats, at = [], 0
         for m in group:
             nrows = per_row * m.nrows
@@ -339,10 +338,10 @@ def integer_copies(groups, per_row):
 def _gaussian_leads(leads):
     """One lead per Gaussian row from the leads of its two split rows,
     which must fall on one Gaussian column."""
-    pairs = list(zip(leads[::2], leads[1::2]))
-    if any(x // 2 != y // 2 for x, y in pairs):
+    out = [x // 2 for x in leads[::2]]
+    if out != [y // 2 for y in leads[1::2]]:
         raise AssertionError("rank_profile: split leads of a Gaussian row disagree")
-    return [x // 2 for x, _y in pairs]
+    return out
 
 
 def echelon_leads(rows, per_row=1):
