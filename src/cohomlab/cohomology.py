@@ -47,13 +47,9 @@ Tot differential of one sign and S_n a sum over the cells of Tot^n
     d1d2 on the difference of the two inputs, so
     rank = (dim Tot^n - rk D_n) - S_n rI + S_{n-1} r12.
 
-Every rank is taken once, on the analysis's integer copy of its blocks
-(_integer_copy, built with the analysis): a Gaussian block is
-realified, a ring map that doubles every rank, and the blocks into one
-target cell are cleared of denominators by one integer scale, which no
-rank read here sees (see _integer_copy).  The records, Tot and the
-spectral pages eliminate the copy's rows through linalg.echelon_leads,
-which returns one lead per input row, so no rank is halved later.
+Every rank is taken on the analysis's integer copy of its blocks
+(_integer_copy, built with the analysis), whose rows the records, Tot
+and the spectral pages eliminate through linalg.echelon_leads.
 
 Each record and cell is computed once per analysis, and so is the
 per-degree table that the total tables, the total rows and
@@ -98,7 +94,6 @@ tests and the names perfbench's tracer hooks.
 
 from __future__ import annotations
 
-import copy
 from math import gcd
 
 from .linalg import (
@@ -292,19 +287,20 @@ def _checked(value, where, key, name, formula, records=(), obj=None):
 
 
 def _integer_copy(obj):
-    """(copy, per_row): obj with integer d1/d2 blocks of the same ranks,
-    the one conversion of an analysis (linalg.integer_copies), and 2 when
-    its Gaussian blocks were realified, else 1.
+    """(copy, per_row): obj with integer d1/d2 blocks, the one conversion
+    of an analysis (linalg.integer_copies); per_row is 2 when Gaussian
+    blocks were realified, else 1.  An input of ints is its own copy.
 
-    The blocks into one target cell share one scale, so every rank the
-    engine takes is the input's rank times per_row: a stack of blocks
-    out of a cell scales its row blocks, [d1 | d2] into a cell and
-    d1 +- d2 of a homogeneous pair land in one cell and take one scalar,
-    a product through a cell takes the middle scale as a scalar, and Tot
-    rows and the rows of every rank-profile prefix are grouped by target
-    cell.  The copy need not anticommute (d1 and d2 out of one cell may
-    take different scales), so only ranks are read from it.  An input
-    with only int entries is its own copy.
+    Realification is a ring map: it commutes with products, stacks and
+    Tot and doubles every rank, and echelon_leads halves it again by
+    reading one lead per Gaussian row.  The blocks into one target cell
+    share one scale, which keeps every rank read here: a stack out of a
+    cell scales its row blocks, [d1 | d2] into a cell and d1 +- d2 of a
+    homogeneous pair take one scalar, a product through a cell takes the
+    middle scale as a scalar, and the rows of Tot and of every
+    rank-profile prefix are grouped by target cell.  d1 and d2 out of
+    one cell may take different scales, so the copy need not
+    anticommute: only ranks are read from it.
     """
     blocks = (obj.d1, obj.d2)
     kinds = {type(x) for d in blocks for m in d.values() for r in m.sparse for x in r.values()}
@@ -315,9 +311,9 @@ def _integer_copy(obj):
     for i, d in enumerate(blocks):
         for key in d:
             groups.setdefault(obj.shift(key, 1 - i, i), []).append((i, key))
-    out = copy.copy(obj)
-    out.dims = {k: per_row * v for k, v in obj.dims.items()}
-    out.d1, out.d2 = {}, {}
+    out = object.__new__(type(obj))  # obj's shifts and degrees, new spaces and blocks
+    out.__dict__.update(vars(obj), dims={k: per_row * v for k, v in obj.dims.items()},
+                        d1={}, d2={})
     mats = integer_copies([[blocks[i][key] for i, key in g] for g in groups.values()], per_row)
     for g, ms in zip(groups.values(), mats):
         for (i, key), m in zip(g, ms):
@@ -464,7 +460,9 @@ class _AnalysisBase:
         return self._tot_of(obj, sign).block(n)
 
     def _rank_plus(self, n):
-        """rk D_n for d1 + d2."""
+        """rk D_n for d1 + d2.  A pair has no pages to share a profile
+        with, and D_n in matrix order eliminates faster than with its
+        columns reversed (dim-8 symplectic analyze)."""
         return self._rank(self._tot_block(self._int, 1, n))
 
     def _degree_table(self):

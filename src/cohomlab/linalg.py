@@ -299,21 +299,16 @@ def _split_rows(v):
 
 def integer_copies(groups, per_row):
     """Integer matrices with the ranks of the matrices of groups, a list
-    of lists, in the same nesting: what an analysis eliminates instead
-    of its blocks (cohomology's integer copy).
+    of lists, in the same nesting: an analysis's integer copy (see
+    cohomology._integer_copy for the ranks it keeps).
 
-    With per_row 2, every matrix is realified: the entry a+bi at row r and
-    column c becomes the 2x2 block [[a, b], [-b, a]] at rows 2r, 2r+1 and
-    columns 2c, 2c+1, so row 2r is the split row of v and row 2r+1 that
-    of i*v, the rows _integer_rows builds.  Realification is a ring map,
-    so it commutes with sums, products and stacks; it doubles every rank,
-    and the split leads of a row fall on one Gaussian column (see
-    echelon_leads).  Then each group with a Fraction is cleared by one
-    positive integer, the lcm of its denominators (_int_rows): a scalar
-    on all the rows of its matrices, which keeps the rank of every
-    product through them, every stack of them and every rank-profile
-    prefix.  A group of integer rows is taken as it is, sharing its row
-    dicts with the input: no reader of the copy edits a row.
+    With per_row 2 every matrix is realified: entry a+bi at (r, c)
+    becomes the 2x2 block [[a, b], [-b, a]] at rows 2r, 2r+1 and columns
+    2c, 2c+1, the split rows of v and i*v that _integer_rows builds.  A
+    group holding a Fraction is then cleared by one integer, the lcm of
+    its denominators (_int_rows), a scalar on all its rows.  A group of
+    integer rows shares its row dicts with the input: no reader of the
+    copy edits a row.
     """
     out = []
     for group in groups:

@@ -6,11 +6,13 @@ match exactly: flavor tables, all six auxiliary quotients, lemma
 verdict, total cohomology, and both spectral sequences page by page.
 """
 
+import io
 import json
 import pathlib
 
 import pytest
 
+from cohomlab import cli
 from cohomlab import io as cio
 from cohomlab.cohomology import Analysis, lemma_verdict
 from cohomlab.report import input_echo, make_report
@@ -114,3 +116,21 @@ def test_report_round_trip(golden):
         got = {k: v for k, v in tables[name].items() if v}
         assert got == want, name
     assert rep["cohomology"]["verdicts"]["lemma_holds"] == golden["expected"]["lemma"]
+
+
+# markdown reports whose tables have gaps: a page lists a cell with no
+# d_r rank, and the transverse tables a slice where a flavor vanishes;
+# _md_table writes 0 there.  Both files were written by
+# `cohomlab analyze zigzag3-input --format md` with the arguments given.
+MARKDOWN_GOLDENS = (("zigzag3-spectral4.md", ("--spectral", "4")),
+                    ("zigzag3-type-n.md", ("--view", "type-n")))
+
+
+@pytest.mark.parametrize("name,args", MARKDOWN_GOLDENS, ids=[n for n, _a in MARKDOWN_GOLDENS])
+def test_markdown_report_with_gaps(tmp_path, name, args):
+    src = tmp_path / "zigzag3.json"
+    src.write_text(json.dumps(load("zigzag3")["input"]))
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.main(["analyze", str(src), *args, "--format", "md"], out=out, err=err) == 0
+    assert err.getvalue() == ""
+    assert out.getvalue() == (GOLDEN_DIR / name).read_text()
