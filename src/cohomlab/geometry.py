@@ -31,19 +31,44 @@ Three constructions feed the complex machinery:
     computed, and the star (v0 / D^k) S_k reads it, S_k being the
     compound with signed, complemented rows.  No determinant and no
     Gram inversion is computed, and nondegeneracy of omega is a rank.
-    Lambda is star L star, and the construction checks each relation
-    once, as an integer identity: brought over one scale, the two sides
-    differ by empty sparse rows.  The relations are: the star squares
-    to the identity (this pins the volume normalization omega^m / m!),
-    [Lambda, L] = H, d L = L d (omega is closed, so L is a map on
-    d-cohomology), and d_lam = (-1)^(k+1) star d star.
-    Only then are the Matrix objects built, and the pair's own validate
-    checks d d = 0, d_lam d_lam = 0 and d d_lam + d_lam d = 0 on them.
-    A failure is an engine bug and raises AssertionError, so a
-    constructed pair is a certificate that the calculus holds.
 
-    [Lambda, L] = H certifies Lambda with no second route (Brylinski,
-    J. Differential Geom. 1988; Tseng-Yau, J. Differential Geom. 2012).
+    Lambda is the contraction by the bivector P (Brylinski, J.
+    Differential Geom. 1988): Lambda = sum_{a<b} P^{ab} i_a i_b, with
+    i_a the contraction by the a-th dual basis vector, so that on a
+    basis k-form e_B, B = (b_0 < ... < b_{k-1}),
+
+        Lambda e_B = sum_{s<t} (-1)^(s+t) P^{b_s b_t} e_{B - {b_s, b_t}},
+
+    at most C(k, 2) nonzeros per column and Lambda = Lambda_int / D.  On
+    0-forms [Lambda, L] 1 = Lambda omega = tr(Omega P) / 2 = m, as H
+    reads there.  No product star L star is formed: [Lambda, L] = H,
+    checked below, certifies Lambda (see the next paragraph), so Lambda
+    is the adjoint of L that star L star also is.
+
+    The construction checks each relation once, as an integer identity:
+    brought over one scale, the two sides differ by empty sparse rows.
+    The relations are: the star squares to the identity (this pins the
+    volume normalization omega^m / m!), [Lambda, L] = H, d L = L d
+    (omega is closed, so L is a map on d-cohomology), and d_lam =
+    (-1)^(k+1) star d star.  star_{n-k} star_k = id is compared for k
+    <= m only: both factors are square, so a one-sided inverse is
+    two-sided and star_k star_{n-k} = id follows.  These checks run
+    first, as the star relation is checked on its sparse side,
+    star_{k-1} d_lam_k = (-1)^(k+1) d_{n-k} star_k: that is the
+    relation multiplied on the left by star_{k-1}, whose inverse is
+    star_{n-k+1} now that star star = id holds in every degree, so the
+    two are equivalent, and no product there has a dense star on both
+    sides.  Then the pair's own validate checks d d = 0, d_lam d_lam = 0
+    and d d_lam + d_lam d = 0 on a copy of the pair whose d and d_lam
+    are each taken over one scale for all degrees, so integer matrices:
+    each relation is homogeneous in each differential, so scaling d by
+    one constant and d_lam by another keeps it.  The returned pair has
+    the exact d and d_lam.  A failure is an engine bug and raises
+    AssertionError, so a constructed pair is a certificate that the
+    calculus holds.
+
+    [Lambda, L] = H certifies Lambda with no second route (Tseng-Yau,
+    J. Differential Geom. 2012).
     With H = (m-k) id on Lambda^k and Lambda of degree -2, (Lambda, L,
     H) is an sl(2) triple acting on the finite-dimensional space of
     forms, with L lowering the H-weight by 2.  A second degree -2
@@ -57,6 +82,11 @@ hard_lefschetz and primitive_and_lefschetz_decomposition read the Betti
 numbers from the pair's PairAnalysis (its D1 table) and everything else
 from ranks of stacked operator matrices: a quotient (span + im D) / im D
 has dimension rk[span | D] - rk D.  No subspace lattice is involved.
+They read the integer matrices of Sl2Operators, each operator up to a
+nonzero scale per degree, and kernel bases cleared of denominators:
+scaling a block of a stack by a nonzero constant changes no rank and no
+kernel, and scaling each column of a spanning set, or the operators
+applied to it, changes no span.
 """
 
 from __future__ import annotations
@@ -354,19 +384,54 @@ class Sl2Operators:
     Lam[k]: Lambda^k -> Lambda^{k-2};  d[k] and d_lam[k] are the two
     differentials; H acts on Lambda^k as (m - k) id.  unimodular records
     whether the underlying algebra has Poincare duality.
+
+    Lam[k] is the contraction by P = omega^-1 = P_int / D, e_B -> sum
+    over positions s < t of B of (-1)^(s+t) P[b_s][b_t] e_{B - {b_s,
+    b_t}}, so its scale is 1 / D; star[k] has scale v0 / D^k, L[k] 1 / e.
+    symplectic_pair checks star star = id for k <= m only (square
+    matrices: a one-sided inverse is two-sided) and the star relation as
+    star_{k-1} d_lam_k = (-1)^(k+1) d_{n-k} star_k (equivalent once
+    star star = id holds in every degree); the module docstring gives
+    the arguments.
+
+    Each operator is kept as scaled[name][k] = (scale, M): a nonzero
+    Fraction times a Matrix of int entries, for name in star, L, Lam, d
+    and d_lam; d and d_lam have one scale for all degrees.  integer(name)
+    reads the M's.  d is also kept exactly, as built; the exact star, L,
+    Lam and d_lam are built from their scaled form on first read and
+    cached, so every reader gets the same Matrix objects.  Readers that
+    only take ranks, kernels or spans read the integer matrices: scaling
+    a block of a stack by a nonzero constant changes no rank or kernel,
+    and L_int^r K spans what L^r K spans.
     """
 
-    __slots__ = ("n", "m", "star", "L", "Lam", "d", "d_lam", "unimodular")
+    __slots__ = ("n", "m", "d", "scaled", "unimodular", "_exact")
 
-    def __init__(self, n, m, star, L, Lam, d, d_lam, unimodular):
+    def __init__(self, n, m, d, scaled, unimodular):
         self.n = n
         self.m = m
-        self.star = star
-        self.L = L
-        self.Lam = Lam
         self.d = d
-        self.d_lam = d_lam
+        self.scaled = scaled
         self.unimodular = unimodular
+        self._exact = {}
+
+    def integer(self, name):
+        """{k: integer Matrix}: the operator name up to its scale in each degree."""
+        return {k: mat for k, (_s, mat) in self.scaled[name].items()}
+
+    def _exact_table(self, name):
+        table = self._exact.get(name)
+        if table is None:
+            table = self._exact[name] = {
+                k: Matrix.from_sparse(_scaled(s.numerator, s.denominator, mat.sparse),
+                                      mat.ncols)
+                for k, (s, mat) in self.scaled[name].items()}
+        return table
+
+    star = property(lambda self: self._exact_table("star"))
+    L = property(lambda self: self._exact_table("L"))
+    Lam = property(lambda self: self._exact_table("Lam"))
+    d_lam = property(lambda self: self._exact_table("d_lam"))
 
 
 def _dim(n, k):
@@ -447,6 +512,41 @@ def _identity_op(c, n):
     return Fraction(c), [{i: 1} for i in range(n)]
 
 
+def _over_one_scale(table):
+    """{k: (c, rows)}: the operators of table over one scale c, the gcd
+    of their scales' numerators over the lcm of their denominators, so
+    each scale is an integer multiple of c (as in _minus).  Operators
+    with empty rows take no part in c."""
+    scales = [s for s, rows in table.values() if any(rows)]
+    c = Fraction(math.gcd(*(s.numerator for s in scales)) or 1,
+                 math.lcm(*(s.denominator for s in scales)))
+    out = {}
+    for k, (s, rows) in table.items():
+        q = s / c
+        if q != 1 and any(rows):
+            rows = [{j: q.numerator * x for j, x in r.items()} for r in rows]
+        out[k] = c, rows
+    return out
+
+
+def _contraction(p_int, n, k):
+    """The integer rows of Lambda_k = P_int / D on k-forms, the
+    contraction by the bivector P = omega^-1 (module docstring):
+    e_B -> sum over positions s < t of B of (-1)^(s+t) P_int[b_s][b_t]
+    e_{B minus b_s, b_t}."""
+    rows = [{} for _ in range(_dim(n, k - 2))]
+    if k < 2:
+        return rows
+    pos = basis_positions(n, k - 2)
+    for j, b in enumerate(multi_indices(n, k)):
+        for t in range(1, k):
+            for s in range(t):
+                x = p_int[b[s]].get(b[t])
+                if x:
+                    rows[pos[b[:s] + b[s + 1:t] + b[t + 1:]]][j] = -x if (s + t) % 2 else x
+    return rows
+
+
 def _first_irrational(sd):
     """A description of the first coefficient of sd that is not an int or
     a Fraction, or None."""
@@ -513,6 +613,7 @@ def symplectic_pair(sd):
     full = set(range(n))
     star = {}
     L = {}
+    lam = {}
     for k in range(n + 1):
         idx = multi_indices(n, k)
         co = len(idx)
@@ -530,17 +631,19 @@ def symplectic_pair(sd):
                 for mtup, c in wedge(big_omega, {b: 1}).items():
                     lrows[lpos[mtup]][j] = c
         L[k] = Fraction(1, e), lrows
+        lam[k] = Fraction(1, den_p), _contraction(p_int, n, k)
 
     def get(table, k, shift):
         return _get(table, n, k, shift, _zero_op)
 
-    lam = {k: _compose(star[n - k + 2], L[n - k], star[k]) if k >= 2
-           else _zero_op(0, _dim(n, k)) for k in range(n + 1)}
+    # star_{n-k} star_k = id for k <= m covers every degree (square
+    # factors); the star relation below rests on it, so it runs first
+    for k in range(m + 1):
+        if any(_minus(_compose(star[n - k], star[k]), _identity_op(1, _dim(n, k)))[1]):
+            raise AssertionError("star star != id in degree %d" % k)
     d_lam = {}
     for k in range(n + 1):
         co = _dim(n, k)
-        if any(_minus(_compose(star[n - k], star[k]), _identity_op(1, co))[1]):
-            raise AssertionError("star star != id in degree %d" % k)
         commutator = _minus(_compose(get(lam, k + 2, -2), L[k]),
                             _compose(get(L, k - 2, 2), lam[k]))
         if any(_minus(commutator, _identity_op(m - k, co))[1]):
@@ -550,26 +653,34 @@ def symplectic_pair(sd):
             raise AssertionError("d L != L d in degree %d" % k)
         d_lam[k] = _minus(_compose(get(dop, k - 2, 1), lam[k]),
                           _compose(get(lam, k + 1, -2), dop[k]))
-        # d_lam maps degree 0 into Lambda^{-1} = 0: nothing to compare
+        # d_lam maps degree 0 into Lambda^{-1} = 0: nothing to compare.
+        # d_lam_k = (-1)^(k+1) star d star, multiplied on the left by
+        # star_{k-1}, keeps the dense star on one side of each product
         sgn = -1 if k % 2 == 0 else 1  # (-1)^(k+1)
         if k:
-            s, rows = _compose(star[n - k + 1], dop[n - k], star[k])
-            if any(_minus(d_lam[k], (sgn * s, rows))[1]):
+            s, rows = _compose(dop[n - k], star[k])
+            if any(_minus(_compose(star[k - 1], d_lam[k]), (sgn * s, rows))[1]):
                 raise AssertionError(
                     "d_lam != (-1)^(k+1) star d star in degree %d" % k
                 )
-    star, L, lam, d_lam = (
-        {k: Matrix.from_sparse(_scaled(s.numerator, s.denominator, rows), _dim(n, k))
-         for k, (s, rows) in table.items()} for table in (star, L, lam, d_lam))
+    scaled = {name: {k: (s, Matrix.from_sparse(rows, _dim(n, k)))
+                     for k, (s, rows) in table.items()}
+              for name, table in (("star", star), ("L", L), ("Lam", lam),
+                                  ("d", _over_one_scale(dop)),
+                                  ("d_lam", _over_one_scale(d_lam)))}
+    ops = Sl2Operators(n, m, d, scaled, lie.is_unimodular())
     dims = {k: _dim(n, k) for k in range(n + 1)}
-    d1 = {k: mat for k, mat in d.items() if not mat.is_zero() and mat.nrows}
-    d2 = {k: mat for k, mat in d_lam.items() if not mat.is_zero() and mat.nrows}
-    pair = BidiffPair(dims, 1, -1, d1, d2)
-    bad = pair.validate()
+
+    def nonzero(table):
+        return {k: mat for k, mat in table.items() if not mat.is_zero() and mat.nrows}
+
+    # the pair's relations are homogeneous in each differential, so they
+    # are checked on d and d_lam each over its one scale: integer matrices
+    copy = BidiffPair(dims, 1, -1, nonzero(ops.integer("d")), nonzero(ops.integer("d_lam")))
+    bad = copy.validate()
     if bad:
         raise AssertionError("constructed pair invalid: " + "; ".join(bad))
-    ops = Sl2Operators(n, m, star, L, lam, d, d_lam, lie.is_unimodular())
-    return pair, ops
+    return BidiffPair(dims, 1, -1, nonzero(d), nonzero(ops.d_lam)), ops
 
 
 def _dim_mod_image(cols, d, rank_d):
@@ -577,16 +688,19 @@ def _dim_mod_image(cols, d, rank_d):
     return rank(hstack(cols, d)) - rank_d
 
 
-def _apply_L(ops, cols, s, r):
-    """L^r applied to the columns of cols, which live in Lambda^s."""
+def _apply_L(L, cols, s, r):
+    """L^r applied to the columns of cols, which live in Lambda^s, for
+    the per-degree L of table L (up to scales, the span is the same)."""
     for t in range(r):
-        cols = ops.L[s + 2 * t].mul(cols)
+        cols = L[s + 2 * t].mul(cols)
     return cols
 
 
 def _kernel_columns(m):
-    """A basis of ker m, as the columns of a matrix."""
-    return kernel(m).basis_matrix().transpose()
+    """A basis of ker m, as the columns of a matrix, each basis vector
+    cleared of its denominators (which keeps the span)."""
+    basis = [_int_rows([v])[1][0] for v in kernel(m).basis]
+    return Matrix.from_sparse(basis, m.ncols).transpose()
 
 
 def hard_lefschetz(pa, ops):
@@ -606,11 +720,12 @@ def hard_lefschetz(pa, ops):
     rank equals b_{m-k} = b_{m+k}.
     """
     n, m = ops.n, ops.m
+    ops_d, ops_L = ops.integer("d"), ops.integer("L")
     betti = pa.flavor_table("D1", keep_zeros=True)
     iso = {}
     for k in range(m + 1):
-        d = _get(ops.d, n, m + k - 1, 1)
-        image_k = _apply_L(ops, _kernel_columns(ops.d[m - k]), m - k, k)
+        d = _get(ops_d, n, m + k - 1, 1)
+        image_k = _apply_L(ops_L, _kernel_columns(ops_d[m - k]), m - k, k)
         r = _dim_mod_image(image_k, d, rank(d))
         iso[k] = r == betti[m - k] == betti[m + k]
     holds = all(iso.values())
@@ -654,22 +769,24 @@ def primitive_and_lefschetz_decomposition(pa, ops):
     PairAnalysis of the symplectic pair built with ops.
     """
     n = ops.n
+    ops_d, ops_L, ops_lam = ops.integer("d"), ops.integer("L"), ops.integer("Lam")
+    ops_dlam = ops.integer("d_lam")
     rk_n, rk_dlam = {-1: 0}, {-1: 0}
     for k in range(n + 1):
-        dlam_lam = vstack(ops.d_lam[k], ops.Lam[k])
+        dlam_lam = vstack(ops_dlam[k], ops_lam[k])
         rk_dlam[k] = rank(dlam_lam)
-        rk_n[k] = rank(vstack(ops.d[k], dlam_lam))
+        rk_n[k] = rank(vstack(ops_d[k], dlam_lam))
     primitive = {k: _checked(_dim(n, k) - rk_n[k] - (rk_n[k - 1] - rk_dlam[k - 1]),
                              "degree", k, "primitive", _PRIMITIVE)
                  for k in range(n + 1)}
 
     betti = pa.flavor_table("D1", keep_zeros=True)
-    prim_forms = {s: _kernel_columns(vstack(ops.d[s], ops.Lam[s])) for s in range(n + 1)}
+    prim_forms = {s: _kernel_columns(vstack(ops_d[s], ops_lam[s])) for s in range(n + 1)}
     per_degree = {}
     for j in range(n + 1):
-        d = _get(ops.d, n, j - 1, 1)
+        d = _get(ops_d, n, j - 1, 1)
         rank_d = rank(d)
-        parts = [_apply_L(ops, prim_forms[j - 2 * r], j - 2 * r, r)
+        parts = [_apply_L(ops_L, prim_forms[j - 2 * r], j - 2 * r, r)
                  for r in range(j // 2 + 1)]
         indep_sum = sum(_dim_mod_image(u, d, rank_d) for u in parts)
         total = _dim_mod_image(functools.reduce(hstack, parts), d, rank_d)

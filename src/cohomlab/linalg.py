@@ -456,8 +456,11 @@ def rref(m):
 
 def rank(m):
     """Rank of m, the number of _echelon leads; 0 for a matrix with no
-    rows or no columns."""
+    rows or no columns.  The rank does not depend on the order of the
+    rows, so they are eliminated sparsest first: the sparse rows build a
+    sparse basis before the dense rows are cleared against it."""
     rows, per_row = _integer_rows(m.sparse)
+    rows.sort(key=len)
     return len(_echelon(rows)[0]) // per_row
 
 

@@ -627,9 +627,12 @@ LAMBDA_INPUTS += [("criterion6-%d" % i, sd) for i, sd in enumerate(criterion_6_a
 
 @pytest.mark.parametrize("name,sd", LAMBDA_INPUTS, ids=[n for n, _ in LAMBDA_INPUTS])
 def test_lambda_matches_the_gram_route(name, sd):
-    """Lambda, built as star L star, equals the adjoint of L under the
-    pairing: C_{k-2}(omega)^T L_{k-2}^T C_k(P)^T, with both compounds
-    computed as determinants of minors by the reference."""
+    """Lambda, built as the contraction by the bivector P = omega^-1 with
+    no star in it, equals the adjoint of L under the pairing:
+    C_{k-2}(omega)^T L_{k-2}^T C_k(P)^T, with both compounds computed as
+    determinants of minors by the reference.  So the contraction agrees
+    with star L star (test_operators_equal_the_fraction_reference) by a
+    route that shares nothing with it but L."""
     _pair, ops = symplectic_pair(sd)
     om = sd.omega_matrix()
     p_mat = linalg.mat_inverse(om)
@@ -671,22 +674,58 @@ def test_broken_pair_relation_is_an_engine_bug(monkeypatch):
         symplectic_pair(iwasawa_symplectic())
 
 
-def test_scaled_star_trips_the_lambda_guard(monkeypatch):
-    """A star scaled by 2 in the middle degree 3 of the Iwasawa algebra
-    scales Lambda = star L star out of degree 3 by 2, so [Lambda, L]
-    reads 2 (m - 1) in degree 1; that check runs before the star's own
-    square is compared in degree 3."""
+def _scaled_compound(monkeypatch, degree):
+    """Plant a star scaled by 2 in one degree: the compound C_degree(P_int)
+    it reads comes back doubled."""
     real = geometry._compounds
 
-    def scaled_middle(rows, top):
+    def scaled(rows, top):
         out = real(rows, top)
-        out[3] = [{j: 2 * x for j, x in row.items()} for row in out[3]]
+        out[degree] = [{j: 2 * x for j, x in row.items()} for row in out[degree]]
         return out
 
-    monkeypatch.setattr(geometry, "_compounds", scaled_middle)
-    with pytest.raises(AssertionError, match=re.escape(
-            "[Lambda, L] != (m - k) id in degree 1")):
+    monkeypatch.setattr(geometry, "_compounds", scaled)
+
+
+def test_scaled_star_trips_the_star_square_guard(monkeypatch):
+    """A star scaled by 2 in the middle degree 3 of the Iwasawa algebra
+    squares to 4 id there.  Lambda is a contraction that reads no star,
+    so the star's own square is the first check to see it."""
+    _scaled_compound(monkeypatch, 3)
+    with pytest.raises(AssertionError, match=re.escape("star star != id in degree 3")):
         symplectic_pair(iwasawa_symplectic())
+
+
+def test_star_scaled_above_the_middle_trips_the_square_at_n_minus_k(monkeypatch):
+    """star star = id is compared only for k <= m.  A star scaled by 2
+    only in degree 4 > m = 3 is still caught: star_4 star_2 = 2 id, the
+    check in degree n - 4 = 2."""
+    _scaled_compound(monkeypatch, 4)
+    with pytest.raises(AssertionError, match=re.escape("star star != id in degree 2")):
+        symplectic_pair(iwasawa_symplectic())
+
+
+def test_flipped_contraction_sign_trips_the_lambda_guard(monkeypatch):
+    """One entry of the contraction Lambda_4 with its sign flipped breaks
+    [Lambda, L] = H in degree 2, where Lambda_4 L_2 is first read; the
+    star checks, which read no Lambda, pass before it."""
+    real = geometry._contraction
+    flipped = []
+
+    def plant(p_int, n, k):
+        rows = real(p_int, n, k)
+        if k == 4:
+            row = next(r for r in rows if r)
+            j = min(row)
+            row[j] = -row[j]
+            flipped.append(j)
+        return rows
+
+    monkeypatch.setattr(geometry, "_contraction", plant)
+    with pytest.raises(AssertionError, match=re.escape(
+            "[Lambda, L] != (m - k) id in degree 2")):
+        symplectic_pair(iwasawa_symplectic())
+    assert len(flipped) == 1
 
 
 def test_double_complex_views_refuse_a_pair(monkeypatch):
