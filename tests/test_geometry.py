@@ -540,11 +540,21 @@ def test_operators_equal_the_fraction_reference(name, sd):
     """star, L, Lambda and d_lam from the integer route equal the Fraction
     computation of the reference (Gram matrices by determinants, every
     product a Matrix.mul), entry for entry, with each entry an int or a
-    Fraction that is not an integer; the pair's d2 is the nonzero d_lam."""
+    Fraction that is not an integer; the pair's d2 is the nonzero d_lam.
+    Each is also kept as a nonzero scale times an integer Matrix, which
+    is the operator; d and d_lam have one scale in every degree."""
     pair, ops = symplectic_pair(sd)
     ref = subspace_reference.fraction_calculus(sd)
+    ref["d"] = ops.d
+    for table in ("star", "L", "Lam", "d", "d_lam"):
+        scales = {s for s, _mat in ops.scaled[table].values()}
+        assert 0 not in scales and (len(scales) == 1 or table not in ("d", "d_lam")), table
+        for k, (s, mat) in ops.scaled[table].items():
+            assert all(type(x) is int for row in mat.sparse for x in row.values())
+            assert mat.scale(s) == ref[table][k], (name, table, k)
     for table in ("star", "L", "Lam", "d_lam"):
         got = getattr(ops, table)
+        assert got is getattr(ops, table)
         assert sorted(got) == sorted(ref[table]) == list(range(ops.n + 1)), table
         for k, mat in got.items():
             assert mat == ref[table][k], (name, table, k)
