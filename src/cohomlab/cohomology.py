@@ -97,10 +97,11 @@ from __future__ import annotations
 from math import gcd
 
 from .linalg import (
+    Matrix,
     echelon_leads,
+    echelon_rows,
     hstack,
     image,
-    integer_copies,
     kernel,
     quotient_dim,
     vstack,
@@ -287,9 +288,11 @@ def _checked(value, where, key, name, formula, records=(), obj=None):
 
 
 def _integer_copy(obj):
-    """(copy, per_row): obj with integer d1/d2 blocks, the one conversion
-    of an analysis (linalg.integer_copies); per_row is 2 when Gaussian
-    blocks were realified, else 1.  An input of ints is its own copy.
+    """(copy, per_row): obj with integer d1/d2 blocks, from one
+    linalg.echelon_rows call per target cell on the rows of the blocks
+    into it, sliced back into blocks; per_row is 2 when the blocks were
+    realified, all of them when one holds a Gaussian entry, else 1.  An
+    input of ints is its own copy.
 
     Realification is a ring map: it commutes with products, stacks and
     Tot and doubles every rank, and echelon_leads halves it again by
@@ -314,10 +317,15 @@ def _integer_copy(obj):
     out = object.__new__(type(obj))  # obj's shifts and degrees, new spaces and blocks
     out.__dict__.update(vars(obj), dims={k: per_row * v for k, v in obj.dims.items()},
                         d1={}, d2={})
-    mats = integer_copies([[blocks[i][key] for i, key in g] for g in groups.values()], per_row)
-    for g, ms in zip(groups.values(), mats):
-        for (i, key), m in zip(g, ms):
-            (out.d1, out.d2)[i][key] = m
+    for g in groups.values():
+        rows = echelon_rows([v for i, key in g for v in blocks[i][key].sparse],
+                            per_row == 2)[0]
+        at = 0
+        for i, key in g:
+            m = blocks[i][key]
+            (out.d1, out.d2)[i][key] = Matrix.from_sparse(
+                rows[at:at + per_row * m.nrows], per_row * m.ncols)
+            at += per_row * m.nrows
     return out, per_row
 
 

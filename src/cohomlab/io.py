@@ -26,10 +26,13 @@ pages walk every total degree and every column in between, and Tot of
 a pair's Doub walks |deg1 - deg2| + 1 total degrees.  A
 symplectic lie_algebra above MAX_SYMPLECTIC_DIM generators raises
 ValidationError too: on a 2-core Xeon host its analysis takes about
-10 s at dimension 10 (building the operator calculus about 2 s of it),
-and at dimension 12 symplectic_pair had not returned after 17 minutes
-of process time, in the products that build Lambda = star L star: the
-star's middle degree is a 924 x 924 compound, about a third nonzero.
+3 s at dimension 10 (building the operator calculus about 0.7 s of it).
+Dimension 12 has not been timed since Lambda became a contraction by
+omega^-1.  Before, symplectic_pair had not returned there after 17
+minutes of process time, in the products that built Lambda = star L
+star.  The dense product left is the check star_{n-k} star_k = id in
+the middle degree, where the star is a 924 x 924 compound of
+omega^-1; at dimension 10 a third of its middle degree is nonzero.
 So does a symplectic block whose coefficients, or those of its
 algebra, are not rational: the operator calculus runs on integers.
 """

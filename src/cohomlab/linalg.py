@@ -27,23 +27,22 @@ canonical form for free.
 Every row reduction but det's is one echelon insertion on sparse integer
 rows (_echelon): a row is a dict {column: nonzero int}, and rows are
 reduced in order, division-free, against a basis keyed by lead column,
-the smallest column left in a row.  Integer rows reach it two ways.  An
-analysis converts its blocks once (integer_copies): a Gaussian matrix
-becomes its realification, entry a+bi the 2x2 block [[a, b], [-b, a]],
-and each group of blocks into one cell is cleared by one integer scale;
-it then eliminates those rows through echelon_leads, which takes them as
-they are.  The library's rank, rank_profile, rref, kernel and
-mat_inverse take exact rows of any kind through one dispatch per call
-(_integer_rows): an integer row enters as a copy, a row with a Fraction
-is scaled to an integer row with the same span, and a Gaussian row is
-split into the interleaved real rows of v and i*v, the rows of its
-realification.  GaussianRational keeps integral parts as ints, so the
-split rows of a Gaussian-integer row are integer rows as they are; only
-a row with a Fraction part is scaled.
-rank is the number of leads.  rank_profile is the leads themselves,
-which give the ranks of all row prefixes x column prefixes from one
-pass; echelon_leads gives the same leads, and an analysis counts its
-ranks and reads its spectral pages from them.  RREF, and with it
+the smallest column left in a row.  Integer rows reach it one way,
+through echelon_rows: a matrix with a Gaussian entry becomes its
+realification, entry a+bi the 2x2 block [[a, b], [-b, a]], the
+interleaved split rows of v and i*v; rows that then hold a Fraction are
+cleared by one integer scale over the call; integer rows pass as they
+are, and _echelon copies each row it takes.  GaussianRational keeps
+integral parts as ints, so the split rows of a Gaussian-integer row are
+integer rows as they are.  The library's rank, rank_profile, rref,
+kernel, mat_inverse and contains convert per call.  An analysis
+converts its blocks once, one call per target cell, so that the blocks
+into one cell share one scale (see cohomology._integer_copy), and
+eliminates those rows through echelon_leads.
+rank is the number of leads.  rank_profile is the leads themselves
+(echelon_leads of the matrix's echelon_rows), which give the ranks of
+all row prefixes x column prefixes from one pass; an analysis counts
+its ranks and reads its spectral pages from them.  RREF, and with it
 kernel, image, mat_inverse and the subspace lattice, is that echelon
 basis plus back-substitution on the sparse rows (_rref_rows, which
 takes dense rows).  Containment is no new lead: s.contains(t) when,
@@ -246,36 +245,32 @@ def vstack(a, b):
 # row reduction
 
 
-def _integer_rows(rows):
-    """(int rows, per_row): exact sparse rows as integer rows for _echelon.
+def echelon_rows(rows, realify):
+    """(int rows, per_row): exact sparse rows as the integer rows _echelon
+    takes; the one conversion, for the library and an analysis alike.
 
-    A sparse row is a dict {column: nonzero entry}.  An integer row
-    enters as a copy, since _echelon edits its rows in place and matrices
-    may share row dicts, and a row with a Fraction through _int_rows,
-    which keeps its span: one sparse row each.  A Gaussian row v enters
-    as the split rows of v and i*v (_split_rows): two each.  Parts are
-    ints when integral (see scalars), so a Gaussian-integer row splits
-    into int rows as it is, and only a row with a Fraction part is
-    cleared, by one lcm over the denominators of its nonzero parts.  The
+    The rows are realified, per_row 2, when one holds a Gaussian entry
+    or when realify is set (every block of an analysis with a Gaussian
+    entry anywhere): each row v becomes the split rows of v and i*v
+    (_split_rows).  If a row then holds a Fraction, all rows are cleared
+    by one integer, the lcm of their denominators (_int_rows), a scalar
+    on the call that keeps every rank and lead.  Integer rows pass as
+    they are, uncopied.  Parts are ints when integral (see scalars), so
+    Gaussian-integer rows split into int rows and are not cleared.  The
     span of the split rows is closed under i, so the pivots of its
     rational RREF come in pairs (2c, 2c+1), the rows at even pivots
     decode to the Gaussian RREF, and the split leads of a row fall on
     one Gaussian column.
     """
-    kinds = {type(x) for v in rows for x in v.values()}
-    if kinds <= {int}:
-        return [dict(v) for v in rows], 1
-    if GaussianRational not in kinds:
-        return [_int_rows([v])[1][0]
-                if Fraction in {type(x) for x in v.values()} else dict(v)
-                for v in rows], 1
-    split = []
-    for v in rows:
-        pair = _split_rows(v)
-        if Fraction in {type(x) for x in pair[0].values()}:
-            pair = _int_rows(pair)[1]
-        split += pair
-    return split, 2
+    if not realify:
+        kinds = {type(x) for v in rows for x in v.values()}
+        realify = GaussianRational in kinds
+    if realify:
+        rows = [w for v in rows for w in _split_rows(v)]
+        kinds = {type(x) for v in rows for x in v.values()}
+    if Fraction in kinds:
+        rows = _int_rows(rows)[1]
+    return rows, 2 if realify else 1
 
 
 def _split_rows(v):
@@ -297,39 +292,6 @@ def _split_rows(v):
     return [w, iw]
 
 
-def integer_copies(groups, per_row):
-    """Integer matrices with the ranks of the matrices of groups, a list
-    of lists, in the same nesting: an analysis's integer copy (see
-    cohomology._integer_copy for the ranks it keeps).
-
-    With per_row 2 every matrix is realified: entry a+bi at (r, c)
-    becomes the 2x2 block [[a, b], [-b, a]] at rows 2r, 2r+1 and columns
-    2c, 2c+1, the split rows of v and i*v that _integer_rows builds.  A
-    group holding a Fraction is then cleared by one integer, the lcm of
-    its denominators (_int_rows), a scalar on all its rows.  A group of
-    integer rows shares its row dicts with the input: no reader of the
-    copy edits a row.
-    """
-    out = []
-    for group in groups:
-        rows = []
-        for m in group:
-            if per_row == 2:
-                for v in m.sparse:
-                    rows += _split_rows(v)
-            else:
-                rows += m.sparse
-        if Fraction in {type(x) for r in rows for x in r.values()}:
-            rows = _int_rows(rows)[1]
-        mats, at = [], 0
-        for m in group:
-            nrows = per_row * m.nrows
-            mats.append(Matrix.from_sparse(rows[at:at + nrows], per_row * m.ncols))
-            at += nrows
-        out.append(mats)
-    return out
-
-
 def _gaussian_leads(leads):
     """One lead per Gaussian row from the leads of its two split rows,
     which must fall on one Gaussian column."""
@@ -340,15 +302,15 @@ def _gaussian_leads(leads):
 
 
 def echelon_leads(rows, per_row=1):
-    """The rank profile (as rank_profile) of sparse integer rows taken as
-    they are: no type scan, split or clearing.  The entry for rows that
-    are integers already, as an analysis's integer copy holds them; the
-    rows are copied, since _echelon edits its rows in place.  With
-    per_row 2 the rows are the split rows of Gaussian rows (as realified
-    by integer_copies), and the leads come back one per Gaussian row, on
-    Gaussian columns; the rank is the number of leads that are not -1.
+    """The rank profile (as rank_profile) of sparse integer rows as
+    echelon_rows gives them, taken as they are: no type scan, split or
+    clearing, and no copy (_echelon copies the rows it edits).  With
+    per_row 2 the rows are the split rows of Gaussian rows, and the
+    leads come back one per Gaussian row, on Gaussian columns; the rank
+    is the number of leads that are not -1.  An analysis ranks the rows
+    of its integer copy here, and rank_profile the rows it converts.
     """
-    leads = _echelon([dict(r) for r in rows])[1]
+    leads = _echelon(rows)[1]
     return leads if per_row == 1 else _gaussian_leads(leads)
 
 
@@ -382,11 +344,13 @@ def _echelon(rows):
     """(basis, leads): sparse integer rows inserted in order into an
     echelon basis.
 
-    The one row reduction; it consumes the rows of _integer_rows and
-    the copies echelon_leads makes.  A row's lead is the smallest
-    column left in it.  While a basis row leads there, the row is
-    cleared at its lead by that basis row (_reduce), division-free, so
-    it stays on integers.  Otherwise it joins the basis there, as the
+    The one row reduction, of the rows echelon_rows gives, and the one
+    place that copies them: each row is copied as it is taken, since
+    _reduce edits it in place and the rows may be a matrix's own, one
+    dict even at several places.  A row's lead is the
+    smallest column left in it.  While a basis row leads there, the row
+    is cleared at its lead by that basis row (_reduce), division-free,
+    so it stays on integers.  Otherwise it joins the basis there, as the
     row reduced so far.  leads holds one lead per row, -1 for a row in
     the span of the rows before it (it emptied out).  basis maps lead
     column -> row, and each basis row is keyed by its smallest column
@@ -395,6 +359,7 @@ def _echelon(rows):
     basis = {}
     leads = []
     for v in rows:
+        v = dict(v)
         lead = -1
         while v:
             c = min(v)
@@ -412,15 +377,16 @@ def _rref_rows(rows, ncols):
     """Canonical RREF (sparse rows, pivot columns) of any dense exact rows
     of width ncols (unread here; the benchmark tracer's hook reads it).
 
-    The _echelon basis of the _integer_rows, cleared from the right:
-    each basis row, taken from the last lead back, is reduced against
-    the already cleared rows at the later pivots it holds, then divided
-    by its pivot.  Over Q(i) the rows at even split pivots decode to the
-    Gaussian rows (see _integer_rows).  The rows come in dense, as the
-    subspace lattice holds them: the benchmark tracer reads their entries.
+    The _echelon basis of the rows' echelon_rows, cleared from the
+    right: each basis row, taken from the last lead back, is reduced
+    against the already cleared rows at the later pivots it holds, then
+    divided by its pivot.  Over Q(i) the rows at even split pivots
+    decode to the Gaussian rows (see echelon_rows).  The rows come in
+    dense, as the subspace lattice holds them: the benchmark tracer
+    reads their entries.
     """
-    int_rows, per_row = _integer_rows(
-        [{c: x for c, x in enumerate(r) if x} for r in rows])
+    int_rows, per_row = echelon_rows(
+        [{c: x for c, x in enumerate(r) if x} for r in rows], False)
     basis = _echelon(int_rows)[0]
     pivots = sorted(basis)
     for c in reversed(pivots):
@@ -459,9 +425,8 @@ def rank(m):
     rows or no columns.  The rank does not depend on the order of the
     rows, so they are eliminated sparsest first: the sparse rows build a
     sparse basis before the dense rows are cleared against it."""
-    rows, per_row = _integer_rows(m.sparse)
-    rows.sort(key=len)
-    return len(_echelon(rows)[0]) // per_row
+    rows, per_row = echelon_rows(m.sparse, False)
+    return len(_echelon(sorted(rows, key=len))[0]) // per_row
 
 
 def rank_profile(m):
@@ -481,9 +446,7 @@ def rank_profile(m):
     row prefix restricted to a column prefix is closed under i, so the
     two leads fall on the same Gaussian column, which is the row's lead.
     """
-    rows, per_row = _integer_rows(m.sparse)
-    leads = _echelon(rows)[1]
-    return leads if per_row == 1 else _gaussian_leads(leads)
+    return echelon_leads(*echelon_rows(m.sparse, False))
 
 
 # ---------------------------------------------------------------------------
@@ -562,9 +525,8 @@ class Subspace:
             return True
         if other.dim > self.dim:
             return False
-        rows, per_row = _integer_rows(self.basis + other.basis)
-        leads = _echelon(rows)[1]
-        return all(lead < 0 for lead in leads[per_row * self.dim:])
+        leads = echelon_leads(*echelon_rows(self.basis + other.basis, False))
+        return all(lead < 0 for lead in leads[self.dim:])
 
     def sum(self, other):
         if self.n != other.n:

@@ -330,13 +330,17 @@ def test_iwasawa_symplectic_bc2_brute_force():
     assert ddlam.is_zero()
 
 
-def test_iwasawa_symplectic_lefschetz_on_bc_and_a():
-    """L: BC^2 -> BC^4 and L: A^2 -> A^4 are isomorphisms of rank 10,
-    computed from the operator matrices with kernels, images and sums of
-    subspaces only, without Analysis or Subquotient.  This is the oracle
-    behind the BC^2 = A^4 = 10 pins of acceptance criterion 1."""
-    pair, ops = builtin("iwasawa-symplectic")
+def lefschetz_on_bc_and_a(sd):
+    """{"BC": {k: dim}, "A": {k: dim}} of a symplectic algebra, after
+    checking the symplectic hard Lefschetz theorem on both (Tseng-Yau,
+    JDG 2012): for every k <= m = n/2, L^k: BC^{m-k} -> BC^{m+k} and
+    L^k: A^{m-k} -> A^{m+k} are well defined and bijective.  Computed
+    from the operator matrices with kernels, images, sums and
+    containment of subspaces only, without Analysis or Subquotient; the
+    dimensions must equal the engine's BC and A tables."""
+    pair, ops = symplectic_pair(sd)
     n = ops.n
+    m = n // 2
 
     def d(k):
         return _get(ops.d, n, k, 1)
@@ -352,17 +356,33 @@ def test_iwasawa_symplectic_lefschetz_on_bc_and_a():
         return (kernel(d(k - 1).mul(d_lam(k))),
                 image(d(k - 1)).sum(image(d_lam(k + 1))))
 
-    for flavor in (bott_chern, aeppli):
-        num2, den2 = flavor(2)
-        num4, den4 = flavor(4)
-        assert num2.dim - den2.dim == 10, flavor.__name__
-        assert num4.dim - den4.dim == 10, flavor.__name__
-        # L is a map of the quotients: numerator into numerator,
-        # denominator into denominator
-        l_num = map_subspace(ops.L[2], num2)
-        assert num4.contains(l_num), flavor.__name__
-        assert den4.contains(map_subspace(ops.L[2], den2)), flavor.__name__
-        assert l_num.sum(den4).dim - den4.dim == 10, flavor.__name__
+    engine = PairAnalysis(pair, validated=True)
+    tables = {}
+    for name, flavor in (("BC", bott_chern), ("A", aeppli)):
+        dims = tables[name] = {}
+        for k in range(m + 1):
+            (num_s, den_s), (num_t, den_t) = flavor(m - k), flavor(m + k)
+            l_k = Matrix.identity(_dim(n, m - k))
+            for j in range(m - k, m + k, 2):
+                l_k = _get(ops.L, n, j, 2).mul(l_k)
+            # L^k is a map of the quotients: numerator into numerator,
+            # denominator into denominator
+            l_num = map_subspace(l_k, num_s)
+            assert num_t.contains(l_num), (name, k)
+            assert den_t.contains(map_subspace(l_k, den_s)), (name, k)
+            dims[m - k], dims[m + k] = num_s.dim - den_s.dim, num_t.dim - den_t.dim
+            # its image fills the target, whose dimension is the source's
+            assert l_num.sum(den_t).dim - den_t.dim == dims[m + k] == dims[m - k], (name, k)
+        assert dims == engine.flavor_table(name, keep_zeros=True), name
+    return tables
+
+
+def test_iwasawa_symplectic_lefschetz_on_bc_and_a():
+    """L: BC^2 -> BC^4 and L: A^2 -> A^4 are isomorphisms of rank 10.
+    This is the oracle behind the BC^2 = A^4 = 10 pins of acceptance
+    criterion 1."""
+    for name, dims in lefschetz_on_bc_and_a(iwasawa_symplectic()).items():
+        assert dims[2] == dims[4] == 10, name
 
 
 def test_abelian_torus_lefschetz():
@@ -454,6 +474,12 @@ def test_non_unimodular_algebra_slack_subtracts_d2():
 
 
 COMPOUND_INPUTS = [iwasawa_symplectic()] + criterion_6_algebras(50)
+
+
+@pytest.mark.parametrize("sd", COMPOUND_INPUTS[1:], ids=[
+    "criterion6-%d" % i for i in range(50)])
+def test_tseng_yau_lefschetz_on_bc_and_a(sd):
+    lefschetz_on_bc_and_a(sd)
 
 
 @pytest.mark.parametrize("sd", COMPOUND_INPUTS, ids=["iwasawa"] + [

@@ -11,13 +11,14 @@ blocks here need not form a complex: the copy keeps ranks of any
 matrices, so the records are compared without validating.
 """
 
+import json
 import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohomlab import linalg
+from cohomlab import cohomology, linalg
 from cohomlab.cli import main
 from cohomlab.cohomology import Analysis, PairAnalysis
 from cohomlab.complexes import BidiffPair, DoubleComplex, tot
@@ -153,25 +154,59 @@ def test_unequal_denominators_into_one_cell_share_one_scale():
     assert a._record((1, 1)) == (2, 1, 0, 0, 1, 2)
 
 
-def test_no_integer_rows_call_comes_from_the_analysis(monkeypatch, capsys):
-    """analyze on Gaussian, rational and integer inputs, with pages: the
-    library's per-call dispatch still runs (the symplectic sections in
-    geometry use it) but never under cohomology or spectral."""
-    calls = {"analysis": 0, "other": 0}
-    real = linalg._integer_rows
+GAUSSIAN_DOC = {"double_complex": {
+    "entries": [{"p": p, "q": q, "dim": 1} for p in (0, 1) for q in (0, 1)],
+    "d1": [{"from": [0, 0], "matrix": ["i"]}, {"from": [0, 1], "matrix": ["-i"]}],
+    "d2": [{"from": [0, 0], "matrix": ["1"]}, {"from": [1, 0], "matrix": ["1"]}]}}
+RATIONAL_DOC = {"bidiff_pair": {
+    "degrees": [{"k": 0, "dim": 2}, {"k": 1, "dim": 2}], "deg1": 1, "deg2": -1,
+    "d1": [{"from": 0, "matrix": ["0", "1/2", "0", "0"]}],
+    "d2": [{"from": 1, "matrix": ["0", "3", "0", "0"]}]}}
 
-    def spy(rows):
+
+def test_echelon_rows_runs_in_the_analysis_once_per_target_cell(monkeypatch, capsys,
+                                                                 tmp_path):
+    """analyze on Gaussian, rational and integer inputs, with pages: under
+    cohomology and spectral, linalg.echelon_rows runs only inside
+    _integer_copy, once per target cell of an input that is not all ints
+    and never for one that is.  The library's calls (the symplectic
+    sections in geometry) still run outside."""
+    calls = {"copy": 0, "stray": 0, "other": 0}
+    copies = []  # (input of ints, target cells, calls) per _integer_copy
+    real_rows, real_copy = linalg.echelon_rows, cohomology._integer_copy
+
+    def spy(rows, realify):
         f = sys._getframe(1)
         while f and f.f_globals.get("__name__") not in ("cohomlab.cohomology",
                                                          "cohomlab.spectral"):
             f = f.f_back
-        calls["analysis" if f else "other"] += 1
-        return real(rows)
+        calls["other" if f is None else "copy" if f.f_code.co_name == "_integer_copy"
+              else "stray"] += 1
+        return real_rows(rows, realify)
 
-    monkeypatch.setattr(linalg, "_integer_rows", spy)
+    def copy_spy(obj):
+        before = calls["copy"]
+        out = real_copy(obj)
+        ints = all(type(x) is int for d in (obj.d1, obj.d2) for m in d.values()
+                   for r in m.sparse for x in r.values())
+        cells = {obj.shift(k, 1, 0) for k in obj.d1} | {obj.shift(k, 0, 1) for k in obj.d2}
+        copies.append((ints, len(cells), calls["copy"] - before))
+        return out
+
+    monkeypatch.setattr(linalg, "echelon_rows", spy)
+    monkeypatch.setattr(cohomology, "echelon_rows", spy)
+    monkeypatch.setattr(cohomology, "_integer_copy", copy_spy)
+    for name, doc in (("gaussian", GAUSSIAN_DOC), ("rational", RATIONAL_DOC)):
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path), "--spectral", "3"]) == 0
     for args in (("iwasawa-complex", "--spectral", "4"), ("iwasawa-symplectic",),
                  ("heisenberg3",), ("abelian:4", "--spectral", "2")):
         assert main(["analyze", "--builtin", *args]) == 0
     capsys.readouterr()
-    assert calls["analysis"] == 0
+    assert calls["stray"] == 0
     assert calls["other"] > 0
+    assert [ints for ints, _, _ in copies[:2]] == [False, False]
+    assert all(ints for ints, _, _ in copies[2:])
+    for ints, cells, n in copies:
+        assert n == (0 if ints else cells)

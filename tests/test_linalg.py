@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohomlab import linalg
+from cohomlab.cohomology import frolicher_report
+from cohomlab.complexes import DoubleComplex
 from cohomlab.linalg import (
     Matrix,
     NotASubspace,
@@ -24,6 +26,7 @@ from cohomlab.linalg import (
     vstack,
 )
 from cohomlab.scalars import GaussianRational, demote
+from cohomlab.spectral import pages
 from subspace_reference import map_subspace
 
 
@@ -180,10 +183,12 @@ def test_matrix_operations_match_dense_references(data):
 
 def test_reductions_leave_their_inputs_unchanged():
     """_echelon edits rows in place (a unit pivot clears the row it
-    reduces without copying it) and vstack shares row dicts between
-    matrices, so _integer_rows hands it copies: rank, rank_profile, rref,
+    reduces without copying it), vstack shares row dicts between
+    matrices and echelon_rows passes integer rows through, so _echelon
+    copies each row it takes: rank, rank_profile, echelon_leads, rref,
     kernel and contains leave every input as it was, also a matrix
-    stacked on itself."""
+    stacked on itself, and so do frolicher_report and the spectral
+    pages on an integer double complex whose blocks share row dicts."""
     i = GaussianRational(0, 1)
     mats = [M([[1, 2, 0], [1, 3, 1], [2, 5, 1]]),
             M([[Fraction(1, 2), 1, 0], [1, 2, 3]]),
@@ -196,10 +201,26 @@ def test_reductions_leave_their_inputs_unchanged():
         rref(m)
         kernel(m)
         assert m.rows == before
+    for m in (mats[0], mats[3]):
+        before = m.rows
+        linalg.echelon_leads(m.sparse)
+        assert m.rows == before
     u, v = Subspace([[1, 2, 0], [0, 1, 1]], 3), Subspace([[1, 3, 1]], 3)
     before = (u.rows, v.rows)
     assert u.contains(v) and u.contains(u)
     assert (u.rows, v.rows) == before
+    # d1 and d2 out of (0, 0) are one matrix, whose second row clears at
+    # a unit pivot; d2 d1 + d1 d2 = s - s = 0
+    s = Matrix.from_sparse([{0: 1, 1: 1}, {0: 1, 1: 2}], 2)
+    minus = Matrix.from_sparse([{0: -1}, {1: -1}], 2)
+    dc = DoubleComplex({(0, 0): 2, (1, 0): 2, (0, 1): 2, (1, 1): 2},
+                       {(0, 0): s, (0, 1): minus}, {(0, 0): s, (1, 0): Matrix.identity(2)})
+    blocks = [m for d in (dc.d1, dc.d2) for m in d.values()]
+    before = [m.rows for m in blocks]
+    frolicher_report(dc)
+    for which in ("first", "second"):
+        pages(dc, which)
+    assert [m.rows for m in blocks] == before
 
 
 def test_mul_of_fractions_reduces_each_entry():
@@ -285,7 +306,7 @@ def test_rref_matches_field_gauss_jordan(m):
         [type(x) for x in r] for r in want_rows]
     assert rank(m) == len(want_pivots)
     # sparse basis rows store no zero and are keyed by their smallest column
-    basis, leads = linalg._echelon(linalg._integer_rows(m.sparse)[0])
+    basis, leads = linalg._echelon(linalg.echelon_rows(m.sparse, False)[0])
     assert all(min(v) == c and all(v.values()) for c, v in basis.items())
     assert sorted(lead for lead in leads if lead >= 0) == sorted(basis)
 
@@ -350,26 +371,43 @@ def test_gaussian_integer_rows_skip_the_clearing(monkeypatch):
     assert calls
 
 
-def test_integer_rows_of_a_rational_matrix_skip_the_clearing(monkeypatch):
-    """Only rows that hold a Fraction are cleared, also one with
-    denominator 1; an all-int row enters _echelon as a copy."""
+def test_echelon_rows_clear_a_rational_matrix_by_one_scale(monkeypatch):
+    """A matrix with a Fraction is cleared by one _int_rows call, one lcm
+    over all its rows, also those of ints; an all-int or Gaussian-integer
+    matrix is not cleared, and int rows pass through as they are."""
     calls = []
     int_rows = linalg._int_rows
     monkeypatch.setattr(linalg, "_int_rows",
-                        lambda rows: calls.append(1) or int_rows(rows))
+                        lambda rows: calls.append(len(rows)) or int_rows(rows))
     m = M([[Fraction(1, 2), 1, 0], [1, 2, 3], [2, 4, 6], [0, Fraction(3), 1]])
     before = [dict(r) for r in m.sparse]
-    rows, per_row = linalg._integer_rows(m.sparse)
-    assert len(calls) == 2
+    rows, per_row = linalg.echelon_rows(m.sparse, False)
+    assert calls == [4]
     assert per_row == 1
-    assert rows == [{0: 1, 1: 2}, {0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}, {1: 3, 2: 1}]
+    assert rows == [{0: 1, 1: 2}, {0: 2, 1: 4, 2: 6}, {0: 4, 1: 8, 2: 12}, {1: 6, 2: 2}]
     assert all(type(x) is int for r in rows for x in r.values())
-    assert all(a is not b for a, b in zip(rows, m.sparse))
     calls.clear()
     assert rank(m) == 3
     assert rank_profile(m) == [0, 2, -1, 1]
-    assert len(calls) == 4
+    assert calls == [4, 4]
     assert [dict(r) for r in m.sparse] == before
+    calls.clear()
+    ints = M([[1, 2, 3], [2, 4, 6], [0, 3, 1]])
+    assert linalg.echelon_rows(ints.sparse, False) == (ints.sparse, 1)
+    assert rank(ints) == 2 and rank_profile(ints) == [0, -1, 1]
+    g = GaussianRational
+    gauss = M([[g(1, 1), 2], [g(0, 1), -1]])
+    rows, per_row = linalg.echelon_rows(gauss.sparse, False)
+    assert per_row == 2 and len(rows) == 4
+    assert all(type(x) is int for r in rows for x in r.values())
+    assert rank(gauss) == 2 and rank_profile(gauss) == [0, 1]
+    assert calls == []
+    # realify splits rows without a Gaussian entry too, as the blocks of
+    # an analysis with a Gaussian entry elsewhere must be split
+    assert linalg.echelon_rows([{0: 2, 2: -1}, {}], True) == (
+        [{0: 2, 4: -1}, {1: 2, 5: -1}, {}, {}], 2)
+    assert linalg.echelon_rows([{1: Fraction(1, 3)}], True) == ([{2: 1}, {3: 1}], 2)
+    assert calls == [2]
 
 
 def test_rank_of_empty_shapes():
