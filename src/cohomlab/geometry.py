@@ -80,18 +80,20 @@ Three constructions feed the complex machinery:
 
 hard_lefschetz and primitive_and_lefschetz_decomposition read the Betti
 numbers from the pair's PairAnalysis (its D1 table) and everything else
-from ranks of stacked operator matrices: a quotient (span + im D) / im D
-has dimension rk[span | D] - rk D.  No subspace lattice is involved.
-They read the integer matrices of Sl2Operators, each operator up to a
-nonzero scale per degree, and kernel bases cleared of denominators:
-scaling a block of a stack by a nonzero constant changes no rank and no
-kernel, and scaling each column of a spanning set, or the operators
-applied to it, changes no span.
+from counts of _echelon leads on integer rows.  No subspace lattice, RREF
+or Fraction is involved.  They read the integer matrices of
+Sl2Operators, each operator up to a nonzero scale per degree, and the
+integer kernel bases of linalg.integer_kernel: scaling a block of a stack
+by a nonzero constant changes no rank and no kernel, and scaling each
+vector of a spanning set, or the operators applied to it, changes no
+span.  A quotient (span U + im D) / im D has dimension rk[U | D] - rk D,
+the leads that the columns of U gain when inserted into a copy of the
+echelon of the columns of D (Sl2Operators.image_echelon, one per degree,
+shared by both sections).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 import warnings
@@ -103,12 +105,14 @@ from fractions import Fraction
 from .linalg import (
     Matrix,
     Subspace,
+    _echelon,
     _int_rows,
     _lincomb,
     _product,
     _scaled,
     det,
-    hstack,
+    echelon_leads,
+    integer_kernel,
     kernel,
     mat_inverse,
     rank,
@@ -402,10 +406,12 @@ class Sl2Operators:
     cached, so every reader gets the same Matrix objects.  Readers that
     only take ranks, kernels or spans read the integer matrices: scaling
     a block of a stack by a nonzero constant changes no rank or kernel,
-    and L_int^r K spans what L^r K spans.
+    and L_int^r K spans what L^r K spans.  image_echelon(k), the echelon
+    of the columns of the integer d_k, is built on first read too and
+    kept here, with the operators it comes from.
     """
 
-    __slots__ = ("n", "m", "d", "scaled", "unimodular", "_exact")
+    __slots__ = ("n", "m", "d", "scaled", "unimodular", "_exact", "_images")
 
     def __init__(self, n, m, d, scaled, unimodular):
         self.n = n
@@ -414,6 +420,7 @@ class Sl2Operators:
         self.scaled = scaled
         self.unimodular = unimodular
         self._exact = {}
+        self._images = {}
 
     def integer(self, name):
         """{k: integer Matrix}: the operator name up to its scale in each degree."""
@@ -427,6 +434,18 @@ class Sl2Operators:
                                       mat.ncols)
                 for k, (s, mat) in self.scaled[name].items()}
         return table
+
+    def image_echelon(self, k):
+        """The _echelon basis of the columns of the integer d_k (empty
+        outside degrees 0..n), which spans im d_k; built on first read
+        and kept, so that both sections eliminate each image once.
+        Readers insert rows into copies of it (_new_leads)."""
+        basis = self._images.get(k)
+        if basis is None:
+            entry = self.scaled["d"].get(k)
+            cols = entry[1].transpose().sparse if entry else []
+            basis = self._images[k] = _echelon(sorted(cols, key=len))[0]
+        return basis
 
     star = property(lambda self: self._exact_table("star"))
     L = property(lambda self: self._exact_table("L"))
@@ -683,24 +702,25 @@ def symplectic_pair(sd):
     return BidiffPair(dims, 1, -1, nonzero(d), nonzero(ops.d_lam)), ops
 
 
-def _dim_mod_image(cols, d, rank_d):
-    """dim((column span of cols + im d) / im d), given rank_d = rk d."""
-    return rank(hstack(cols, d)) - rank_d
+def _new_leads(image, rows):
+    """rk[U | D] - rk D, for the columns of U given as integer rows and
+    image the _echelon basis of the columns of D: the leads that the rows
+    gain when inserted, sparsest first, into a copy of image."""
+    return len(_echelon(sorted(rows, key=len), image)[0]) - len(image)
 
 
-def _apply_L(L, cols, s, r):
-    """L^r applied to the columns of cols, which live in Lambda^s, for
-    the per-degree L of table L (up to scales, the span is the same)."""
+def _transposed(table):
+    """{k: the sparse rows of the transpose of table[k]}."""
+    return {k: mat.transpose().sparse for k, mat in table.items()}
+
+
+def _apply_L(lt, rows, s, r):
+    """L^r applied to forms of degree s, given as rows: the rows of
+    (L^r U)^T = U^T (L^T)^r, for lt the transposed rows of the integer L
+    per degree (up to scales, the span is the same)."""
     for t in range(r):
-        cols = L[s + 2 * t].mul(cols)
-    return cols
-
-
-def _kernel_columns(m):
-    """A basis of ker m, as the columns of a matrix, each basis vector
-    cleared of its denominators (which keeps the span)."""
-    basis = [_int_rows([v])[1][0] for v in kernel(m).basis]
-    return Matrix.from_sparse(basis, m.ncols).transpose()
+        rows = _product(rows, lt[s + 2 * t])
+    return rows
 
 
 def hard_lefschetz(pa, ops):
@@ -717,16 +737,18 @@ def hard_lefschetz(pa, ops):
     With K a basis of ker d_{m-k} and D = d_{m+k-1}, L^k maps H^{m-k}
     onto (span L^k K + im D) / im D, so its rank is rk[L^k K | D] - rk D
     (d L = L d makes the map well defined), and it is bijective iff that
-    rank equals b_{m-k} = b_{m+k}.
+    rank equals b_{m-k} = b_{m+k}.  K is integer_kernel's integer basis,
+    L^k is applied to it through the integer L, and the rank is the
+    number of leads that the vectors of L^k K gain on the image echelon
+    of D.
     """
     n, m = ops.n, ops.m
-    ops_d, ops_L = ops.integer("d"), ops.integer("L")
+    ops_d, lt = ops.integer("d"), _transposed(ops.integer("L"))
     betti = pa.flavor_table("D1", keep_zeros=True)
     iso = {}
     for k in range(m + 1):
-        d = _get(ops_d, n, m + k - 1, 1)
-        image_k = _apply_L(ops_L, _kernel_columns(ops_d[m - k]), m - k, k)
-        r = _dim_mod_image(image_k, d, rank(d))
+        forms = _apply_L(lt, integer_kernel(ops_d[m - k]).sparse, m - k, k)
+        r = _new_leads(ops.image_echelon(m + k - 1), forms)
         iso[k] = r == betti[m - k] == betti[m + k]
     holds = all(iso.values())
 
@@ -760,36 +782,43 @@ def primitive_and_lefschetz_decomposition(pa, ops):
     d((ker d_lam n ker Lambda)^{k-1}).  With N_k = [d; d_lam; Lambda]_k
     and dim M(ker N) = rk[M; N] - rk N, that is
     (dim Lambda^k - rk N_k) - (rk N_{k-1} - rk [d_lam; Lambda]_{k-1}).
+    Both ranks come from one echelon_leads pass over the rows of Lambda_k
+    and d_lam_k, then those of d_k: rk [d_lam; Lambda]_k counts the leads
+    of the first rows, rk N_k all of them.
 
     The decomposition check asks, degree by degree, whether the images
     of L^r on P_{j-2r} = ker d n ker Lambda span H^j directly and exhaust
     it: with D = d_{j-1}, each part has dimension rk[L^r P | D] - rk D,
     all of them together rk[all parts | D] - rk D, and degree j holds iff
-    that total equals the sum of the parts and b_j.  pa is the
-    PairAnalysis of the symplectic pair built with ops.
+    that total equals the sum of the parts and b_j.  P is
+    integer_kernel's basis; each part, and then all parts together, are
+    inserted into a copy of the image echelon of D, eliminated once per
+    degree.  pa is the PairAnalysis of the symplectic pair built with
+    ops.
     """
     n = ops.n
-    ops_d, ops_L, ops_lam = ops.integer("d"), ops.integer("L"), ops.integer("Lam")
-    ops_dlam = ops.integer("d_lam")
+    ops_d, ops_lam = ops.integer("d"), ops.integer("Lam")
+    ops_dlam, lt = ops.integer("d_lam"), _transposed(ops.integer("L"))
     rk_n, rk_dlam = {-1: 0}, {-1: 0}
     for k in range(n + 1):
-        dlam_lam = vstack(ops_dlam[k], ops_lam[k])
-        rk_dlam[k] = rank(dlam_lam)
-        rk_n[k] = rank(vstack(ops_d[k], dlam_lam))
+        first = sorted(ops_lam[k].sparse + ops_dlam[k].sparse, key=len)
+        leads = echelon_leads(first + sorted(ops_d[k].sparse, key=len))
+        rk_dlam[k] = sum(c >= 0 for c in leads[:len(first)])
+        rk_n[k] = rk_dlam[k] + sum(c >= 0 for c in leads[len(first):])
     primitive = {k: _checked(_dim(n, k) - rk_n[k] - (rk_n[k - 1] - rk_dlam[k - 1]),
                              "degree", k, "primitive", _PRIMITIVE)
                  for k in range(n + 1)}
 
     betti = pa.flavor_table("D1", keep_zeros=True)
-    prim_forms = {s: _kernel_columns(vstack(ops_d[s], ops_lam[s])) for s in range(n + 1)}
+    prim_forms = {s: integer_kernel(vstack(ops_d[s], ops_lam[s])).sparse
+                  for s in range(n + 1)}
     per_degree = {}
     for j in range(n + 1):
-        d = _get(ops_d, n, j - 1, 1)
-        rank_d = rank(d)
-        parts = [_apply_L(ops_L, prim_forms[j - 2 * r], j - 2 * r, r)
+        image = ops.image_echelon(j - 1)
+        parts = [_apply_L(lt, prim_forms[j - 2 * r], j - 2 * r, r)
                  for r in range(j // 2 + 1)]
-        indep_sum = sum(_dim_mod_image(u, d, rank_d) for u in parts)
-        total = _dim_mod_image(functools.reduce(hstack, parts), d, rank_d)
+        indep_sum = sum(_new_leads(image, u) for u in parts)
+        total = _new_leads(image, [v for u in parts for v in u])
         per_degree[j] = total == indep_sum == betti[j]
     return {
         "primitive": primitive,

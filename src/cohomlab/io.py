@@ -26,7 +26,8 @@ pages walk every total degree and every column in between, and Tot of
 a pair's Doub walks |deg1 - deg2| + 1 total degrees.  A
 symplectic lie_algebra above MAX_SYMPLECTIC_DIM generators raises
 ValidationError too: on a 2-core Xeon host its analysis takes about
-3 s at dimension 10 (building the operator calculus about 0.7 s of it).
+2.7 s at dimension 10 (building the operator calculus about 0.8 s of
+it, the symplectic sections about 0.7 s).
 Dimension 12 has not been timed since Lambda became a contraction by
 omega^-1.  Before, symplectic_pair had not returned there after 17
 minutes of process time, in the products that built Lambda = star L

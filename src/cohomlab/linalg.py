@@ -35,18 +35,25 @@ cleared by one integer scale over the call; integer rows pass as they
 are, and _echelon copies each row it takes.  GaussianRational keeps
 integral parts as ints, so the split rows of a Gaussian-integer row are
 integer rows as they are.  The library's rank, rank_profile, rref,
-kernel, mat_inverse and contains convert per call.  An analysis
-converts its blocks once, one call per target cell, so that the blocks
-into one cell share one scale (see cohomology._integer_copy), and
-eliminates those rows through echelon_leads.
+kernel, integer_kernel, mat_inverse and contains convert per call.  An
+analysis converts its blocks once, one call per target cell, so that the
+blocks into one cell share one scale (see cohomology._integer_copy), and
+eliminates those rows through echelon_leads.  The symplectic sections
+eliminate the integer matrices of the operator calculus as they are
+(geometry.Sl2Operators keeps each operator as a scale times one).
 rank is the number of leads.  rank_profile is the leads themselves
 (echelon_leads of the matrix's echelon_rows), which give the ranks of
 all row prefixes x column prefixes from one pass; an analysis counts
 its ranks and reads its spectral pages from them.  RREF, and with it
 kernel, image, mat_inverse and the subspace lattice, is that echelon
-basis plus back-substitution on the sparse rows (_rref_rows, which
-takes dense rows).  Containment is no new lead: s.contains(t) when,
-after the rows of s, no row of t gets one.
+basis plus back-substitution on the sparse rows (_back_substitute, then
+_rref_rows divides by the pivots; it takes dense rows).  integer_kernel
+stops before the division: the back-substituted integer basis gives an
+integer basis of the kernel of a rational matrix, the one the symplectic
+sections read, and its Subspace is kernel's.  Containment is no new
+lead: s.contains(t) when, after the rows of s, no row of t gets one;
+_echelon inserts rows into a copy of a given basis too, so one echelon
+of a span serves many such counts.
 
 det keeps its own elimination and has no caller in the package: the
 benchmark tracer (perfbench/tracer.py) still hooks it by name, and it
@@ -66,6 +73,7 @@ __all__ = [
     "Subspace",
     "det",
     "image",
+    "integer_kernel",
     "kernel",
     "mat_inverse",
     "preimage",
@@ -340,9 +348,10 @@ def _reduce(v, w, c):
     return v
 
 
-def _echelon(rows):
+def _echelon(rows, basis=None):
     """(basis, leads): sparse integer rows inserted in order into an
-    echelon basis.
+    echelon basis, a new one or a copy of basis (as _echelon returns it;
+    the dict is copied, its rows are never edited).
 
     The one row reduction, of the rows echelon_rows gives, and the one
     place that copies them: each row is copied as it is taken, since
@@ -354,9 +363,10 @@ def _echelon(rows):
     row reduced so far.  leads holds one lead per row, -1 for a row in
     the span of the rows before it (it emptied out).  basis maps lead
     column -> row, and each basis row is keyed by its smallest column
-    and stores no zero.
+    and stores no zero.  Inserted into a copy of the echelon of the
+    columns of D, the columns of U gain rk[U | D] - rk D leads.
     """
-    basis = {}
+    basis = {} if basis is None else dict(basis)
     leads = []
     for v in rows:
         v = dict(v)
@@ -373,21 +383,11 @@ def _echelon(rows):
     return basis, leads
 
 
-def _rref_rows(rows, ncols):
-    """Canonical RREF (sparse rows, pivot columns) of any dense exact rows
-    of width ncols (unread here; the benchmark tracer's hook reads it).
-
-    The _echelon basis of the rows' echelon_rows, cleared from the
-    right: each basis row, taken from the last lead back, is reduced
-    against the already cleared rows at the later pivots it holds, then
-    divided by its pivot.  Over Q(i) the rows at even split pivots
-    decode to the Gaussian rows (see echelon_rows).  The rows come in
-    dense, as the subspace lattice holds them: the benchmark tracer
-    reads their entries.
-    """
-    int_rows, per_row = echelon_rows(
-        [{c: x for c, x in enumerate(r) if x} for r in rows], False)
-    basis = _echelon(int_rows)[0]
+def _back_substitute(basis):
+    """The pivots of an _echelon basis, in order, after clearing the
+    basis from the right, fraction-free: each row, taken from the last
+    lead back, is reduced against the already cleared rows at the later
+    pivots it holds.  Then every row vanishes at every pivot but its own."""
     pivots = sorted(basis)
     for c in reversed(pivots):
         v = basis[c]
@@ -396,6 +396,23 @@ def _rref_rows(rows, ncols):
         for q in [q for q in v if q != c and q in basis]:
             v = _reduce(v, basis[q], q)
         basis[c] = v
+    return pivots
+
+
+def _rref_rows(rows, ncols):
+    """Canonical RREF (sparse rows, pivot columns) of any dense exact rows
+    of width ncols (unread here; the benchmark tracer's hook reads it).
+
+    The _echelon basis of the rows' echelon_rows, cleared from the
+    right (_back_substitute), each row then divided by its pivot.  Over Q(i) the rows at even split pivots
+    decode to the Gaussian rows (see echelon_rows).  The rows come in
+    dense, as the subspace lattice holds them: the benchmark tracer
+    reads their entries.
+    """
+    int_rows, per_row = echelon_rows(
+        [{c: x for c, x in enumerate(r) if x} for r in rows], False)
+    basis = _echelon(int_rows)[0]
+    pivots = _back_substitute(basis)
     out, out_pivots = [], []
     for c in pivots:
         if per_row == 2 and c % 2:
@@ -578,21 +595,54 @@ def kernel(m):
     if m.is_zero():
         return Subspace.full(n)
     rows, pivots = _rref_rows(m.rows, n)
-    pivset = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivset:
-            continue
-        v = [0] * n
-        v[free] = 1
-        for row, p in zip(rows, pivots):
-            x = row.get(free)
-            if x:
-                v[p] = -x
-        basis.append(v)
     # not echelon as built (pivot columns can precede the free column), so
     # canonicalize through the ordinary constructor
-    return Subspace(basis, n)
+    return Subspace(_dense(_kernel_rows(dict(zip(pivots, rows)), n), n), n)
+
+
+def _kernel_rows(basis, ncols):
+    """A basis of the kernel of the rows of a cleared echelon basis
+    {lead c: row w_c} of width ncols, each row vanishing at every pivot
+    but its own (an RREF, or _back_substitute's integer basis): one
+    sparse row per free column f, with v_f = L and v_c = -w_c[f] L / w_c[c]
+    at each c whose row holds f, where L is the lcm of the pivots w_c[c]
+    of those rows.  On integer rows the vectors are integer; on an RREF,
+    L = 1."""
+    holders = {}
+    for c, w in basis.items():
+        for f in w:
+            if f != c:
+                holders.setdefault(f, []).append((c, w))
+    out = []
+    for f in range(ncols):
+        if f in basis:
+            continue
+        held = holders.get(f, ())
+        big = lcm(*(w[c] for c, w in held))
+        v = {f: big}
+        for c, w in held:
+            v[c] = -w[f] * (big // w[c])
+        out.append(v)
+    return out
+
+
+def integer_kernel(m):
+    """A basis of ker m, for a rational m, as the rows of an integer
+    Matrix of width m.ncols: one row per free column, in column order.
+
+    The rows of m (echelon_rows) enter _echelon sparsest first, and its
+    basis is cleared from the right, fraction-free (_back_substitute), as
+    _rref_rows does before it divides by the pivots.  Each kernel vector
+    (_kernel_rows) is then an integer multiple of the RREF one, so
+    Subspace of these rows is kernel(m), with no Fraction and no second
+    elimination.
+    """
+    rows, per_row = echelon_rows(m.sparse, False)
+    if per_row != 1:
+        raise ValueError("integer_kernel needs a rational matrix")
+    basis = _echelon(sorted(rows, key=len))[0]
+    _back_substitute(basis)
+    return Matrix.from_sparse(_kernel_rows(basis, m.ncols), m.ncols)
 
 
 def image(m):

@@ -861,12 +861,16 @@ def test_degeneration_check_reads_the_report_tables(monkeypatch):
 
 
 def test_primitive_guard_names_degree_and_formula(monkeypatch):
-    """A broken rank (one too high) makes the torus' primitive dimension
-    in degree 2 equal to 1 - 2 - (1 - 1) = -1, which raises."""
+    """The ranks of N_k and [d_lam; Lam]_k are prefix counts of one
+    echelon_leads pass.  A broken pass that reports a phantom lead in
+    front of the rows shifts each prefix by one row: on the torus it
+    reads rk N_2 = 2, rk N_1 = 1 and rk [d_lam; Lam]_1 = 1, so the
+    primitive dimension in degree 2 is 1 - 2 - (1 - 1) = -1, which
+    raises."""
     pair, ops = symplectic_pair(SymplecticData(builtin("abelian:2"), {(1, 2): 1}))
     pa = PairAnalysis(pair, validated=True)
-    real_rank = geometry.rank
-    monkeypatch.setattr(geometry, "rank", lambda m: real_rank(m) + 1)
+    real_leads = geometry.echelon_leads
+    monkeypatch.setattr(geometry, "echelon_leads", lambda rows: [0] + real_leads(rows))
     with pytest.raises(AssertionError, match=re.escape(
             "primitive at degree 2 is -1 = dim - rk N_k - (rk N_{k-1} - rk [d_lam; Lam]_{k-1})")):
         primitive_and_lefschetz_decomposition(pa, ops)

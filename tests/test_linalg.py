@@ -2,12 +2,13 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohomlab import linalg
 from cohomlab.cohomology import frolicher_report
 from cohomlab.complexes import DoubleComplex
+from cohomlab.geometry import _new_leads
 from cohomlab.linalg import (
     Matrix,
     NotASubspace,
@@ -16,6 +17,7 @@ from cohomlab.linalg import (
     annihilator,
     hstack,
     image,
+    integer_kernel,
     kernel,
     mat_inverse,
     preimage,
@@ -51,20 +53,24 @@ entry_kinds = [ints, fracs, st.one_of(ints, gausses),
                st.one_of(ints, fracs, gauss_fracs), sparse]
 
 
+sparse_ints = st.sampled_from((0, 0, 0, 1)).flatmap(lambda k: ints if k else st.just(0))
+rational_kinds = [ints, fracs, st.one_of(ints, fracs), sparse_ints]
+
+
 @st.composite
-def matrices(draw, max_dim=5):
+def matrices(draw, max_dim=5, kinds=entry_kinds):
     m = draw(st.integers(0, max_dim))
     n = draw(st.integers(0, max_dim))
-    entries = draw(st.sampled_from(entry_kinds))
+    entries = draw(st.sampled_from(kinds))
     rows = [[draw(entries) for _ in range(n)] for _ in range(m)]
     return Matrix(rows, n)
 
 
 @st.composite
-def deficient_matrices(draw, max_dim=5):
+def deficient_matrices(draw, max_dim=5, kinds=entry_kinds):
     """matrices() plus rows that are combinations of the drawn rows."""
-    m = draw(matrices(max_dim))
-    entries = draw(st.sampled_from(entry_kinds))
+    m = draw(matrices(max_dim, kinds))
+    entries = draw(st.sampled_from(kinds))
     rows = [list(r) for r in m.rows]
     for _ in range(draw(st.integers(0, 3)) if rows else 0):
         new = [0] * m.ncols
@@ -484,6 +490,55 @@ def test_kernel_lies_in_domain_image_in_codomain():
 def test_kernel_vectors_killed(m):
     k = kernel(m)
     assert m.mul(k.basis_matrix().transpose()).is_zero()
+
+
+@given(deficient_matrices(max_dim=7, kinds=rational_kinds))
+@example(Matrix.zero(3, 4))
+@example(M([[1, 2, 0], [0, 3, 1], [2, 0, 5]]))
+@example(M([[Fraction(1, 2), 3, 0, Fraction(-2, 3)], [0, Fraction(5, 4), 1, 0]]))
+@example(Matrix.zero(0, 3))
+@example(Matrix.zero(3, 0))
+@example(Matrix.zero(0, 0))
+@settings(max_examples=300, deadline=None)
+def test_integer_kernel_is_the_kernel_on_integers(m):
+    """integer_kernel(m) is an integer matrix K whose rows span ker m:
+    m K^T = 0, rank K = ncols - rank m, and kernel(m) is the Subspace of
+    the rows of K; on int and Fraction matrices, dependent rows among
+    them, a zero and a full-rank one, and ones with no rows or no
+    columns."""
+    k = integer_kernel(m)
+    assert (k.nrows, k.ncols) == (m.ncols - rank(m), m.ncols)
+    assert all(type(x) is int for row in k.sparse for x in row.values())
+    assert m.mul(k.transpose()).is_zero()
+    assert rank(k) == k.nrows
+    assert kernel(m) == Subspace(k.rows, m.ncols)
+
+
+def test_integer_kernel_rejects_a_gaussian_matrix():
+    with pytest.raises(ValueError, match="rational"):
+        integer_kernel(M([[1, GaussianRational(0, 1)]]))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_image_echelon_counts_the_new_leads(data):
+    """The columns of U inserted into the echelon of the columns of D
+    gain rk[U | D] - rk D leads, and that echelon is left as it was.  U
+    has columns in im D too, so that some columns gain no lead."""
+    nrows = data.draw(st.integers(0, 6))
+
+    def draw_matrix(ncols):
+        entries = data.draw(st.sampled_from([ints, sparse_ints]))
+        return Matrix([[data.draw(entries) for _ in range(ncols)] for _ in range(nrows)], ncols)
+
+    d = draw_matrix(data.draw(st.integers(0, 5)))
+    k = data.draw(st.integers(0, 3))
+    combos = Matrix([[data.draw(ints) for _ in range(k)] for _ in range(d.ncols)], k)
+    u = hstack(draw_matrix(data.draw(st.integers(0, 3))), d.mul(combos))
+    image = linalg._echelon(d.transpose().sparse)[0]
+    before = {c: dict(w) for c, w in image.items()}
+    assert _new_leads(image, u.transpose().sparse) == rank(hstack(u, d)) - rank(d)
+    assert image == before
 
 
 # -- subspace lattice -------------------------------------------------------
