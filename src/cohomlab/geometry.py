@@ -406,9 +406,7 @@ class Sl2Operators:
     cached, so every reader gets the same Matrix objects.  Readers that
     only take ranks, kernels or spans read the integer matrices: scaling
     a block of a stack by a nonzero constant changes no rank or kernel,
-    and L_int^r K spans what L^r K spans.  image_echelon(k), the echelon
-    of the columns of the integer d_k, is built on first read too and
-    kept here, with the operators it comes from.
+    and L_int^r K spans what L^r K spans.
     """
 
     __slots__ = ("n", "m", "d", "scaled", "unimodular", "_exact", "_images")

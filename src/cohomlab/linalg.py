@@ -363,8 +363,7 @@ def _echelon(rows, basis=None):
     row reduced so far.  leads holds one lead per row, -1 for a row in
     the span of the rows before it (it emptied out).  basis maps lead
     column -> row, and each basis row is keyed by its smallest column
-    and stores no zero.  Inserted into a copy of the echelon of the
-    columns of D, the columns of U gain rk[U | D] - rk D leads.
+    and stores no zero.
     """
     basis = {} if basis is None else dict(basis)
     leads = []
@@ -404,10 +403,10 @@ def _rref_rows(rows, ncols):
     of width ncols (unread here; the benchmark tracer's hook reads it).
 
     The _echelon basis of the rows' echelon_rows, cleared from the
-    right (_back_substitute), each row then divided by its pivot.  Over Q(i) the rows at even split pivots
-    decode to the Gaussian rows (see echelon_rows).  The rows come in
-    dense, as the subspace lattice holds them: the benchmark tracer
-    reads their entries.
+    right (_back_substitute), each row then divided by its pivot.  Over
+    Q(i) the rows at even split pivots decode to the Gaussian rows (see
+    echelon_rows).  The rows come in dense, as the subspace lattice holds
+    them: the benchmark tracer reads their entries.
     """
     int_rows, per_row = echelon_rows(
         [{c: x for c, x in enumerate(r) if x} for r in rows], False)

@@ -33,7 +33,7 @@ BUDGET_S = 6.0
 
 DIM_10, SEED_10 = 10, 11
 REPORT_SHA256_10 = "7815a528d21fdf3b5c6e75867466cd825ece00fb52d065cbde4913bc1c2caf3d"
-# analyze took 2.3-3.5 s of wall time on a 2-core Xeon (3.7-5.0 s in the
+# analyze took 2.2-3.5 s of wall time on a 2-core Xeon (3.3-5.0 s in the
 # same runs while the sections took Fraction RREF kernels and ranked each
 # image of d once per part), and 7.8-8.6 s while Lambda was star L star,
 # the sections read Fraction matrices and rank took its rows in matrix order
