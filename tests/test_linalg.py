@@ -500,7 +500,7 @@ def test_kernel_vectors_killed(m):
 @example(Matrix.zero(3, 0))
 @example(Matrix.zero(0, 0))
 @settings(max_examples=300, deadline=None)
-def test_integer_kernel_is_the_kernel_on_integers(m):
+def test_integer_kernel_spans_the_kernel(m):
     """integer_kernel(m) is an integer matrix K whose rows span ker m:
     m K^T = 0, rank K = ncols - rank m, and kernel(m) is the Subspace of
     the rows of K; on int and Fraction matrices, dependent rows among

@@ -7,9 +7,9 @@ its integer copy, so this rung checks that copy's report bytes and its
 cost.  Dimension 10 is the largest the CLI accepts
 (io.MAX_SYMPLECTIC_DIM); there the calculus, the pair's analysis and
 the sections, which count echelon leads on integer kernels and images,
-take about a third of the time each.  The documents are written as perfbench/workloads.py writes
-the symplectic-batch inputs, imported read-only as
-tests/test_ladder_budget.py imports it.
+take about a third of the time each.  The documents are written as
+perfbench/workloads.py writes the symplectic-batch inputs, imported
+read-only as tests/test_ladder_budget.py imports it.
 """
 
 import hashlib
@@ -26,9 +26,9 @@ from cohomlab.io import canonical_json  # noqa: E402
 
 DIM, SEED = 8, 3
 REPORT_SHA256 = "2c0b17437ba29b4564836c2617fa55dd86c41fdb0d9743fe19f9e87ed8c59046"
-# analyze took 0.12-0.17 s of process time on a 2-core Xeon (0.13-0.17 s
-# while the sections took Fraction RREF kernels and ranked each image of d
-# once per part)
+# analyze took 0.12-0.17 s of process time on a 2-core Xeon (0.13-0.15 s
+# in the same runs while the sections took Fraction RREF kernels and
+# ranked each image of d once per part)
 BUDGET_S = 6.0
 
 DIM_10, SEED_10 = 10, 11
